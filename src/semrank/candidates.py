@@ -86,7 +86,10 @@ def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], 
             raise ValueError(msg)
         seen.add(v.id)
     sims = query_similarities(query, corpus)
-    order = sorted(range(len(corpus)), key=lambda i: (-sims[i], corpus[i].id))[:n]
+    # Only items at or above the n-th largest similarity can make the pool.
+    cutoff = np.partition(sims, sims.size - n)[sims.size - n]
+    contenders = np.flatnonzero(sims >= cutoff).tolist()
+    order = sorted(contenders, key=lambda i: (-sims[i], corpus[i].id))[:n]
     chosen = tuple(corpus[i] for i in order)
     return CandidatePool(
         query=query,

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .compression import CompressionConfig, greedy_select
-from .datagen import SyntheticDatasetSpec, composite_query, generate_clusters
+from .datagen import SyntheticDataset, SyntheticDatasetSpec, composite_query, generate_clusters
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -80,10 +81,23 @@ def _dataset_spec(args: argparse.Namespace) -> SyntheticDatasetSpec:
     )
 
 
-def _load_or_generate(args: argparse.Namespace):
-    if getattr(args, "data", None):
-        return load_dataset(args.data)
-    return generate_clusters(_dataset_spec(args))
+def _load_or_generate(args: argparse.Namespace) -> tuple[SyntheticDataset, SyntheticDatasetSpec]:
+    """The dataset to run on, and the spec the config echo reports for it.
+
+    A loaded file's spec takes its size, dimension and cluster count from
+    the file; the remaining fields echo the flags.
+    """
+    if not getattr(args, "data", None):
+        spec = _dataset_spec(args)
+        return generate_clusters(spec), spec
+    dataset = load_dataset(args.data)
+    spec = replace(
+        _dataset_spec(args),
+        num_points=len(dataset.points),
+        dim=dataset.points[0].dim if dataset.points else args.dim,
+        num_clusters=len(set(dataset.labels.values())),
+    )
+    return dataset, spec
 
 
 def _write(text: str, out: str | None) -> None:
@@ -104,16 +118,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    dataset = _load_or_generate(args)
+    dataset, spec = _load_or_generate(args)
     query = composite_query(dataset, args.seed)
     pool = top_n_candidates(query, dataset.points, args.pool_size)
     trace = greedy_select(pool, CompressionConfig(k=args.k, lam=args.lam))
     result = build_result(
         "semantic_compression", list(zip(trace.chosen, trace.marginal_gains)), dataset.by_id, query
     )
-    config = ExperimentConfig(
-        dataset=_dataset_spec(args), pool_size=args.pool_size, k=args.k, lam=args.lam
-    )
+    config = ExperimentConfig(dataset=spec, pool_size=args.pool_size, k=args.k, lam=args.lam)
     report = _single_result_report(result, config)
     _write(report_to_csv(report) if args.format == "csv" else report_to_json(report), args.out)
     return 0
@@ -122,11 +134,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     from .experiments import build_experiment_graph
 
-    dataset = _load_or_generate(args)
+    dataset, spec = _load_or_generate(args)
     # Only the graph fields matter here; pool_size/k are pinned to 1 so the
     # carrier config validates for datasets of any size.
     config = ExperimentConfig(
-        dataset=_dataset_spec(args),
+        dataset=spec,
         pool_size=1,
         k=1,
         graph_k=args.graph_k,
@@ -160,9 +172,9 @@ def _cmd_ppr(args: argparse.Namespace) -> int:
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     from .experiments import build_experiment_graph
 
-    dataset = _load_or_generate(args)
+    dataset, spec = _load_or_generate(args)
     config = ExperimentConfig(
-        dataset=_dataset_spec(args),
+        dataset=spec,
         pool_size=args.pool_size,
         k=args.k,
         graph_k=args.graph_k,

@@ -111,8 +111,10 @@ def _timed(runtimes: dict[str, float], stage: str, action: Callable[[], _T]) -> 
     try:
         value = action()
     except Exception as exc:
-        msg = f"experiment stage {stage!r} failed: {exc}"
-        raise RuntimeError(msg) from exc
+        # Re-raise the same exception, type and attributes intact, with the
+        # stage named at the front of its message.
+        exc.args = (f"experiment stage {stage!r} failed: {exc}",)
+        raise
     runtimes[stage] = (time.perf_counter() - start) * 1000.0
     return value
 

@@ -15,7 +15,8 @@ Graph files::
     <source_id> TAB <target_id> TAB <weight> TAB <kind>   (edge rows to EOF)
 
 Floats are written with ``repr`` so values round-trip exactly in double
-precision.
+precision.  Ids are written as they are, so saving rejects an id that holds
+a tab or a line break.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ from pathlib import Path
 from .datagen import SyntheticDataset
 from .geometry import EmbeddingVector
 from .graph import GraphEdge, SemanticGraph
+
+
+# The field separator plus every line boundary ``str.splitlines`` honours.
+_UNWRITABLE_ID_CHARS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _check_writable_id(item_id: str) -> None:
+    if not _UNWRITABLE_ID_CHARS.isdisjoint(item_id):
+        msg = f"id {item_id!r} contains a tab or line break, which the file format cannot hold"
+        raise ValueError(msg)
 
 
 def _format_values(vector: EmbeddingVector) -> str:
@@ -68,6 +79,7 @@ def save_dataset(dataset: SyntheticDataset, path: str | Path) -> Path:
     dim = dataset.points[0].dim
     lines = [f"#nodes {len(dataset.points)} #dim {dim}"]
     for point in dataset.points:
+        _check_writable_id(point.id)
         label = dataset.labels[point.id]
         lines.append(f"{point.id}\t{label}\t{_format_values(point)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -114,6 +126,7 @@ def save_graph(graph: SemanticGraph, path: str | Path) -> Path:
     dim = graph.nodes[0].dim
     lines = [f"#nodes {len(graph.nodes)} #dim {dim}"]
     for node in graph.nodes:
+        _check_writable_id(node.id)
         lines.append(f"{node.id}\t{_format_values(node)}")
     for edge in graph.edges:
         lines.append(f"{edge.source}\t{edge.target}\t{edge.weight!r}\t{edge.kind}")

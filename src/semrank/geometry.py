@@ -158,5 +158,29 @@ def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
 
 
 def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """Cosine similarity of ``query`` against each vector, in input order."""
-    return np.array([cosine_similarity(query, v) for v in vectors], dtype=np.float64)
+    """Cosine similarity of ``query`` against each vector, in input order.
+
+    Raises the errors of :func:`cosine_similarity`, naming the first
+    offending vector.
+    """
+    if not vectors:
+        return np.zeros(0)
+    try:
+        stacked = np.stack([v.values for v in vectors])
+        uniform = stacked.shape[1] == query.dim
+    except ValueError:  # rows of different lengths
+        uniform = False
+    if not uniform:
+        v = next(v for v in vectors if v.dim != query.dim)
+        msg = f"dimension mismatch: {query.id!r} has d={query.dim}, {v.id!r} has d={v.dim}"
+        raise ValueError(msg)
+    query_norm = query.norm()
+    if not query_norm > 0.0:
+        msg = f"cosine similarity undefined for zero-norm vector {query.id!r}"
+        raise ValueError(msg)
+    norms = np.linalg.norm(stacked, axis=1)
+    zero = np.flatnonzero(~(norms > 0.0))
+    if zero.size:
+        msg = f"cosine similarity undefined for zero-norm vector {vectors[zero[0]].id!r}"
+        raise ValueError(msg)
+    return np.clip(stacked @ query.values / (query_norm * norms), -1.0, 1.0)

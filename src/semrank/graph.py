@@ -87,13 +87,69 @@ class SemanticGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
 
     @cached_property
     def by_id(self) -> dict[str, EmbeddingVector]:
         return {node.id: node for node in self.nodes}
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Position of each node id in ``nodes``."""
+        return {node_id: i for i, node_id in enumerate(self.node_ids)}
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Out-edges as read-only CSR arrays ``(indptr, indices, weights)``.
+
+        Row ``i`` lists the targets of ``nodes[i]`` by ascending position;
+        parallel edges of different kinds share one entry with their
+        weights summed.
+        """
+        n = len(self.nodes)
+        count = len(self.edges)
+        positions = self.positions
+        sources = np.fromiter((positions[edge.source] for edge in self.edges), dtype=np.intp, count=count)
+        targets = np.fromiter((positions[edge.target] for edge in self.edges), dtype=np.intp, count=count)
+        weights = np.fromiter((edge.weight for edge in self.edges), dtype=np.float64, count=count)
+        keys, slots = np.unique(sources * n + targets, return_inverse=True)
+        summed = np.bincount(slots, weights=weights, minlength=keys.size).astype(np.float64)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        arrays = (indptr, keys % n, summed)
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
+
+    @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """Node vectors scaled to unit norm, one read-only row per node in
+        node order; a zero-norm node keeps an all-zero row."""
+        if not self.nodes:
+            return np.zeros((0, 0))
+        dim = self.nodes[0].dim
+        for node in self.nodes:
+            if node.dim != dim:
+                msg = f"dimension mismatch: {node.id!r} has d={node.dim}, expected {dim}"
+                raise ValueError(msg)
+        rows = np.stack([node.values for node in self.nodes])
+        norms = np.linalg.norm(rows, axis=1)
+        nonzero = norms > 0.0
+        rows[nonzero] /= norms[nonzero, None]
+        rows[~nonzero] = 0.0
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def id_ranks(self) -> np.ndarray:
+        """Rank of each node's id in ascending id order, in node order, so
+        node positions can be ordered by id with an integer sort."""
+        ranks = np.empty(len(self.nodes), dtype=np.intp)
+        ranks[sorted(range(len(self.nodes)), key=self.node_ids.__getitem__)] = np.arange(len(self.nodes))
+        ranks.setflags(write=False)
+        return ranks
 
     def vector(self, node_id: str) -> EmbeddingVector:
         try:
@@ -104,32 +160,86 @@ class SemanticGraph:
 
     def out_neighbors(self, node_id: str) -> set[str]:
         self.vector(node_id)
-        return {edge.target for edge in self.edges if edge.source == node_id}
+        indptr, indices, _ = self.csr
+        row = self.positions[node_id]
+        return {self.node_ids[j] for j in indices[indptr[row] : indptr[row + 1]]}
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every CSR entry."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 @dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
-    """Row-stochastic adjacency; dangling rows stay all-zero."""
+    """Row-stochastic adjacency in CSR form; dangling rows stay empty.
+
+    Row ``i`` of the matrix holds ``weights[indptr[i]:indptr[i + 1]]`` at
+    columns ``indices[indptr[i]:indptr[i + 1]]``.  Every row sums to 1,
+    except the rows of ``dangling`` nodes, which sum to 0.
+    """
 
     order: tuple[str, ...]
-    matrix: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
     dangling: frozenset[str]
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
         n = len(self.order)
+        indptr = np.array(self.indptr, dtype=np.intp)
+        indices = np.array(self.indices, dtype=np.intp)
+        weights = np.array(self.weights, dtype=np.float64)
+        if (
+            indptr.shape != (n + 1,)
+            or indptr[0] != 0
+            or (np.diff(indptr) < 0).any()
+            or indices.shape != (indptr[-1],)
+            or weights.shape != indices.shape
+            or ((indices < 0) | (indices >= n)).any()
+        ):
+            msg = f"CSR arrays do not describe a {n}-node adjacency"
+            raise ValueError(msg)
+        sums = np.bincount(_entry_rows(indptr), weights=weights, minlength=n)
+        expected = np.where(self.dangling_rows, 0.0, 1.0)
+        wrong = np.flatnonzero(np.abs(sums - expected) > 1e-9)
+        if wrong.size:
+            i = wrong[0]
+            msg = f"row for {self.order[i]!r} sums to {sums[i]}, expected {float(expected[i])}"
+            raise ValueError(msg)
+        for name, array in (("indptr", indptr), ("indices", indices), ("weights", weights)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_dense(
+        cls, order: Sequence[str], matrix: np.ndarray, dangling: Iterable[str]
+    ) -> "NormalizedAdjacency":
+        """Adjacency from a dense row-stochastic matrix; zero entries are dropped."""
+        order = tuple(order)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        n = len(order)
         if matrix.shape != (n, n):
             msg = f"adjacency shape {matrix.shape} does not match {n} nodes"
             raise ValueError(msg)
-        sums = matrix.sum(axis=1)
-        for i, node_id in enumerate(self.order):
-            expected = 0.0 if node_id in self.dangling else 1.0
-            if abs(sums[i] - expected) > 1e-9:
-                msg = f"row for {node_id!r} sums to {sums[i]}, expected {expected}"
-                raise ValueError(msg)
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        rows, columns = np.nonzero(matrix)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(order, indptr, columns, matrix[rows, columns], frozenset(dangling))
+
+    @cached_property
+    def dangling_rows(self) -> np.ndarray:
+        """Boolean mask of the ``dangling`` nodes, in node order."""
+        return np.array([node_id in self.dangling for node_id in self.order], dtype=bool)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only dense view; ``n * n`` floats, so only for small graphs."""
+        n = len(self.order)
+        dense = np.zeros((n, n), dtype=np.float64)
+        dense[_entry_rows(self.indptr), self.indices] = self.weights
+        dense.setflags(write=False)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -363,19 +473,15 @@ def add_symbolic_edges_dense(
 def normalize_adjacency(graph: SemanticGraph) -> NormalizedAdjacency:
     """Sum parallel edge weights, then normalise each row to sum to 1.
 
-    Nodes without out-edges keep an all-zero row and are reported in
+    Nodes without out-edges keep an empty row and are reported in
     ``dangling``.
     """
     order = graph.node_ids
-    positions = {node_id: i for i, node_id in enumerate(order)}
-    matrix = np.zeros((len(order), len(order)), dtype=np.float64)
-    for edge in graph.edges:
-        matrix[positions[edge.source], positions[edge.target]] += edge.weight
-    sums = matrix.sum(axis=1)
-    dangling = frozenset(order[i] for i in range(len(order)) if sums[i] == 0.0)
-    nonzero = sums > 0.0
-    matrix[nonzero] /= sums[nonzero, None]
-    return NormalizedAdjacency(order=order, matrix=matrix, dangling=dangling)
+    indptr, indices, weights = graph.csr
+    rows = _entry_rows(indptr)
+    sums = np.bincount(rows, weights=weights, minlength=len(order))
+    dangling = frozenset(order[i] for i in np.flatnonzero(sums == 0.0))
+    return NormalizedAdjacency(order, indptr, indices, weights / sums[rows], dangling)
 
 
 def personalized_pagerank(
@@ -397,20 +503,21 @@ def personalized_pagerank(
         msg = "seed order does not match adjacency order"
         raise ValueError(msg)
     s = seed.weights
-    transpose = adjacency.matrix.T.copy()
-    dangling_idx = np.array(
-        [i for i, node_id in enumerate(adjacency.order) if node_id in adjacency.dangling],
-        dtype=np.intp,
-    )
+    n = len(adjacency.order)
+    # A^T r scatters each entry's weighted source mass onto its target column.
+    sources = _entry_rows(adjacency.indptr)
+    targets = adjacency.indices
+    dangling_idx = np.flatnonzero(adjacency.dangling_rows)
     r = s.copy()
     residual = np.inf
     for _ in range(config.max_iterations):
         dangling_mass = float(r[dangling_idx].sum()) if dangling_idx.size else 0.0
-        r_next = config.alpha * s + (1.0 - config.alpha) * (transpose @ r + dangling_mass * s)
+        spread = np.bincount(targets, weights=adjacency.weights * r[sources], minlength=n)
+        r_next = config.alpha * s + (1.0 - config.alpha) * (spread + dangling_mass * s)
         residual = float(np.abs(r_next - r).sum())
         r = r_next
         if residual < config.tolerance:
-            return [(node_id, float(score)) for node_id, score in zip(adjacency.order, r)]
+            return list(zip(adjacency.order, r.tolist()))
     raise ConvergenceError(residual=residual, iterations=config.max_iterations, tolerance=config.tolerance)
 
 
@@ -443,14 +550,12 @@ def random_walk_expand(
         msg = f"num_walks must be >= 1, got {num_walks}"
         raise ValueError(msg)
     adjacency = normalize_adjacency(graph)
-    positions = {node_id: i for i, node_id in enumerate(adjacency.order)}
+    positions = graph.positions
     neighbors: list[np.ndarray] = []
     cumulative: list[np.ndarray] = []
-    for i in range(len(adjacency.order)):
-        row = adjacency.matrix[i]
-        hit = np.flatnonzero(row)
-        neighbors.append(hit)
-        cumulative.append(np.cumsum(row[hit]))
+    for start, stop in zip(adjacency.indptr[:-1], adjacency.indptr[1:]):
+        neighbors.append(adjacency.indices[start:stop])
+        cumulative.append(np.cumsum(adjacency.weights[start:stop]))
     rng = np.random.default_rng(rng_seed)
     counts = np.zeros(len(adjacency.order), dtype=np.int64)
     for seed_id in seed_ids:

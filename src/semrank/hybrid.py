@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .candidates import CandidatePool
 from .geometry import EmbeddingVector, cosine_similarity
 from .graph import PprConfig, SeedVector, SemanticGraph, normalize_adjacency, personalized_pagerank
@@ -120,41 +122,54 @@ def rank_hybrid(
     signal can promote an item the first stage missed.  Ordering is by
     descending blended score with exact ties broken by ascending id.
     """
+    positions = graph.positions
     for item_id in pool.ids:
-        if item_id not in graph.by_id:
+        if item_id not in positions:
             msg = f"pool item {item_id!r} is missing from the graph"
             raise ValueError(msg)
-    scope = set(pool.ids)
-    for item_id in pool.ids:
-        scope.update(graph.out_neighbors(item_id))
-    if config.k > len(scope):
-        msg = f"result size {config.k} exceeds scored scope of {len(scope)} items"
+    indptr, indices, _ = graph.csr
+    in_pool = np.zeros(len(graph), dtype=bool)
+    in_pool[[positions[item_id] for item_id in pool.ids]] = True
+    in_scope = in_pool.copy()
+    in_scope[indices[np.repeat(in_pool, np.diff(indptr))]] = True
+    scope = np.flatnonzero(in_scope)
+    if config.k > scope.size:
+        msg = f"result size {config.k} exceeds scored scope of {scope.size} items"
         raise ValueError(msg)
 
     ppr = personalized_pagerank(normalize_adjacency(graph), seed, ppr_config)
-    mass = dict(ppr)
-    graph_raw = {item_id: mass.get(item_id, 0.0) for item_id in scope}
+    mass = np.fromiter((score for _, score in ppr), dtype=np.float64, count=len(ppr))
+    graph_raw = mass[scope]
     if config.rescale_graph:
-        low = min(graph_raw.values())
-        high = max(graph_raw.values())
-        span = high - low
-        if span > 0.0:
-            graph_raw = {item_id: (value - low) / span for item_id, value in graph_raw.items()}
-        else:
-            graph_raw = {item_id: 0.0 for item_id in graph_raw}
+        low = graph_raw.min()
+        span = graph_raw.max() - low
+        graph_raw = (graph_raw - low) / span if span > 0.0 else np.zeros_like(graph_raw)
 
-    embeddings: dict[str, EmbeddingVector] = dict(graph.by_id)
-    for vector in pool.candidates:
-        embeddings.setdefault(vector.id, vector)
+    direct = _query_cosines(pool.query, graph, scope)
+    blended = (1.0 - config.beta) * direct + config.beta * graph_raw
+    top = np.lexsort((graph.id_ranks[scope], -blended))[: config.k]
+    items = [(graph.node_ids[scope[j]], float(blended[j])) for j in top]
+    return build_result(_method_tag(config.beta), items, graph.by_id, pool.query)
 
-    scored: list[tuple[str, float]] = []
-    for item_id in scope:
-        direct = vec_score(embeddings[item_id], pool.query)
-        blended = (1.0 - config.beta) * direct + config.beta * graph_raw[item_id]
-        scored.append((item_id, blended))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    top = tuple(scored[: config.k])
-    return build_result(_method_tag(config.beta), top, embeddings, pool.query)
+
+def _query_cosines(query: EmbeddingVector, graph: SemanticGraph, rows: np.ndarray) -> np.ndarray:
+    """Cosine of ``query`` against the graph nodes at positions ``rows``,
+    with :func:`cosine_similarity`'s errors and clamping."""
+    unit = graph.unit_rows
+    if rows.size and unit.shape[1] != query.dim:
+        first = graph.nodes[rows[0]]
+        msg = f"dimension mismatch: {first.id!r} has d={first.dim}, {query.id!r} has d={query.dim}"
+        raise ValueError(msg)
+    chosen = unit[rows]
+    zero = np.flatnonzero(~chosen.any(axis=1))
+    if zero.size:
+        msg = f"cosine similarity undefined for zero-norm vector {graph.node_ids[rows[zero[0]]]!r}"
+        raise ValueError(msg)
+    query_norm = query.norm()
+    if not query_norm > 0.0:
+        msg = f"cosine similarity undefined for zero-norm vector {query.id!r}"
+        raise ValueError(msg)
+    return np.clip(chosen @ (query.values / query_norm), -1.0, 1.0)
 
 
 def relevance_metric(

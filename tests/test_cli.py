@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semrank
 from semrank.cli import main
 from semrank.fileio import load_dataset, load_graph
 
@@ -130,6 +135,27 @@ class TestRetrieve:
         assert out.splitlines()[1].startswith("graph_ppr,")
 
 
+class TestLoadedData:
+    @pytest.mark.parametrize("command", ["compress", "retrieve"])
+    def test_pool_size_and_echo_follow_the_loaded_file(self, command, tmp_path, capsys):
+        # 250 points exceed the --num-points default of 200, which must not
+        # bound the pool or appear in the echo when --data is given.
+        data = tmp_path / "data.tsv"
+        generate = ["generate", "--num-points", "250", "--dim", "3", "--clusters", "4"]
+        assert main([*generate, "--out", str(data)]) == 0
+        capsys.readouterr()
+        code, out, err = _run(
+            [command, "--data", str(data), "--pool-size", "220", "--k", "5", "--format", "json"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        echoed = json.loads(out)["config"]
+        assert echoed["pool_size"] == 220
+        assert echoed["dataset"]["num_points"] == 250
+        assert echoed["dataset"]["dim"] == 3
+        assert echoed["dataset"]["num_clusters"] == 4
+
+
 class TestExperiment:
     def test_reports_all_three_methods(self, capsys):
         code, out, err = _run(["experiment", *_SMALL], capsys)
@@ -220,3 +246,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error: could not place centroid")
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # A fresh interpreter: this test process may have scipy loaded already.
+        src = str(Path(semrank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, semrank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert proc.stdout.strip() == "[]"

@@ -25,6 +25,7 @@ from semrank.experiments import (
     sweep_to_csv,
     sweep_to_json,
 )
+from semrank.graph import ConvergenceError, PprConfig
 from semrank.hybrid import RetrievalResult
 
 # Small but structurally complete configuration to keep runs quick.
@@ -190,8 +191,17 @@ class TestRunExperiment:
         from dataclasses import replace
 
         broken = replace(_SMALL, graph_k=40)  # needs 41 nodes, only 40 exist
-        with pytest.raises(RuntimeError, match="experiment stage 'graph_build' failed"):
+        with pytest.raises(ValueError, match="experiment stage 'graph_build' failed: k=40 needs"):
             run_experiment(broken)
+
+    def test_stage_failures_keep_the_convergence_error(self):
+        from dataclasses import replace
+
+        starved = replace(_SMALL, ppr=PprConfig(max_iterations=1))
+        expected = "experiment stage 'graph_rank' failed: no convergence"
+        with pytest.raises(ConvergenceError, match=expected) as caught:
+            run_experiment(starved)
+        assert caught.value.iterations == 1
 
 
 class TestSweepLambda:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semrank.datagen import SyntheticDatasetSpec, generate_clusters
+from semrank.datagen import SyntheticDataset, SyntheticDatasetSpec, generate_clusters
 from semrank.fileio import load_dataset, load_graph, save_dataset, save_graph
 from semrank.geometry import EmbeddingVector
 from semrank.graph import GraphEdge, SemanticGraph, build_knn_graph
@@ -36,8 +38,6 @@ class TestDatasetRoundTrip:
         assert all(line.count("\t") == 2 for line in lines[1:])
 
     def test_empty_dataset_rejected(self, tmp_path):
-        from semrank.datagen import SyntheticDataset
-
         empty = SyntheticDataset(points=(), labels={}, spec=None)
         with pytest.raises(ValueError, match="empty dataset"):
             save_dataset(empty, tmp_path / "nope.tsv")
@@ -182,3 +182,77 @@ class TestGraphParsing:
         path = self._write(tmp_path, "#nodes 1 #dim 1\na\t1.0\na\tghost\t0.5\tknn\n")
         with pytest.raises(ValueError, match="references unknown node"):
             load_graph(path)
+
+
+_UNWRITABLE_IDS = ["a\tb", "a\rb", "a\nb", "line\u2028break"]
+
+
+class TestUnwritableIds:
+    @pytest.mark.parametrize("bad", _UNWRITABLE_IDS)
+    def test_dataset_rejects_tab_and_line_breaks(self, bad, tmp_path):
+        points = (EmbeddingVector("ok", [1.0, 0.0]), EmbeddingVector(bad, [0.0, 1.0]))
+        dataset = SyntheticDataset(points=points, labels={"ok": 0, bad: 1})
+        path = tmp_path / "data.tsv"
+        with pytest.raises(ValueError, match="contains a tab or line break") as caught:
+            save_dataset(dataset, path)
+        assert repr(bad) in str(caught.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", _UNWRITABLE_IDS)
+    def test_graph_rejects_tab_and_line_breaks(self, bad, tmp_path):
+        nodes = (EmbeddingVector("ok", [1.0, 0.0]), EmbeddingVector(bad, [0.0, 1.0]))
+        graph = SemanticGraph(nodes=nodes, edges=(GraphEdge("ok", bad, 0.5, "knn"),))
+        path = tmp_path / "graph.tsv"
+        with pytest.raises(ValueError, match="contains a tab or line break") as caught:
+            save_graph(graph, path)
+        assert repr(bad) in str(caught.value)
+        assert not path.exists()
+
+
+# Any id the formats can hold: no tab, no line boundary, no lone surrogate.
+_ids = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
+    ),
+    max_size=6,
+)
+_coordinates = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_datasets_round_trip_exactly(self, tmp_path_factory, data, dim):
+        ids = data.draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
+        points = tuple(
+            EmbeddingVector(item_id, data.draw(st.lists(_coordinates, min_size=dim, max_size=dim)))
+            for item_id in ids
+        )
+        labels = {item_id: data.draw(st.integers(-3, 3)) for item_id in ids}
+        path = tmp_path_factory.mktemp("data") / "data.tsv"
+        loaded = load_dataset(save_dataset(SyntheticDataset(points=points, labels=labels), path))
+        assert [p.id for p in loaded.points] == list(ids)
+        assert loaded.labels == labels
+        for original, restored in zip(points, loaded.points):
+            assert original.values.tobytes() == restored.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_graphs_round_trip_exactly(self, tmp_path_factory, data, dim):
+        ids = data.draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
+        nodes = tuple(
+            EmbeddingVector(item_id, data.draw(st.lists(_coordinates, min_size=dim, max_size=dim)))
+            for item_id in ids
+        )
+        slots = [(a, b, kind) for a in ids for b in ids if a != b for kind in ("knn", "symbolic")]
+        chosen = data.draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+        weights = st.floats(min_value=1e-300, max_value=1e300)
+        edges = tuple(GraphEdge(a, b, data.draw(weights), kind) for a, b, kind in chosen)
+        graph = SemanticGraph(nodes=nodes, edges=edges)
+        path = tmp_path_factory.mktemp("graph") / "graph.tsv"
+        loaded = load_graph(save_graph(graph, path))
+        assert loaded.node_ids == graph.node_ids
+        assert loaded.edges == graph.edges
+        for original, restored in zip(nodes, loaded.nodes):
+            assert original.values.tobytes() == restored.values.tobytes()

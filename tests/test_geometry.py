@@ -217,3 +217,22 @@ class TestQuerySimilarities:
     def test_empty_corpus_gives_empty_array(self):
         sims = query_similarities(EmbeddingVector("q", [1.0]), [])
         assert sims.shape == (0,)
+
+    def test_matches_per_vector_cosine(self):
+        rng = np.random.default_rng(11)
+        query = EmbeddingVector("q", rng.normal(size=5))
+        vectors = [EmbeddingVector(f"v{i}", rng.normal(size=5)) for i in range(40)]
+        expected = [cosine_similarity(query, v) for v in vectors]
+        np.testing.assert_allclose(query_similarities(query, vectors), expected, rtol=0, atol=1e-15)
+
+    def test_errors_name_the_offender(self):
+        query = EmbeddingVector("q", [1.0, 0.0])
+        ok = EmbeddingVector("a", [0.0, 1.0])
+        wide = EmbeddingVector("b", [1.0, 0.0, 0.0])
+        for corpus in ([ok, wide], [wide]):
+            with pytest.raises(ValueError, match="dimension mismatch: 'q' has d=2, 'b' has d=3"):
+                query_similarities(query, corpus)
+        with pytest.raises(ValueError, match="zero-norm vector 'nil'"):
+            query_similarities(query, [ok, EmbeddingVector("nil", [0.0, 0.0])])
+        with pytest.raises(ValueError, match="zero-norm vector 'q0'"):
+            query_similarities(EmbeddingVector("q0", [0.0, 0.0]), [ok])

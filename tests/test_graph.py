@@ -324,11 +324,23 @@ class TestNormalizeAdjacency:
     def test_validation_checks_row_sums(self):
         matrix = np.array([[0.0, 0.7], [0.0, 0.0]])
         with pytest.raises(ValueError, match="row for 'a' sums to"):
-            NormalizedAdjacency(order=("a", "b"), matrix=matrix, dangling=frozenset({"b"}))
+            NormalizedAdjacency.from_dense(("a", "b"), matrix, frozenset({"b"}))
 
     def test_validation_checks_shape(self):
         with pytest.raises(ValueError, match="does not match"):
-            NormalizedAdjacency(order=("a",), matrix=np.eye(2), dangling=frozenset())
+            NormalizedAdjacency.from_dense(("a",), np.eye(2), frozenset())
+
+    def test_validation_checks_csr_arrays(self):
+        with pytest.raises(ValueError, match="do not describe a 2-node adjacency"):
+            NormalizedAdjacency(("a", "b"), [0, 1, 1], [5], [1.0], frozenset({"b"}))
+
+    def test_dense_view_round_trips_through_csr(self):
+        matrix = np.array([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        adjacency = NormalizedAdjacency.from_dense(("a", "b", "c"), matrix, {"c"})
+        assert adjacency.indptr.tolist() == [0, 2, 3, 3]
+        assert adjacency.indices.tolist() == [1, 2, 0]
+        np.testing.assert_array_equal(adjacency.matrix, matrix)
+        assert not adjacency.matrix.flags.writeable
 
 
 class TestSeedVector:
@@ -419,7 +431,7 @@ class TestPersonalizedPagerank:
             np.fill_diagonal(matrix, 0.0)
             matrix /= matrix.sum(axis=1, keepdims=True)
             order = tuple(f"n{i}" for i in range(n))
-            adjacency = NormalizedAdjacency(order=order, matrix=matrix, dangling=frozenset())
+            adjacency = NormalizedAdjacency.from_dense(order, matrix, frozenset())
             weights = rng.uniform(0.1, 1.0, size=n)
             seed = SeedVector(order=order, weights=weights / weights.sum())
             alpha = float(rng.uniform(0.1, 0.9))

@@ -178,6 +178,24 @@ class TestRankHybrid:
         with pytest.raises(ValueError, match="exceeds scored scope"):
             rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=0.5, k=13))
 
+    def test_direct_channel_errors_name_the_offender(self):
+        nodes = (
+            EmbeddingVector("a", [1.0, 0.0]),
+            EmbeddingVector("b", [0.0, 1.0]),
+            EmbeddingVector("z", [0.0, 0.0]),
+        )
+        edges = (GraphEdge("a", "z", 1.0, "knn"), GraphEdge("b", "a", 1.0, "knn"))
+        graph = SemanticGraph(nodes=nodes, edges=edges)
+        seeds = SeedVector.uniform(graph.node_ids, ["a"])
+        query = EmbeddingVector("q", [1.0, 1.0])
+        pool = top_n_candidates(query, list(nodes[:2]), 2)
+        with pytest.raises(ValueError, match="zero-norm vector 'z'"):
+            rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=0.5, k=2))
+        wide = EmbeddingVector("q3", [1.0, 1.0, 1.0])
+        wide_pool = top_n_candidates(wide, [EmbeddingVector(i, [1.0, 0.5, 0.0]) for i in ("a", "b")], 2)
+        with pytest.raises(ValueError, match="dimension mismatch: 'a' has d=2, 'q3' has d=3"):
+            rank_hybrid(wide_pool, graph, seeds, PprConfig(), HybridConfig(beta=0.5, k=2))
+
     def test_exact_ties_resolve_by_id(self):
         nodes = (
             EmbeddingVector("b", [1.0, 0.0]),

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for command-line usage errors, 2 for runtime
-failures (bad parameter values, I/O problems, non-convergence).
+failures (bad parameter values, I/O problems, non-convergence, or any other
+exception a command raises).
 """
 
 from __future__ import annotations
@@ -314,8 +315,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return int(args.handler(args))
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # KeyboardInterrupt and SystemExit pass through
+        # str() of a KeyError quotes its message; print the message itself.
+        text = exc.args[0] if len(exc.args) == 1 and isinstance(exc.args[0], str) else str(exc)
+        print(f"error: {text or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -67,8 +67,17 @@ class SyntheticDataset:
     def by_id(self) -> dict[str, EmbeddingVector]:
         return {point.id: point for point in self.points}
 
+    @cached_property
+    def clusters(self) -> dict[int, tuple[EmbeddingVector, ...]]:
+        """Members of each cluster label, sorted by id."""
+        grouped: dict[int, list[EmbeddingVector]] = {}
+        for point in sorted(self.points, key=lambda point: point.id):
+            grouped.setdefault(self.labels[point.id], []).append(point)
+        return {label: tuple(members) for label, members in grouped.items()}
+
     def members(self, label: int) -> list[EmbeddingVector]:
-        return [point for point in self.points if self.labels[point.id] == label]
+        """The points labelled ``label``, sorted by id (a fresh list)."""
+        return list(self.clusters.get(label, ()))
 
 
 def _place_centroids(rng: np.random.Generator, spec: SyntheticDatasetSpec) -> np.ndarray:
@@ -136,7 +145,7 @@ def composite_query(dataset: SyntheticDataset, rng_seed: int) -> EmbeddingVector
     cluster_labels = sorted(set(dataset.labels.values()))
     member_lists = []
     for label in cluster_labels:
-        members = sorted(dataset.members(label), key=lambda point: point.id)
+        members = dataset.clusters.get(label, ())
         if not members:
             msg = f"cluster {label} has no members"
             raise ValueError(msg)

@@ -172,46 +172,89 @@ def _query_cosines(query: EmbeddingVector, graph: SemanticGraph, rows: np.ndarra
     return np.clip(chosen @ (query.values / query_norm), -1.0, 1.0)
 
 
+def _known_prefix(item_ids: Sequence[str], embeddings: Mapping[str, EmbeddingVector]) -> list[EmbeddingVector]:
+    """Embeddings of the ids before the first one missing from ``embeddings``."""
+    vectors = []
+    for item_id in item_ids:
+        if item_id not in embeddings:
+            break
+        vectors.append(embeddings[item_id])
+    return vectors
+
+
+def _leading_rows(vectors: Sequence[EmbeddingVector], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked values and norms of the vectors before the first whose
+    dimension is not ``dim``."""
+    run = next((i for i, vector in enumerate(vectors) if vector.dim != dim), len(vectors))
+    rows = np.array([vector.values for vector in vectors[:run]]).reshape(run, dim)
+    return rows, np.linalg.norm(rows, axis=1)
+
+
 def relevance_metric(
     item_ids: Sequence[str],
     query: EmbeddingVector,
     embeddings: Mapping[str, EmbeddingVector],
 ) -> float:
-    """Mean cosine similarity between the retrieved items and the query."""
+    """Mean cosine similarity between the retrieved items and the query.
+
+    Errors are those of :func:`cosine_similarity` applied item by item:
+    the first item that is unknown, of the wrong dimension or zero-norm is
+    named, and a zero-norm query fails at the first item.
+    """
     if not item_ids:
         msg = "relevance is undefined for an empty item list"
         raise ValueError(msg)
-    total = 0.0
-    for item_id in item_ids:
-        if item_id not in embeddings:
-            msg = f"unknown item {item_id!r}"
-            raise ValueError(msg)
-        total += cosine_similarity(embeddings[item_id], query)
-    return total / len(item_ids)
+    vectors = _known_prefix(item_ids, embeddings)
+    rows, norms = _leading_rows(vectors, query.dim)
+    zero = np.flatnonzero(~(norms > 0.0))
+    first_bad = int(zero[0]) if zero.size else len(rows)
+    query_norm = query.norm()
+    # A zero-norm query fails the first item unless that item fails first.
+    if first_bad > 0 and not query_norm > 0.0:
+        msg = f"cosine similarity undefined for zero-norm vector {query.id!r}"
+        raise ValueError(msg)
+    if first_bad < len(item_ids):
+        if zero.size:
+            msg = f"cosine similarity undefined for zero-norm vector {vectors[first_bad].id!r}"
+        elif first_bad == len(vectors):
+            msg = f"unknown item {item_ids[first_bad]!r}"
+        else:
+            item = vectors[first_bad]
+            msg = f"dimension mismatch: {item.id!r} has d={item.dim}, {query.id!r} has d={query.dim}"
+        raise ValueError(msg)
+    cosines = np.clip(rows @ query.values / (norms * query_norm), -1.0, 1.0)
+    return float(cosines.sum()) / len(item_ids)
 
 
 def diversity_metric(item_ids: Sequence[str], embeddings: Mapping[str, EmbeddingVector]) -> float:
     """One minus the mean pairwise cosine over unordered distinct pairs.
 
     Needs at least two items; the value lies in [0, 2] (2 when every pair
-    points in exactly opposite directions).
+    points in exactly opposite directions).  Errors are those of
+    :func:`cosine_similarity` over the pairs in order ``(0, 1), (0, 2), ...``,
+    after every id has been looked up.
     """
     if len(item_ids) < 2:
         msg = f"diversity needs at least two items, got {len(item_ids)}"
         raise ValueError(msg)
-    vectors = []
-    for item_id in item_ids:
-        if item_id not in embeddings:
-            msg = f"unknown item {item_id!r}"
-            raise ValueError(msg)
-        vectors.append(embeddings[item_id])
-    total = 0.0
-    pairs = 0
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            total += cosine_similarity(vectors[i], vectors[j])
-            pairs += 1
-    return 1.0 - total / pairs
+    vectors = _known_prefix(item_ids, embeddings)
+    if len(vectors) < len(item_ids):
+        msg = f"unknown item {item_ids[len(vectors)]!r}"
+        raise ValueError(msg)
+    rows, norms = _leading_rows(vectors, vectors[0].dim)
+    zero = np.flatnonzero(~(norms > 0.0))
+    # Pair (0, j) checks the dimension of j, then the norm of item 0, then
+    # the norm of j, so a zero-norm item 0 only hides behind a mismatched item 1.
+    if zero.size and max(int(zero[0]), 1) < len(rows):
+        msg = f"cosine similarity undefined for zero-norm vector {vectors[zero[0]].id!r}"
+        raise ValueError(msg)
+    if len(rows) < len(vectors):
+        first, other = vectors[0], vectors[len(rows)]
+        msg = f"dimension mismatch: {first.id!r} has d={first.dim}, {other.id!r} has d={other.dim}"
+        raise ValueError(msg)
+    cosines = np.clip(rows @ rows.T / np.outer(norms, norms), -1.0, 1.0)
+    upper = cosines[np.triu_indices(len(rows), 1)]
+    return 1.0 - float(upper.sum()) / upper.size
 
 
 def build_result(

@@ -247,6 +247,40 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: could not place centroid")
 
+    def test_stage_raising_key_error_is_a_runtime_error(self, monkeypatch, capsys):
+        import semrank.experiments
+
+        def broken(config, dataset):
+            raise KeyError("p99")
+
+        monkeypatch.setattr(semrank.experiments, "build_experiment_graph", broken)
+        code, out, err = _run(["experiment", *_SMALL], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: experiment stage 'graph_build' failed: 'p99'\n"
+
+    def test_exception_without_message_names_its_type(self, monkeypatch, capsys):
+        import semrank.cli
+
+        def broken(*args, **kwargs):
+            raise LookupError
+
+        monkeypatch.setattr(semrank.cli, "generate_clusters", broken)
+        code, _, err = _run(["compress", *_DATA], capsys)
+        assert code == 2
+        assert err == "error: LookupError\n"
+
+    @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, SystemExit])
+    def test_interrupts_and_exits_propagate(self, monkeypatch, capsys, exc_type):
+        import semrank.cli
+
+        def interrupted(*args, **kwargs):
+            raise exc_type
+
+        monkeypatch.setattr(semrank.cli, "generate_clusters", interrupted)
+        with pytest.raises(exc_type):
+            main(["compress", *_DATA])
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):

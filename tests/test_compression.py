@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semrank.candidates import top_n_candidates
 from semrank.compression import (
@@ -60,6 +63,85 @@ def _greedy_reference(pool, k, lam):
         chosen.append(best_id)
         gains.append(best_gain)
     return chosen, gains
+
+
+def _allocating_greedy(pool, k, lam):
+    """The greedy loop as first written, with fresh n x n temporaries at
+    every step; the library's buffered loop must match it bit for bit."""
+    sims = pool.pairwise.entries
+    ids = pool.ids
+    n = len(pool)
+    selected = np.zeros(n, dtype=bool)
+    cover = np.zeros(n, dtype=np.float64)
+    sim_to_chosen = np.zeros(n, dtype=np.float64)
+    chosen = []
+    gains = []
+    for step in range(k):
+        if step == 0:
+            step_gain = sims.sum(axis=0)
+        else:
+            coverage_gain = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
+            diversity_gain = 2.0 * lam * (step - sim_to_chosen)
+            step_gain = coverage_gain + diversity_gain
+        masked = step_gain.copy()
+        masked[selected] = -np.inf
+        tied = np.flatnonzero(masked == masked.max())
+        best = int(min(tied, key=lambda i: ids[i]))
+        selected[best] = True
+        chosen.append(ids[best])
+        gains.append(float(masked[best]))
+        cover = sims[:, best].copy() if step == 0 else np.maximum(cover, sims[:, best])
+        sim_to_chosen = sim_to_chosen + sims[best, :]
+    return tuple(chosen), tuple(gains)
+
+
+@st.composite
+def _tied_pools(draw):
+    """Pools on both sides of the size where an n x n float64 temporary
+    crosses glibc's 128 KiB mmap threshold (n >= 128), with exact ties:
+    integer coordinates and duplicate vectors under distinct ids, whose id
+    order differs from pool order."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(130, 220)))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+    values[~values.any(axis=1), 0] = 1.0
+    duplicates = draw(st.integers(0, n // 2))
+    values[n - duplicates :] = values[rng.integers(0, n - duplicates, size=duplicates)]
+    names = rng.permutation(n)
+    corpus = [EmbeddingVector(f"v{name:03d}", row) for name, row in zip(names, values)]
+    query = EmbeddingVector("q", rng.normal(size=dim))
+    return top_n_candidates(query, corpus, n)
+
+
+class TestBufferedGreedyMatchesAllocatingGreedy:
+    @settings(max_examples=60, deadline=None)
+    @given(pool=_tied_pools(), data=st.data())
+    def test_greedy_select_is_bitwise_identical(self, pool, data):
+        k = data.draw(st.integers(1, min(len(pool), 40)))
+        lam = data.draw(st.sampled_from([0.01, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0]))
+        trace = greedy_select(pool, CompressionConfig(k=k, lam=lam))
+        assert (trace.chosen, trace.marginal_gains) == _allocating_greedy(pool, k, lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pool=_tied_pools(), data=st.data())
+    def test_facility_location_greedy_is_bitwise_identical(self, pool, data):
+        k = data.draw(st.integers(1, min(len(pool), 40)))
+        trace = facility_location_greedy(pool, k)
+        assert (trace.chosen, trace.marginal_gains) == _allocating_greedy(pool, k, 0.0)
+
+    def test_one_call_holds_a_single_work_buffer(self):
+        pool = _random_pool(count=1000, dim=2, seed=5, pool_size=400)
+        n = len(pool)
+        tracemalloc.start()
+        try:
+            greedy_select(pool, CompressionConfig(k=40, lam=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One n x n buffer is n*n*8 bytes; fresh per-step temporaries peak
+        # near twice that.
+        assert peak < 1.5 * n * n * 8
 
 
 class TestCompressionConfig:

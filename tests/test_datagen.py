@@ -175,3 +175,44 @@ class TestCompositeQuery:
         dataset = SyntheticDataset(points=points, labels=labels, spec=None)
         query = composite_query(dataset, rng_seed=2)
         assert query.dim == points[0].dim
+
+
+def _scanning_composite_query(dataset, rng_seed):
+    """composite_query as first written: one scan of every point per cluster."""
+    member_lists = []
+    for label in sorted(set(dataset.labels.values())):
+        members = [p for p in dataset.points if dataset.labels[p.id] == label]
+        member_lists.append(sorted(members, key=lambda point: point.id))
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(100):
+        representatives = [members[int(rng.integers(len(members)))] for members in member_lists]
+        mean = np.mean([point.values for point in representatives], axis=0)
+        if np.linalg.norm(mean) > 1e-9:
+            return mean
+    raise AssertionError("reference query collapsed")
+
+
+class TestClusterMembersCache:
+    def test_composite_query_is_bitwise_unchanged(self):
+        dataset = generate_clusters(SyntheticDatasetSpec(num_points=300, dim=4, num_clusters=6, rng_seed=3))
+        # The same data in reverse point order with non-contiguous labels,
+        # as a loaded file may hold it.
+        shuffled = SyntheticDataset(
+            points=dataset.points[::-1],
+            labels={item_id: 3 * label + 1 for item_id, label in dataset.labels.items()},
+        )
+        for data in (dataset, shuffled):
+            for seed in range(40):
+                got = composite_query(data, seed).values
+                want = _scanning_composite_query(data, seed)
+                assert got.tobytes() == want.tobytes()
+
+    def test_members_are_id_sorted_fresh_lists(self):
+        dataset = generate_clusters(SyntheticDatasetSpec(num_points=40, num_clusters=4, rng_seed=5))
+        reordered = SyntheticDataset(points=dataset.points[::-1], labels=dataset.labels)
+        for label in range(4):
+            members = reordered.members(label)
+            assert [p.id for p in members] == sorted(p.id for p in dataset.points if dataset.labels[p.id] == label)
+            members.clear()
+            assert len(reordered.members(label)) == 10
+        assert reordered.members(99) == []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semrank.candidates import top_n_candidates
 from semrank.geometry import EmbeddingVector, cosine_similarity
@@ -269,6 +271,132 @@ class TestMetrics:
         embeddings = {v.id: v for v in corpus}
         value = diversity_metric([v.id for v in corpus], embeddings)
         assert 0.0 <= value <= 2.0
+
+
+def _loop_relevance(item_ids, query, embeddings):
+    """The relevance metric as first written: one cosine call per item."""
+    if not item_ids:
+        raise ValueError("relevance is undefined for an empty item list")
+    total = 0.0
+    for item_id in item_ids:
+        if item_id not in embeddings:
+            raise ValueError(f"unknown item {item_id!r}")
+        total += cosine_similarity(embeddings[item_id], query)
+    return total / len(item_ids)
+
+
+def _loop_diversity(item_ids, embeddings):
+    """The diversity metric as first written: one cosine call per pair."""
+    if len(item_ids) < 2:
+        raise ValueError(f"diversity needs at least two items, got {len(item_ids)}")
+    vectors = []
+    for item_id in item_ids:
+        if item_id not in embeddings:
+            raise ValueError(f"unknown item {item_id!r}")
+        vectors.append(embeddings[item_id])
+    total = 0.0
+    pairs = 0
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            total += cosine_similarity(vectors[i], vectors[j])
+            pairs += 1
+    return 1.0 - total / pairs
+
+
+@st.composite
+def _vector_sets(draw):
+    """Non-zero vectors of mixed norms, with duplicates and opposites of
+    earlier rows, and a query of the same dimension."""
+    dim = draw(st.integers(1, 4))
+    coords = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim).filter(any)
+    scales = st.sampled_from([1e-3, 0.5, 1.0, 3.0, 1e3])
+    rows = []
+    for _ in range(draw(st.integers(2, 12))):
+        kind = draw(st.sampled_from(["new", "duplicate", "opposite"])) if rows else "new"
+        if kind == "new":
+            row = np.array(draw(coords), dtype=np.float64)
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))] * (1.0 if kind == "duplicate" else -1.0)
+        rows.append(row * draw(scales))
+    vectors = [EmbeddingVector(f"v{i:02d}", row) for i, row in enumerate(rows)]
+    query = EmbeddingVector("q", np.array(draw(coords), dtype=np.float64) * draw(scales))
+    return vectors, query
+
+
+_A = EmbeddingVector("a", [1.0, 0.0])
+_B = EmbeddingVector("b", [0.0, 1.0])
+_Z = EmbeddingVector("z", [0.0, 0.0])
+_W = EmbeddingVector("w", [1.0, 0.0, 0.0])
+_EMBEDDINGS = {v.id: v for v in (_A, _B, _Z, _W)}
+_Q = EmbeddingVector("q", [1.0, 1.0])
+_Q0 = EmbeddingVector("q0", [0.0, 0.0])
+
+
+class TestArrayMetricsMatchPerPairLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_vector_sets())
+    def test_relevance_within_1e12(self, case):
+        vectors, query = case
+        embeddings = {v.id: v for v in vectors}
+        ids = [v.id for v in vectors]
+        assert abs(relevance_metric(ids, query, embeddings) - _loop_relevance(ids, query, embeddings)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_vector_sets())
+    def test_diversity_within_1e12(self, case):
+        vectors, _ = case
+        embeddings = {v.id: v for v in vectors}
+        ids = [v.id for v in vectors]
+        assert abs(diversity_metric(ids, embeddings) - _loop_diversity(ids, embeddings)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        ("ids", "query", "message"),
+        [
+            ([], _Q, "relevance is undefined for an empty item list"),
+            (["ghost"], _Q, "unknown item 'ghost'"),
+            (["a", "ghost"], _Q, "unknown item 'ghost'"),
+            (["ghost"], _Q0, "unknown item 'ghost'"),
+            (["z", "ghost"], _Q, "cosine similarity undefined for zero-norm vector 'z'"),
+            (["a", "z"], _Q, "cosine similarity undefined for zero-norm vector 'z'"),
+            (["z"], _Q0, "cosine similarity undefined for zero-norm vector 'z'"),
+            (["a"], _Q0, "cosine similarity undefined for zero-norm vector 'q0'"),
+            (["a", "w"], _Q0, "cosine similarity undefined for zero-norm vector 'q0'"),
+            (["a", "w"], _Q, "dimension mismatch: 'w' has d=3, 'q' has d=2"),
+            (["w"], _Q0, "dimension mismatch: 'w' has d=3, 'q0' has d=2"),
+            (["w", "z"], _Q, "dimension mismatch: 'w' has d=3, 'q' has d=2"),
+        ],
+    )
+    def test_relevance_errors_match_the_loop(self, ids, query, message):
+        with pytest.raises(ValueError) as array:
+            relevance_metric(ids, query, _EMBEDDINGS)
+        with pytest.raises(ValueError) as loop:
+            _loop_relevance(ids, query, _EMBEDDINGS)
+        assert str(array.value) == str(loop.value) == message
+
+    @pytest.mark.parametrize(
+        ("ids", "message"),
+        [
+            ([], "diversity needs at least two items, got 0"),
+            (["a"], "diversity needs at least two items, got 1"),
+            (["a", "ghost"], "unknown item 'ghost'"),
+            (["z", "ghost"], "unknown item 'ghost'"),
+            (["z", "a"], "cosine similarity undefined for zero-norm vector 'z'"),
+            (["a", "z"], "cosine similarity undefined for zero-norm vector 'z'"),
+            (["a", "b", "z"], "cosine similarity undefined for zero-norm vector 'z'"),
+            (["z", "w"], "dimension mismatch: 'z' has d=2, 'w' has d=3"),
+            (["w", "a"], "dimension mismatch: 'w' has d=3, 'a' has d=2"),
+            (["a", "b", "w"], "dimension mismatch: 'a' has d=2, 'w' has d=3"),
+            (["a", "w", "z"], "dimension mismatch: 'a' has d=2, 'w' has d=3"),
+            (["a", "z", "w"], "cosine similarity undefined for zero-norm vector 'z'"),
+            (["z", "a", "w"], "cosine similarity undefined for zero-norm vector 'z'"),
+        ],
+    )
+    def test_diversity_errors_match_the_loop(self, ids, message):
+        with pytest.raises(ValueError) as array:
+            diversity_metric(ids, _EMBEDDINGS)
+        with pytest.raises(ValueError) as loop:
+            _loop_diversity(ids, _EMBEDDINGS)
+        assert str(array.value) == str(loop.value) == message
 
 
 class TestBuildResult:

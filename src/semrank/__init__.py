@@ -64,11 +64,8 @@ from .hybrid import (
     RetrievalResult,
     build_result,
     diversity_metric,
-    graph_score,
-    hybrid_score,
     rank_hybrid,
     relevance_metric,
-    vec_score,
 )
 from .plotting import emit_plot, render_svg
 
@@ -108,9 +105,7 @@ __all__ = [
     "export_report",
     "facility_location_greedy",
     "generate_clusters",
-    "graph_score",
     "greedy_select",
-    "hybrid_score",
     "load_dataset",
     "load_graph",
     "normalize",
@@ -130,5 +125,4 @@ __all__ = [
     "similarity_matrix",
     "sweep_lambda",
     "top_n_candidates",
-    "vec_score",
 ]

@@ -116,24 +116,55 @@ def generate_clusters(spec: SyntheticDatasetSpec) -> SyntheticDataset:
     centroids = _place_centroids(rng, spec)
     base, extra = divmod(spec.num_points, spec.num_clusters)
     sizes = [base + (1 if label < extra else 0) for label in range(spec.num_clusters)]
+    samples = _draw_samples(rng, np.repeat(centroids, sizes, axis=0), spec.cluster_std)
     width = len(str(spec.num_points - 1))
-    points: list[EmbeddingVector] = []
-    labels: dict[str, int] = {}
-    index = 0
-    for label, size in enumerate(sizes):
-        for _ in range(size):
-            for _ in range(_RESAMPLE_ATTEMPTS):
-                sample = centroids[label] + rng.normal(0.0, spec.cluster_std, size=spec.dim)
-                if np.linalg.norm(sample) > _ZERO_NORM:
-                    break
-            else:
-                msg = "could not sample a non-zero point"
-                raise ValueError(msg)
-            point_id = f"p{index:0{width}d}"
-            points.append(EmbeddingVector(point_id, sample))
-            labels[point_id] = label
-            index += 1
-    return SyntheticDataset(points=tuple(points), labels=labels, spec=spec)
+    ids = [f"p{index:0{width}d}" for index in range(spec.num_points)]
+    points = tuple(EmbeddingVector(point_id, sample) for point_id, sample in zip(ids, samples))
+    labels = dict(zip(ids, (label for label, size in enumerate(sizes) for _ in range(size))))
+    return SyntheticDataset(points=points, labels=labels, spec=spec)
+
+
+def _draw_samples(rng: np.random.Generator, centers: np.ndarray, std: float) -> np.ndarray:
+    """``centers`` plus Gaussian noise, drawn in bulk.
+
+    The generator is consumed exactly as by one ``rng.normal`` call per row
+    in which a zero-norm row is redrawn on its own, up to
+    ``_RESAMPLE_ATTEMPTS`` times, before the next row is drawn: the bulk
+    draw is rewound to the first zero-norm row, which is resampled alone
+    before the next bulk draw.
+    """
+    count, dim = centers.shape
+    samples = np.empty_like(centers)
+    start = 0
+    while start < count:
+        state = rng.bit_generator.state
+        block = centers[start:] + rng.normal(0.0, std, size=(count - start, dim))
+        bad = _first_zero_norm(block)
+        if bad is None:
+            samples[start:] = block
+            break
+        samples[start : start + bad] = block[:bad]
+        rng.bit_generator.state = state
+        rng.normal(0.0, std, size=(bad, dim))
+        for _ in range(_RESAMPLE_ATTEMPTS):
+            sample = centers[start + bad] + rng.normal(0.0, std, size=dim)
+            if np.linalg.norm(sample) > _ZERO_NORM:
+                break
+        else:
+            msg = "could not sample a non-zero point"
+            raise ValueError(msg)
+        samples[start + bad] = sample
+        start += bad + 1
+    return samples
+
+
+def _first_zero_norm(rows: np.ndarray) -> int | None:
+    """Index of the first row whose norm is not above ``_ZERO_NORM``."""
+    # A row norm taken over the whole block may differ in its last bits
+    # from the norm of the row alone, so rows near the floor are decided
+    # by the latter.
+    near = np.flatnonzero(np.linalg.norm(rows, axis=1) <= 2.0 * _ZERO_NORM)
+    return next((int(i) for i in near if not np.linalg.norm(rows[i]) > _ZERO_NORM), None)
 
 
 def composite_query(dataset: SyntheticDataset, rng_seed: int) -> EmbeddingVector:

@@ -191,21 +191,23 @@ def sweep_lambda(
     if runs < 1:
         msg = f"runs must be >= 1, got {runs}"
         raise ValueError(msg)
-    totals = {lam: [0.0, 0.0] for lam in lambdas}
+    # One running total per position, so repeated weights (or 0.0 and
+    # -0.0, which are equal keys) stay separate rows.
+    totals = [[0.0, 0.0] for _ in lambdas]
     for offset in range(runs):
         spec = replace(config.dataset, rng_seed=config.dataset.rng_seed + offset)
         dataset = generate_clusters(spec)
         query = composite_query(dataset, spec.rng_seed)
         pool = top_n_candidates(query, dataset.points, config.pool_size)
         embeddings = dataset.by_id
-        for lam in lambdas:
+        for lam, total in zip(lambdas, totals):
             trace = greedy_select(pool, CompressionConfig(k=config.k, lam=lam))
             result = build_result("semantic_compression", list(zip(trace.chosen, trace.marginal_gains)), embeddings, query)
-            totals[lam][0] += result.relevance
-            totals[lam][1] += result.diversity
+            total[0] += result.relevance
+            total[1] += result.diversity
     return [
-        SweepPoint(lam=float(lam), relevance=totals[lam][0] / runs, diversity=totals[lam][1] / runs)
-        for lam in lambdas
+        SweepPoint(lam=float(lam), relevance=relevance / runs, diversity=diversity / runs)
+        for lam, (relevance, diversity) in zip(lambdas, totals)
     ]
 
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .candidates import CandidatePool
-from .geometry import EmbeddingVector, cosine_similarity
+from .geometry import EmbeddingVector
 from .graph import PprConfig, SeedVector, SemanticGraph, normalize_adjacency, personalized_pagerank
 
 METHOD_TAGS = ("topk_ann", "semantic_compression", "graph_ppr", "hybrid")
@@ -69,35 +69,6 @@ class RetrievalResult:
     @property
     def item_ids(self) -> tuple[str, ...]:
         return tuple(item_id for item_id, _ in self.items)
-
-
-def vec_score(vector: EmbeddingVector, query: EmbeddingVector) -> float:
-    """Direct channel: cosine similarity to the query."""
-    return cosine_similarity(vector, query)
-
-
-def graph_score(ppr: Sequence[tuple[str, float]], item_id: str) -> float:
-    """Diffusion channel: pagerank mass of ``item_id``, 0 when absent."""
-    for node_id, score in ppr:
-        if node_id == item_id:
-            return float(score)
-    return 0.0
-
-
-def hybrid_score(
-    item_id: str,
-    query: EmbeddingVector,
-    ppr: Sequence[tuple[str, float]],
-    config: HybridConfig,
-    embeddings: Mapping[str, EmbeddingVector],
-) -> float:
-    """Blend both channels for one item; the id must resolve to an embedding."""
-    if item_id not in embeddings:
-        msg = f"unknown item {item_id!r}"
-        raise ValueError(msg)
-    direct = vec_score(embeddings[item_id], query)
-    diffusion = graph_score(ppr, item_id)
-    return (1.0 - config.beta) * direct + config.beta * diffusion
 
 
 def _method_tag(beta: float) -> str:

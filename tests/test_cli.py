@@ -214,6 +214,14 @@ class TestSweepLambda:
         assert lines[0] == "lambda,relevance,diversity"
         assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.5", "2.0"]
 
+    def test_repeated_weights_match_the_single_weight_row(self, capsys):
+        args = ["sweep-lambda", *_SMALL, "--runs", "2", "--lambdas"]
+        code, out, _ = _run([*args, "0.25,0.25,1"], capsys)
+        assert code == 0
+        _, single, _ = _run([*args, "0.25"], capsys)
+        rows = out.splitlines()[1:]
+        assert rows[0] == rows[1] == single.splitlines()[1]
+
 
 class TestExitCodes:
     def test_no_arguments_is_a_usage_error(self, capsys):

@@ -19,6 +19,8 @@ from semrank.compression import (
     greedy_select,
     objective,
     select_topk,
+    _BATCH,
+    _lazy_gains,
 )
 from semrank.geometry import EmbeddingVector, cosine_similarity
 
@@ -142,6 +144,83 @@ class TestBufferedGreedyMatchesAllocatingGreedy:
         # One n x n buffer is n*n*8 bytes; fresh per-step temporaries peak
         # near twice that.
         assert peak < 1.5 * n * n * 8
+
+
+def _shuffled_ids(count, seed):
+    """Distinct ids whose sorted order differs from the order they are given in."""
+    return [f"v{name:03d}" for name in np.random.default_rng(seed).permutation(count)]
+
+
+def _orthogonal_basis_pool(count=40):
+    """Unit basis vectors: every candidate keeps a coverage gain of exactly
+    1 and the same diversity gain, so no bound ever tightens and every step
+    is one exact tie over all live columns."""
+    ids = _shuffled_ids(count, seed=1)
+    corpus = [EmbeddingVector(item_id, row) for item_id, row in zip(ids, np.eye(count))]
+    query = EmbeddingVector("q", 1.0 + np.arange(count) / count)
+    return top_n_candidates(query, corpus, count)
+
+
+def _duplicated_directions_pool(copies=2 * _BATCH + 3, directions=3, noise=10):
+    """More copies of each of a few orthogonal directions than a batch
+    holds, plus small noise vectors: when a direction is first reached, its
+    copies tie exactly at the top and straddle batch boundaries."""
+    rng = np.random.default_rng(7)
+    rows = [row for row in np.eye(directions) for _ in range(copies)]
+    rows += list(rng.normal(scale=0.2, size=(noise, directions)) + 0.1)
+    ids = _shuffled_ids(len(rows), seed=2)
+    corpus = [EmbeddingVector(item_id, row) for item_id, row in zip(ids, rows)]
+    query = EmbeddingVector("q", np.ones(directions))
+    return top_n_candidates(query, corpus, len(corpus))
+
+
+def _adversarial_cases():
+    pools = {
+        "orthogonal_basis": (_orthogonal_basis_pool(), 40),
+        "duplicated_directions": (_duplicated_directions_pool(), 40),
+        "k_equals_pool": (_random_pool(count=30, dim=3, seed=9), 30),
+        "k_equals_pool_of_three": (_random_pool(count=3, dim=2, seed=10), 3),
+    }
+    return [
+        pytest.param(pool, k, lam, id=f"{name}-lam{lam}")
+        for name, (pool, k) in pools.items()
+        for lam in (0.0, 0.01, 16.0)
+    ]
+
+
+class TestLazyGreedyOnAdversarialPools:
+    """Pools built to defeat the lazy bound, compared bit for bit with the
+    dense loop (``lam == 0`` runs ``facility_location_greedy``)."""
+
+    @pytest.mark.parametrize("pool, k, lam", _adversarial_cases())
+    def test_matches_the_dense_loop(self, pool, k, lam):
+        if lam == 0.0:
+            trace = facility_location_greedy(pool, k)
+        else:
+            trace = greedy_select(pool, CompressionConfig(k=k, lam=lam))
+        assert (trace.chosen, trace.marginal_gains) == _allocating_greedy(pool, k, lam)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_one_column_batch_sums_row_by_row(self, seed):
+        """With bounds that prune nothing, every live column is scored and
+        the last batch holds one column, whose reduction numpy would sum
+        pairwise; its gain must still equal the row-by-row dense sum."""
+        pool = _random_pool(count=3 * _BATCH + 1, dim=3, seed=seed)
+        sims = pool.pairwise.entries
+        n = len(pool)
+        cover = sims[:, 0].copy()
+        diversity = np.random.default_rng(seed).normal(size=n)
+        bound = np.full(n, np.inf)
+        gains = _lazy_gains(sims, cover, diversity, bound, np.zeros(n, dtype=bool), n, np.empty(n * n))
+        coverage = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
+        assert gains.tobytes() == (coverage + diversity).tobytes()
+        assert bound.tobytes() == coverage.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.01, 16.0])
+    def test_orthogonal_basis_ties_resolve_in_id_order(self, lam):
+        pool = _orthogonal_basis_pool()
+        trace = greedy_select(pool, CompressionConfig(k=len(pool), lam=lam))
+        assert list(trace.chosen) == sorted(pool.ids)
 
 
 class TestCompressionConfig:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from semrank import datagen
 from semrank.datagen import (
     SyntheticDataset,
     SyntheticDatasetSpec,
@@ -216,3 +217,69 @@ class TestClusterMembersCache:
             members.clear()
             assert len(reordered.members(label)) == 10
         assert reordered.members(99) == []
+
+
+def _per_point_generate(spec):
+    """generate_clusters as first written: one ``rng.normal`` call per
+    point, each zero-norm sample redrawn in place.  Returns (id, values,
+    label) triples."""
+    rng = np.random.default_rng(spec.rng_seed)
+    centroids = datagen._place_centroids(rng, spec)
+    base, extra = divmod(spec.num_points, spec.num_clusters)
+    sizes = [base + (1 if label < extra else 0) for label in range(spec.num_clusters)]
+    width = len(str(spec.num_points - 1))
+    triples = []
+    for label, size in enumerate(sizes):
+        for _ in range(size):
+            for _ in range(100):
+                sample = centroids[label] + rng.normal(0.0, spec.cluster_std, size=spec.dim)
+                if np.linalg.norm(sample) > 1e-9:
+                    break
+            else:
+                raise ValueError("could not sample a non-zero point")
+            triples.append((f"p{len(triples):0{width}d}", sample, label))
+    return triples
+
+
+class TestBulkDraw:
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("shape", [(1000, 2), (200, 2), (300, 32), (7, 1)])
+    def test_matches_the_per_point_loop(self, shape, seed):
+        num_points, dim = shape
+        spec = SyntheticDatasetSpec(
+            num_points=num_points, dim=dim, num_clusters=2 if dim == 1 else 5, rng_seed=seed
+        )
+        dataset = generate_clusters(spec)
+        want = _per_point_generate(spec)
+        assert [point.id for point in dataset.points] == [item_id for item_id, _, _ in want]
+        assert [point.values.tobytes() for point in dataset.points] == [values.tobytes() for _, values, _ in want]
+        assert dataset.labels == {item_id: label for item_id, _, label in want}
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("at_origin", [0, 1])
+    def test_zero_norm_resamples_match_the_per_point_loop(self, monkeypatch, at_origin, seed):
+        """A centroid at the origin with a 1e-9 spread makes most draws of
+        its cluster zero-norm, so the resample path runs many times, in the
+        first cluster (later bulk draws must continue the stream) or in the
+        last (a resampled row ends the data)."""
+        place = datagen._place_centroids
+
+        def with_origin(rng, spec):
+            centroids = place(rng, spec)
+            centroids[at_origin] = 0.0
+            return centroids
+
+        monkeypatch.setattr(datagen, "_place_centroids", with_origin)
+        spec = SyntheticDatasetSpec(num_points=60, dim=1, num_clusters=2, cluster_std=1e-9, rng_seed=seed)
+        dataset = generate_clusters(spec)
+        want = _per_point_generate(spec)
+        assert [point.values.tobytes() for point in dataset.points] == [values.tobytes() for _, values, _ in want]
+        assert dataset.labels == {item_id: label for item_id, _, label in want}
+        assert all(point.norm() > 1e-9 for point in dataset.points)
+
+    def test_resample_budget_fails_loudly(self, monkeypatch):
+        place = datagen._place_centroids
+        monkeypatch.setattr(datagen, "_place_centroids", lambda rng, spec: 0.0 * place(rng, spec))
+        spec = SyntheticDatasetSpec(num_points=10, dim=1, num_clusters=2, cluster_std=1e-300, rng_seed=0)
+        with pytest.raises(ValueError, match="could not sample a non-zero point"):
+            generate_clusters(spec)

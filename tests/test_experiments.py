@@ -231,6 +231,18 @@ class TestSweepLambda:
         np.testing.assert_allclose(point.relevance, np.mean(relevances), rtol=0, atol=1e-12)
         np.testing.assert_allclose(point.diversity, np.mean(diversities), rtol=0, atol=1e-12)
 
+    def test_repeated_weights_give_equal_rows(self):
+        """Each position is its own row: a repeated weight (and 0.0 beside
+        -0.0, an equal key) must not pool its runs into one total."""
+        points = sweep_lambda(_SMALL, (0.25, 0.25, 1.0, 0.0, -0.0), runs=2)
+        single = sweep_lambda(_SMALL, (0.25,), runs=2)[0]
+        zero = sweep_lambda(_SMALL, (0.0,), runs=2)[0]
+        assert [point.lam for point in points] == [0.25, 0.25, 1.0, 0.0, -0.0]
+        assert points[0] == points[1] == single
+        assert (points[3].relevance, points[3].diversity) == (zero.relevance, zero.diversity)
+        assert (points[4].relevance, points[4].diversity) == (zero.relevance, zero.diversity)
+        assert all(point.relevance <= 1.0 for point in points)
+
     def test_bounds(self):
         with pytest.raises(ValueError, match="at least one diversity weight"):
             sweep_lambda(_SMALL, (), runs=1)

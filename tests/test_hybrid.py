@@ -22,11 +22,8 @@ from semrank.hybrid import (
     RetrievalResult,
     build_result,
     diversity_metric,
-    graph_score,
-    hybrid_score,
     rank_hybrid,
     relevance_metric,
-    vec_score,
 )
 
 
@@ -76,33 +73,6 @@ class TestRetrievalResult:
             method="hybrid", items=(("b", 0.2), ("a", 0.1)), relevance=0.0, diversity=0.0
         )
         assert result.item_ids == ("b", "a")
-
-
-class TestChannelScores:
-    def test_vec_score_is_cosine(self):
-        a = EmbeddingVector("a", [1.0, 1.0])
-        q = EmbeddingVector("q", [1.0, 0.0])
-        assert vec_score(a, q) == cosine_similarity(a, q)
-
-    def test_graph_score_defaults_to_zero(self):
-        ppr = [("a", 0.7), ("b", 0.3)]
-        assert graph_score(ppr, "a") == 0.7
-        assert graph_score(ppr, "missing") == 0.0
-
-    def test_hybrid_score_blends_channels(self):
-        q = EmbeddingVector("q", [1.0, 0.0])
-        embeddings = {"a": EmbeddingVector("a", [1.0, 1.0])}
-        ppr = [("a", 0.25)]
-        config = HybridConfig(beta=0.3, k=1)
-        expected = 0.7 * cosine_similarity(embeddings["a"], q) + 0.3 * 0.25
-        np.testing.assert_allclose(
-            hybrid_score("a", q, ppr, config, embeddings), expected, rtol=0, atol=1e-15
-        )
-
-    def test_hybrid_score_requires_known_item(self):
-        q = EmbeddingVector("q", [1.0])
-        with pytest.raises(ValueError, match="unknown item 'ghost'"):
-            hybrid_score("ghost", q, [], HybridConfig(beta=0.5, k=1), {})
 
 
 class TestRankHybrid:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semrank.candidates import top_n_candidates
-from semrank.geometry import EmbeddingVector
+from semrank.geometry import EmbeddingVector, cosine_similarity
 from semrank.graph import (
     GraphEdge,
     PprConfig,
@@ -16,7 +16,7 @@ from semrank.graph import (
     normalize_adjacency,
     personalized_pagerank,
 )
-from semrank.hybrid import HybridConfig, hybrid_score, rank_hybrid
+from semrank.hybrid import HybridConfig, rank_hybrid
 
 _PPR_TOL = 1e-9
 _SCORE_TOL = 1e-12
@@ -63,6 +63,13 @@ def _dense_adjacency(graph: SemanticGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _scan_out_neighbors(graph: SemanticGraph, node_id: str) -> set[str]:
     return {edge.target for edge in graph.edges if edge.source == node_id}
+
+
+def _hybrid_score(item_id, query, ppr, config, embeddings) -> float:
+    """One item's blend, from its cosine and its entry in the PPR list."""
+    direct = cosine_similarity(embeddings[item_id], query)
+    diffusion = next((float(score) for node_id, score in ppr if node_id == item_id), 0.0)
+    return (1.0 - config.beta) * direct + config.beta * diffusion
 
 
 def _seed(graph: SemanticGraph, data) -> SeedVector:
@@ -112,7 +119,7 @@ class TestReadPathProperties:
         assert set(result.item_ids) == scope
         ppr = personalized_pagerank(normalize_adjacency(graph), seed, ppr_config)
         for item_id, score in result.items:
-            expected = hybrid_score(item_id, query, ppr, config, graph.by_id)
+            expected = _hybrid_score(item_id, query, ppr, config, graph.by_id)
             assert abs(score - expected) <= _SCORE_TOL
         keys = [(-score, item_id) for item_id, score in result.items]
         assert keys == sorted(keys)

@@ -57,7 +57,6 @@ from .graph import (
     elect_cluster_heads,
     normalize_adjacency,
     personalized_pagerank,
-    random_walk_expand,
 )
 from .hybrid import (
     HybridConfig,
@@ -113,7 +112,6 @@ __all__ = [
     "objective",
     "personalized_pagerank",
     "query_similarities",
-    "random_walk_expand",
     "rank_hybrid",
     "relevance_metric",
     "render_svg",

@@ -4,19 +4,30 @@ All scoring in this package is angular: vectors are compared by the cosine
 of the angle between them, so magnitudes never matter once a vector is
 non-zero.  Dot-product scoring would slot in next to :func:`cosine_similarity`
 if it were ever needed, but only cosine is implemented today.
+
+The pairwise stage holds one N x N array.  :func:`similarity_matrix` fills
+it with a single Gram product, then symmetrises, clips and validates it in
+place, one square block pair at a time, so no other N x N temporary exists;
+the array it built is handed to :class:`SimilarityMatrix` without a copy.
+An array any other caller passes to :class:`SimilarityMatrix` is copied, so
+later writes to it never reach ``entries``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 # Slack allowed on symmetry / unit diagonal / value range of a validated
 # similarity matrix.  Double precision keeps us far inside this.
 MATRIX_TOL = 1e-12
+
+# Side of the square blocks the pairwise stage is symmetrised and checked
+# in; one block of float64 is 128 KiB.
+_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,14 +38,13 @@ class EmbeddingVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if values.ndim != 1 or values.size < 1:
             msg = f"vector {self.id!r} must be one-dimensional and non-empty"
             raise ValueError(msg)
         if not np.all(np.isfinite(values)):
             msg = f"vector {self.id!r} has non-finite coordinates"
             raise ValueError(msg)
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -59,7 +69,22 @@ class SimilarityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.float64)
+        object.__setattr__(self, "entries", np.array(self.entries, dtype=np.float64))
+        self._validate()
+
+    @classmethod
+    def _adopt(cls, order: tuple[str, ...], entries: np.ndarray) -> "SimilarityMatrix":
+        """Validate and wrap a float64 array nothing else references,
+        without the defensive copy."""
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "order", order)
+        object.__setattr__(matrix, "entries", entries)
+        matrix._validate()
+        return matrix
+
+    def _validate(self) -> None:
+        """Check the contract on ``entries`` in place, then freeze it."""
+        entries = self.entries
         n = len(self.order)
         if len(set(self.order)) != n:
             msg = "similarity matrix order contains duplicate ids"
@@ -67,7 +92,7 @@ class SimilarityMatrix:
         if entries.shape != (n, n):
             msg = f"entries shape {entries.shape} does not match {n} ids"
             raise ValueError(msg)
-        if n and np.abs(entries - entries.T).max() > MATRIX_TOL:
+        if n and _asymmetry(entries) > MATRIX_TOL:
             msg = "similarity matrix is not symmetric"
             raise ValueError(msg)
         if n and np.abs(np.diagonal(entries) - 1.0).max() > MATRIX_TOL:
@@ -76,9 +101,7 @@ class SimilarityMatrix:
         if n and (entries.min() < -1.0 - MATRIX_TOL or entries.max() > 1.0 + MATRIX_TOL):
             msg = "similarity values must lie in [-1, 1]"
             raise ValueError(msg)
-        entries = entries.copy()
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -89,6 +112,41 @@ class SimilarityMatrix:
 
     def value(self, a: str, b: str) -> float:
         return float(self.entries[self.positions[a], self.positions[b]])
+
+
+def _block_pairs(n: int) -> Iterator[tuple[slice, slice]]:
+    """Row and column slices of every ``_BLOCK``-square block of an
+    ``n x n`` array on or above the diagonal."""
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        for column in range(start, n, _BLOCK):
+            yield rows, slice(column, column + _BLOCK)
+
+
+def _asymmetry(entries: np.ndarray) -> float:
+    """``abs(entries - entries.T).max()``, one block pair at a time; a NaN
+    anywhere makes it NaN, as it does the whole-matrix expression."""
+    pairs = _block_pairs(len(entries))
+    return float(np.max([np.abs(entries[rows, cols] - entries[cols, rows].T).max() for rows, cols in pairs]))
+
+
+def _symmetrize_clip(entries: np.ndarray) -> None:
+    """Replace ``entries`` by ``np.clip((entries + entries.T) / 2, -1, 1)``
+    in place, bit for bit.
+
+    Each block pair is averaged once and written to both halves: IEEE
+    addition commutes, so the lower half gets the very bits the full
+    formula gives it.
+    """
+    buffer = np.empty((_BLOCK, _BLOCK))
+    for rows, cols in _block_pairs(len(entries)):
+        upper = entries[rows, cols]
+        mean = buffer[: upper.shape[0], : upper.shape[1]]
+        np.add(upper, entries[cols, rows].T, out=mean)
+        mean /= 2.0
+        np.clip(mean, -1.0, 1.0, out=mean)
+        upper[...] = mean
+        entries[cols, rows] = mean.T
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -151,10 +209,9 @@ def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
             raise ValueError(msg)
     unit = stacked / norms[:, None]
     entries = unit @ unit.T
-    entries = (entries + entries.T) / 2.0
-    np.clip(entries, -1.0, 1.0, out=entries)
+    _symmetrize_clip(entries)
     np.fill_diagonal(entries, 1.0)
-    return SimilarityMatrix(order=tuple(ids), entries=entries)
+    return SimilarityMatrix._adopt(tuple(ids), entries)
 
 
 def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector]) -> np.ndarray:

@@ -124,6 +124,15 @@ class SemanticGraph:
         return arrays
 
     @cached_property
+    def adjacency(self) -> "NormalizedAdjacency":
+        """Row-stochastic CSR adjacency; see :func:`normalize_adjacency`."""
+        indptr, indices, weights = self.csr
+        rows = _entry_rows(indptr)
+        sums = np.bincount(rows, weights=weights, minlength=len(self.nodes))
+        dangling = frozenset(self.node_ids[i] for i in np.flatnonzero(sums == 0.0))
+        return NormalizedAdjacency(self.node_ids, indptr, indices, weights / sums[rows], dangling)
+
+    @cached_property
     def unit_rows(self) -> np.ndarray:
         """Node vectors scaled to unit norm, one read-only row per node in
         node order; a zero-norm node keeps an all-zero row."""
@@ -474,14 +483,10 @@ def normalize_adjacency(graph: SemanticGraph) -> NormalizedAdjacency:
     """Sum parallel edge weights, then normalise each row to sum to 1.
 
     Nodes without out-edges keep an empty row and are reported in
-    ``dangling``.
+    ``dangling``.  Built once per graph and cached on it, like
+    :attr:`SemanticGraph.csr`.
     """
-    order = graph.node_ids
-    indptr, indices, weights = graph.csr
-    rows = _entry_rows(indptr)
-    sums = np.bincount(rows, weights=weights, minlength=len(order))
-    dangling = frozenset(order[i] for i in np.flatnonzero(sums == 0.0))
-    return NormalizedAdjacency(order, indptr, indices, weights / sums[rows], dangling)
+    return graph.adjacency
 
 
 def personalized_pagerank(
@@ -519,57 +524,3 @@ def personalized_pagerank(
         if residual < config.tolerance:
             return list(zip(adjacency.order, r.tolist()))
     raise ConvergenceError(residual=residual, iterations=config.max_iterations, tolerance=config.tolerance)
-
-
-def random_walk_expand(
-    graph: SemanticGraph,
-    seeds: Iterable[str],
-    walk_length: int,
-    num_walks: int,
-    rng_seed: int,
-) -> list[tuple[str, int]]:
-    """Sample bounded random walks from each seed and count node visits.
-
-    Walks step through the normalised adjacency (edge weights as transition
-    probabilities) and stop early on dangling nodes, so the total visit count
-    is at most ``num_walks * len(seeds) * walk_length`` with equality exactly
-    when no walk hits a dangling node.  Output is ``(node id, visits)`` for
-    visited nodes, most visited first, ties by ascending id; deterministic
-    for a fixed ``rng_seed``.
-    """
-    seed_ids = sorted(set(seeds))
-    if not seed_ids:
-        msg = "random walk expansion needs at least one seed"
-        raise ValueError(msg)
-    for seed_id in seed_ids:
-        graph.vector(seed_id)
-    if walk_length < 1:
-        msg = f"walk_length must be >= 1, got {walk_length}"
-        raise ValueError(msg)
-    if num_walks < 1:
-        msg = f"num_walks must be >= 1, got {num_walks}"
-        raise ValueError(msg)
-    adjacency = normalize_adjacency(graph)
-    positions = graph.positions
-    neighbors: list[np.ndarray] = []
-    cumulative: list[np.ndarray] = []
-    for start, stop in zip(adjacency.indptr[:-1], adjacency.indptr[1:]):
-        neighbors.append(adjacency.indices[start:stop])
-        cumulative.append(np.cumsum(adjacency.weights[start:stop]))
-    rng = np.random.default_rng(rng_seed)
-    counts = np.zeros(len(adjacency.order), dtype=np.int64)
-    for seed_id in seed_ids:
-        start = positions[seed_id]
-        for _ in range(num_walks):
-            current = start
-            for _ in range(walk_length):
-                if neighbors[current].size == 0:
-                    break
-                draw = rng.random()
-                step = int(np.searchsorted(cumulative[current], draw, side="right"))
-                step = min(step, neighbors[current].size - 1)
-                current = int(neighbors[current][step])
-                counts[current] += 1
-    visited = [(adjacency.order[i], int(counts[i])) for i in np.flatnonzero(counts)]
-    visited.sort(key=lambda pair: (-pair[1], pair[0]))
-    return visited

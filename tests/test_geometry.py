@@ -1,14 +1,18 @@
 """Vector primitives: cosine similarity, normalization, similarity matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from semrank.datagen import SyntheticDatasetSpec, generate_clusters
 from semrank.geometry import (
+    _BLOCK,
     MATRIX_TOL,
     EmbeddingVector,
     SimilarityMatrix,
+    _symmetrize_clip,
     cosine_similarity,
     normalize,
     query_similarities,
@@ -201,6 +205,72 @@ class TestSimilarityMatrix:
         sims = similarity_matrix(self._vectors(count=3))
         with pytest.raises(ValueError):
             sims.entries[0, 1] = 0.0
+
+
+def _three_array_similarities(vectors):
+    """The pairwise stage written with whole-matrix temporaries:
+    Gram product, ``(E + E.T) / 2``, clip, unit diagonal."""
+    stacked = np.stack([v.values for v in vectors])
+    unit = stacked / np.linalg.norm(stacked, axis=1)[:, None]
+    entries = unit @ unit.T
+    entries = np.clip((entries + entries.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(entries, 1.0)
+    return entries
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+_BLOCK_EDGE_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+class TestOneArraySimilarityStage:
+    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+    def test_in_place_symmetrisation_matches_whole_matrix_formula(self, n):
+        # Asymmetric input with values past +-1, so the clip bites too.
+        entries = np.random.default_rng(n).uniform(-1.2, 1.2, size=(n, n))
+        expected = np.clip((entries + entries.T) / 2.0, -1.0, 1.0)
+        _symmetrize_clip(entries)
+        np.testing.assert_array_equal(_bits(entries), _bits(expected))
+
+    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
+    def test_similarity_matrix_is_bitwise_the_whole_matrix_pipeline(self, n):
+        rng = np.random.default_rng(7)
+        vectors = [EmbeddingVector(f"v{i}", rng.normal(size=3)) for i in range(n)]
+        sims = similarity_matrix(vectors)
+        np.testing.assert_array_equal(_bits(sims.entries), _bits(_three_array_similarities(vectors)))
+
+    @pytest.mark.parametrize("cell", [(-1, -2), (-1, 0), (0, -1)])
+    def test_asymmetry_in_the_last_block_is_rejected(self, cell):
+        n = 2 * _BLOCK + 3
+        order = tuple(f"v{i}" for i in range(n))
+        entries = np.eye(n)
+        entries[cell] = MATRIX_TOL / 2
+        SimilarityMatrix(order=order, entries=entries)
+        entries[cell] = 2 * MATRIX_TOL
+        with pytest.raises(ValueError, match="^similarity matrix is not symmetric$"):
+            SimilarityMatrix(order=order, entries=entries)
+
+    def test_callers_array_is_copied(self):
+        source = np.array([[1.0, 0.5], [0.5, 1.0]])
+        sims = SimilarityMatrix(order=("a", "b"), entries=source)
+        source[0, 1] = source[1, 0] = -0.25
+        np.testing.assert_array_equal(sims.entries, [[1.0, 0.5], [0.5, 1.0]])
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_peak_holds_one_matrix(self, n):
+        points = generate_clusters(SyntheticDatasetSpec(num_points=n, rng_seed=0)).points
+        tracemalloc.start()
+        try:
+            similarity_matrix(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The result is n*n*8 bytes; a whole-matrix (E + E.T) / 2 and a
+        # defensive copy peak near three times that.
+        assert peak <= 1.6 * n * n * 8
 
 
 class TestQuerySimilarities:

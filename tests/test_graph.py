@@ -1,8 +1,11 @@
-"""Graph construction, symbolic augmentation, pagerank, and random walks."""
+"""Graph construction, symbolic augmentation, and pagerank."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from semrank.datagen import SyntheticDatasetSpec, generate_clusters
 from semrank.geometry import EmbeddingVector, cosine_similarity
 from semrank.graph import (
     EDGE_WEIGHT_FLOOR,
@@ -18,7 +21,6 @@ from semrank.graph import (
     elect_cluster_heads,
     normalize_adjacency,
     personalized_pagerank,
-    random_walk_expand,
 )
 
 
@@ -149,6 +151,19 @@ class TestBuildKnnGraph:
             build_knn_graph(nodes, 0)
         with pytest.raises(ValueError, match="k=4 needs at least 5 nodes"):
             build_knn_graph(nodes, 4)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_peak_holds_one_similarity_matrix(self, n):
+        points = generate_clusters(SyntheticDatasetSpec(num_points=n, rng_seed=0)).points
+        tracemalloc.start()
+        try:
+            build_knn_graph(points, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The similarity matrix is n*n*8 bytes; a whole-matrix (E + E.T) / 2
+        # and a defensive copy peak near three times that.
+        assert peak <= 1.6 * n * n * 8
 
 
 class TestElectClusterHeads:
@@ -321,6 +336,19 @@ class TestNormalizeAdjacency:
         np.testing.assert_allclose(adjacency.matrix[2], [0.0, 0.0, 0.0], rtol=0, atol=0)
         assert adjacency.dangling == frozenset({"z"})
 
+    def test_built_once_per_graph(self):
+        graph = build_knn_graph(_nodes(count=10), 3)
+        adjacency = normalize_adjacency(graph)
+        assert normalize_adjacency(graph) is adjacency
+        augmented = add_symbolic_edges_sparse(graph, ["n00", "n04", "n08"], 2)
+        cached = normalize_adjacency(augmented)
+        assert cached is not adjacency
+        rebuilt = normalize_adjacency(SemanticGraph(nodes=augmented.nodes, edges=augmented.edges))
+        assert not np.array_equal(rebuilt.matrix, adjacency.matrix)
+        for name in ("indptr", "indices", "weights"):
+            np.testing.assert_array_equal(getattr(cached, name), getattr(rebuilt, name))
+        assert cached.dangling == rebuilt.dangling
+
     def test_validation_checks_row_sums(self):
         matrix = np.array([[0.0, 0.7], [0.0, 0.0]])
         with pytest.raises(ValueError, match="row for 'a' sums to"):
@@ -470,64 +498,3 @@ class TestPersonalizedPagerank:
             assert error.iterations == 3
             assert error.residual >= 0.0
         assert issubclass(ConvergenceError, RuntimeError)
-
-
-class TestRandomWalkExpand:
-    def test_deterministic_for_fixed_seed(self):
-        nodes = _nodes(count=8, seed=9)
-        graph = build_knn_graph(nodes, 3)
-        first = random_walk_expand(graph, ["n00", "n01"], walk_length=5, num_walks=20, rng_seed=7)
-        second = random_walk_expand(graph, ["n00", "n01"], walk_length=5, num_walks=20, rng_seed=7)
-        assert first == second
-
-    def test_visit_budget_with_dangling_cutoff(self):
-        """On a -> b every walk stops at b: exactly one visit per walk."""
-        counts = dict(random_walk_expand(_line_graph(), ["a"], walk_length=5, num_walks=10, rng_seed=1))
-        assert counts == {"b": 10}
-
-    def test_visit_budget_met_exactly_without_dangling(self):
-        total = sum(
-            count
-            for _, count in random_walk_expand(_cycle_graph(), ["a"], walk_length=7, num_walks=5, rng_seed=2)
-        )
-        assert total == 5 * 7
-
-    def test_bound_holds_on_random_graphs(self):
-        nodes = _nodes(count=10, seed=11)
-        graph = build_knn_graph(nodes, 2)
-        seeds = ["n00", "n03", "n05"]
-        visited = random_walk_expand(graph, seeds, walk_length=4, num_walks=6, rng_seed=3)
-        total = sum(count for _, count in visited)
-        assert total <= 6 * len(seeds) * 4
-        assert all(count > 0 for _, count in visited)
-        # Sorted by descending count, ties by ascending id.
-        keys = [(-count, node_id) for node_id, count in visited]
-        assert keys == sorted(keys)
-
-    def test_walks_stay_in_reachable_component(self):
-        nodes = (
-            EmbeddingVector("a", [1.0, 0.0]),
-            EmbeddingVector("b", [0.9, 0.1]),
-            EmbeddingVector("c", [0.0, 1.0]),
-            EmbeddingVector("d", [0.1, 0.9]),
-        )
-        edges = (
-            GraphEdge("a", "b", 1.0, "knn"),
-            GraphEdge("b", "a", 1.0, "knn"),
-            GraphEdge("c", "d", 1.0, "knn"),
-            GraphEdge("d", "c", 1.0, "knn"),
-        )
-        graph = SemanticGraph(nodes=nodes, edges=edges)
-        visited = random_walk_expand(graph, ["a"], walk_length=6, num_walks=8, rng_seed=4)
-        assert {node_id for node_id, _ in visited} <= {"a", "b"}
-
-    def test_input_validation(self):
-        graph = _cycle_graph()
-        with pytest.raises(ValueError, match="at least one seed"):
-            random_walk_expand(graph, [], walk_length=2, num_walks=2, rng_seed=0)
-        with pytest.raises(ValueError, match="unknown graph node 'zz'"):
-            random_walk_expand(graph, ["zz"], walk_length=2, num_walks=2, rng_seed=0)
-        with pytest.raises(ValueError, match="walk_length must be >= 1"):
-            random_walk_expand(graph, ["a"], walk_length=0, num_walks=2, rng_seed=0)
-        with pytest.raises(ValueError, match="num_walks must be >= 1"):
-            random_walk_expand(graph, ["a"], walk_length=2, num_walks=0, rng_seed=0)

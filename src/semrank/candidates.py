@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import EmbeddingVector, SimilarityMatrix, query_similarities, similarity_matrix
+from .geometry import EmbeddingVector, Embeddings, SimilarityMatrix, query_similarities, similarity_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +79,10 @@ def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], 
     if n > len(corpus):
         msg = f"pool size {n} exceeds corpus size {len(corpus)}"
         raise ValueError(msg)
-    seen: set[str] = set()
-    for v in corpus:
-        if v.id in seen:
-            msg = f"duplicate item id {v.id!r}"
-            raise ValueError(msg)
-        seen.add(v.id)
+    corpus = Embeddings.of(corpus)
+    if corpus.first_duplicate is not None:
+        msg = f"duplicate item id {corpus.first_duplicate!r}"
+        raise ValueError(msg)
     sims = query_similarities(query, corpus)
     # Only items at or above the n-th largest similarity can make the pool.
     cutoff = np.partition(sims, sims.size - n)[sims.size - n]

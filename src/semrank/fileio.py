@@ -24,7 +24,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .datagen import SyntheticDataset
-from .geometry import EmbeddingVector
+from .geometry import EmbeddingVector, Embeddings
 from .graph import GraphEdge, SemanticGraph
 
 
@@ -115,7 +115,7 @@ def load_dataset(path: str | Path) -> SyntheticDataset:
             raise ValueError(msg) from None
         points.append(_parse_vector(item_id, raw_values, dim, path))
         labels[item_id] = label
-    return SyntheticDataset(points=tuple(points), labels=labels, spec=None)
+    return SyntheticDataset(points=Embeddings(points), labels=labels, spec=None)
 
 
 def save_graph(graph: SemanticGraph, path: str | Path) -> Path:

@@ -11,6 +11,10 @@ place, one square block pair at a time, so no other N x N temporary exists;
 the array it built is handed to :class:`SimilarityMatrix` without a copy.
 An array any other caller passes to :class:`SimilarityMatrix` is copied, so
 later writes to it never reach ``entries``.
+
+A corpus that many queries scan is an :class:`Embeddings`, a tuple of
+vectors that stacks them into one matrix on first use and keeps it, so
+:func:`query_similarities` does not restack N vectors per query.
 """
 
 from __future__ import annotations
@@ -56,13 +60,55 @@ class EmbeddingVector:
         return float(np.linalg.norm(self.values))
 
 
+class Embeddings(tuple):
+    """An immutable corpus: a tuple of :class:`EmbeddingVector` that stacks
+    its values once.
+
+    It reads as a plain tuple.  The stacked matrix, its row norms and the
+    first duplicate id are worked out on first use and kept, so repeated
+    scans of the same corpus do not restack or re-check its vectors.
+    """
+
+    @classmethod
+    def of(cls, vectors: Sequence[EmbeddingVector]) -> "Embeddings":
+        """``vectors`` itself if it already is an :class:`Embeddings`,
+        else a new one over the same vectors."""
+        return vectors if isinstance(vectors, cls) else cls(vectors)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The values stacked into a read-only ``len x d`` array; raises
+        ``ValueError`` when the vectors differ in dimension."""
+        matrix = np.stack([v.values for v in self])
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Read-only Euclidean norm of every row of :attr:`matrix`."""
+        norms = np.linalg.norm(self.matrix, axis=1)
+        norms.setflags(write=False)
+        return norms
+
+    @cached_property
+    def first_duplicate(self) -> str | None:
+        """The first id that repeats an earlier one, or ``None``."""
+        seen: set[str] = set()
+        for v in self:
+            if v.id in seen:
+                return v.id
+            seen.add(v.id)
+        return None
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
     """Pairwise cosine similarities for an ordered set of items.
 
     ``entries[i, j]`` is the cosine similarity between the items at
     positions ``i`` and ``j`` of ``order``.  The matrix is symmetric with a
-    unit diagonal and every entry in ``[-1, 1]`` (all within ``MATRIX_TOL``).
+    unit diagonal and every entry in ``[-1, 1]`` (all within ``MATRIX_TOL``);
+    NaN and infinite entries are rejected.
     """
 
     order: tuple[str, ...]
@@ -98,7 +144,8 @@ class SimilarityMatrix:
         if n and np.abs(np.diagonal(entries) - 1.0).max() > MATRIX_TOL:
             msg = "similarity matrix diagonal must be 1"
             raise ValueError(msg)
-        if n and (entries.min() < -1.0 - MATRIX_TOL or entries.max() > 1.0 + MATRIX_TOL):
+        # Written so that a NaN, which fails every comparison, fails it too.
+        if n and not (entries.min() >= -1.0 - MATRIX_TOL and entries.max() <= 1.0 + MATRIX_TOL):
             msg = "similarity values must lie in [-1, 1]"
             raise ValueError(msg)
         entries.setflags(write=False)
@@ -189,29 +236,25 @@ def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
     if not vectors:
         msg = "similarity matrix requires at least one vector"
         raise ValueError(msg)
-    ids = [v.id for v in vectors]
-    seen: set[str] = set()
-    for item_id in ids:
-        if item_id in seen:
-            msg = f"duplicate item id {item_id!r}"
-            raise ValueError(msg)
-        seen.add(item_id)
+    corpus = Embeddings.of(vectors)
+    if corpus.first_duplicate is not None:
+        msg = f"duplicate item id {corpus.first_duplicate!r}"
+        raise ValueError(msg)
     dim = vectors[0].dim
     for v in vectors[1:]:
         if v.dim != dim:
             msg = f"dimension mismatch: {v.id!r} has d={v.dim}, expected {dim}"
             raise ValueError(msg)
-    stacked = np.stack([v.values for v in vectors])
-    norms = np.linalg.norm(stacked, axis=1)
+    norms = corpus.norms
     for v, norm in zip(vectors, norms):
         if not norm > 0.0:
             msg = f"cosine similarity undefined for zero-norm vector {v.id!r}"
             raise ValueError(msg)
-    unit = stacked / norms[:, None]
+    unit = corpus.matrix / norms[:, None]
     entries = unit @ unit.T
     _symmetrize_clip(entries)
     np.fill_diagonal(entries, 1.0)
-    return SimilarityMatrix._adopt(tuple(ids), entries)
+    return SimilarityMatrix._adopt(tuple(v.id for v in vectors), entries)
 
 
 def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector]) -> np.ndarray:
@@ -222,9 +265,9 @@ def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector
     """
     if not vectors:
         return np.zeros(0)
+    corpus = Embeddings.of(vectors)
     try:
-        stacked = np.stack([v.values for v in vectors])
-        uniform = stacked.shape[1] == query.dim
+        uniform = corpus.matrix.shape[1] == query.dim
     except ValueError:  # rows of different lengths
         uniform = False
     if not uniform:
@@ -235,9 +278,8 @@ def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector
     if not query_norm > 0.0:
         msg = f"cosine similarity undefined for zero-norm vector {query.id!r}"
         raise ValueError(msg)
-    norms = np.linalg.norm(stacked, axis=1)
-    zero = np.flatnonzero(~(norms > 0.0))
+    zero = np.flatnonzero(~(corpus.norms > 0.0))
     if zero.size:
         msg = f"cosine similarity undefined for zero-norm vector {vectors[zero[0]].id!r}"
         raise ValueError(msg)
-    return np.clip(stacked @ query.values / (query_norm * norms), -1.0, 1.0)
+    return np.clip(corpus.matrix @ query.values / (query_norm * corpus.norms), -1.0, 1.0)

@@ -242,6 +242,20 @@ class NormalizedAdjacency:
         return np.array([node_id in self.dangling for node_id in self.order], dtype=bool)
 
     @cached_property
+    def degrees(self) -> np.ndarray:
+        """Number of entries in every row, in node order."""
+        degrees = np.diff(self.indptr)
+        degrees.setflags(write=False)
+        return degrees
+
+    @cached_property
+    def dangling_index(self) -> np.ndarray:
+        """Positions of the ``dangling`` nodes, ascending."""
+        index = np.flatnonzero(self.dangling_rows)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
     def matrix(self) -> np.ndarray:
         """Read-only dense view; ``n * n`` floats, so only for small graphs."""
         n = len(self.order)
@@ -295,16 +309,6 @@ class SeedVector:
         weights = weights.copy()
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def one_hot(cls, order: Sequence[str], node_id: str) -> "SeedVector":
-        order = tuple(order)
-        if node_id not in order:
-            msg = f"seed node {node_id!r} is not in the graph"
-            raise ValueError(msg)
-        weights = np.zeros(len(order))
-        weights[order.index(node_id)] = 1.0
-        return cls(order=order, weights=weights)
 
     @classmethod
     def uniform(cls, order: Sequence[str], node_ids: Iterable[str]) -> "SeedVector":
@@ -509,18 +513,34 @@ def personalized_pagerank(
         raise ValueError(msg)
     s = seed.weights
     n = len(adjacency.order)
-    # A^T r scatters each entry's weighted source mass onto its target column.
-    sources = _entry_rows(adjacency.indptr)
+    degrees = adjacency.degrees
     targets = adjacency.indices
-    dangling_idx = np.flatnonzero(adjacency.dangling_rows)
+    weights = adjacency.weights
+    dangling = adjacency.dangling_index
+    restart = config.alpha * s
+    damping = 1.0 - config.alpha
     r = s.copy()
+    work = np.empty(n)
     residual = np.inf
     for _ in range(config.max_iterations):
-        dangling_mass = float(r[dangling_idx].sum()) if dangling_idx.size else 0.0
-        spread = np.bincount(targets, weights=adjacency.weights * r[sources], minlength=n)
-        r_next = config.alpha * s + (1.0 - config.alpha) * (spread + dangling_mass * s)
-        residual = float(np.abs(r_next - r).sum())
-        r = r_next
+        dangling_mass = float(r[dangling].sum()) if dangling.size else 0.0
+        # A^T r: every entry's weighted source mass, scattered onto its
+        # target column.  The source masses are gathered row by row.
+        mass = r.repeat(degrees)
+        np.multiply(weights, mass, out=mass)
+        spread = np.bincount(targets, weights=mass, minlength=n)
+        # alpha * s + (1 - alpha) * (spread + dangling_mass * s), operation
+        # for operation; ``spread`` is int64 when there are no entries, so
+        # it is never written to.
+        np.multiply(s, dangling_mass, out=work)
+        np.add(spread, work, out=work)
+        np.multiply(work, damping, out=work)
+        np.add(restart, work, out=work)
+        # The old iterate's buffer takes |r_next - r| and then becomes the
+        # next work buffer.
+        np.subtract(work, r, out=r)
+        residual = float(np.abs(r, out=r).sum())
+        r, work = work, r
         if residual < config.tolerance:
             return list(zip(adjacency.order, r.tolist()))
     raise ConvergenceError(residual=residual, iterations=config.max_iterations, tolerance=config.tolerance)

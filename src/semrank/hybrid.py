@@ -13,6 +13,7 @@ default, with optional min-max rescaling of the graph channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -109,7 +110,7 @@ def rank_hybrid(
         raise ValueError(msg)
 
     ppr = personalized_pagerank(normalize_adjacency(graph), seed, ppr_config)
-    mass = np.fromiter((score for _, score in ppr), dtype=np.float64, count=len(ppr))
+    mass = np.fromiter(map(itemgetter(1), ppr), dtype=np.float64, count=len(ppr))
     graph_raw = mass[scope]
     if config.rescale_graph:
         low = graph_raw.min()

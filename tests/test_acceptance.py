@@ -123,7 +123,7 @@ class TestAcceptance:
                 )
             adjacency = normalize_adjacency(SemanticGraph(nodes=nodes, edges=tuple(edges)))
             alpha = float(rng.uniform(0.1, 0.9))
-            seed = SeedVector.one_hot(adjacency.order, f"n{int(rng.integers(0, n))}")
+            seed = SeedVector.uniform(adjacency.order, [f"n{int(rng.integers(0, n))}"])
             config = PprConfig(alpha=alpha, tolerance=1e-12)
             scores = dict(personalized_pagerank(adjacency, seed, config))
             r = np.array([scores[node_id] for node_id in adjacency.order])

@@ -1,10 +1,20 @@
 """First-stage pool construction: exact top-N scan and pool invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semrank.candidates import CandidatePool, top_n_candidates
-from semrank.geometry import EmbeddingVector, cosine_similarity, similarity_matrix
+from semrank.datagen import SyntheticDatasetSpec, generate_clusters
+from semrank.fileio import load_dataset, save_dataset
+from semrank.geometry import (
+    EmbeddingVector,
+    Embeddings,
+    cosine_similarity,
+    query_similarities,
+    similarity_matrix,
+)
 
 
 def _corpus(count=30, dim=5, seed=42):
@@ -125,3 +135,91 @@ class TestCandidatePoolValidation:
         pool = CandidatePool(query=query, candidates=candidates, query_sims=sims, pairwise=pairwise)
         with pytest.raises(ValueError):
             pool.query_sims[0] = 0.0
+
+
+def _message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def _both(vectors):
+    """The same vectors as a plain tuple and as a stacked corpus."""
+    return tuple(vectors), Embeddings(vectors)
+
+
+class TestStackedCorpus:
+    def test_generated_and_loaded_points_are_stacked_corpora(self, tmp_path):
+        dataset = generate_clusters(SyntheticDatasetSpec(num_points=20, dim=3, rng_seed=1))
+        loaded = load_dataset(save_dataset(dataset, tmp_path / "data.tsv"))
+        for points in (dataset.points, loaded.points):
+            assert isinstance(points, Embeddings)
+            assert points == tuple(points)
+            assert points.matrix is points.matrix
+            assert not points.matrix.flags.writeable
+            assert not points.norms.flags.writeable
+        np.testing.assert_array_equal(loaded.points.matrix, np.stack([p.values for p in dataset.points]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scores_and_pools_match_a_plain_tuple(self, seed):
+        rng = np.random.default_rng(seed)
+        plain, stacked = _both(_corpus(count=200, dim=6, seed=seed))
+        query = EmbeddingVector("q", rng.normal(size=6))
+        rows = np.stack([v.values for v in plain])
+        expected = np.clip(rows @ query.values / (query.norm() * np.linalg.norm(rows, axis=1)), -1.0, 1.0)
+        for corpus in (plain, stacked, stacked):
+            assert query_similarities(query, corpus).tobytes() == expected.tobytes()
+        for n in (1, 17, 200):
+            a, b = top_n_candidates(query, plain, n), top_n_candidates(query, stacked, n)
+            assert a.ids == b.ids
+            assert a.query_sims.tobytes() == b.query_sims.tobytes()
+
+    def test_first_duplicate_id(self):
+        a, b = EmbeddingVector("a", [1.0]), EmbeddingVector("b", [1.0])
+        assert Embeddings([a, b]).first_duplicate is None
+        assert Embeddings([a, b, b, a]).first_duplicate == "b"
+        assert Embeddings([]).first_duplicate is None
+
+    def test_errors_match_a_plain_tuple(self):
+        q = EmbeddingVector("q", [1.0, 0.0])
+        zero_q = EmbeddingVector("q0", [0.0, 0.0])
+        ok = EmbeddingVector("ok", [0.0, 1.0])
+        nil = EmbeddingVector("nil", [0.0, 0.0])
+        nil2 = EmbeddingVector("nil2", [0.0, 0.0])
+        wide = EmbeddingVector("wide", [1.0, 0.0, 0.0])
+        wide2 = EmbeddingVector("wide2", [0.0, 1.0, 0.0])
+        cases = [
+            # (query, corpus, expected message); earlier checks win.
+            (q, [ok, wide, nil], "dimension mismatch: 'q' has d=2, 'wide' has d=3"),
+            (q, [wide, wide2], "dimension mismatch: 'q' has d=2, 'wide' has d=3"),
+            (q, [nil, ok, wide], "dimension mismatch: 'q' has d=2, 'wide' has d=3"),
+            (zero_q, [ok, nil], "cosine similarity undefined for zero-norm vector 'q0'"),
+            (q, [ok, nil, nil2], "cosine similarity undefined for zero-norm vector 'nil'"),
+        ]
+        for query, vectors, message in cases:
+            for corpus in _both(vectors):
+                assert _message(lambda: query_similarities(query, corpus)) == message
+                assert _message(lambda: top_n_candidates(query, corpus, 1)) == message
+        for corpus in _both([ok, nil, ok, wide]):
+            assert _message(lambda: top_n_candidates(q, corpus, 1)) == "duplicate item id 'ok'"
+            assert _message(lambda: top_n_candidates(q, corpus, 5)) == "pool size 5 exceeds corpus size 4"
+
+    def test_mixed_dimensions_are_not_stacked(self):
+        corpus = Embeddings([EmbeddingVector("a", [1.0]), EmbeddingVector("b", [1.0, 0.0])])
+        with pytest.raises(ValueError):
+            corpus.matrix
+
+    def test_repeat_scan_of_a_loaded_corpus_does_not_restack(self, tmp_path):
+        spec = SyntheticDatasetSpec(num_points=2000, dim=32, rng_seed=0)
+        points = load_dataset(save_dataset(generate_clusters(spec), tmp_path / "data.tsv")).points
+        query = EmbeddingVector("q", np.ones(32))
+        first = query_similarities(query, points)
+        tracemalloc.start()
+        try:
+            second = query_similarities(query, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert second.tobytes() == first.tobytes()
+        # Restacking would allocate one N x d float64 array.
+        assert peak < 2000 * 32 * 8

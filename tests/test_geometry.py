@@ -193,6 +193,26 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match=r"lie in \[-1, 1\]"):
             SimilarityMatrix(order=("a", "b"), entries=entries)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [((0, 1), (1, 0)), ((1, 1),), ((2, 0),)], ids=["pair", "diagonal", "one-cell"])
+    @pytest.mark.parametrize("adopt", [False, True], ids=["copy", "adopt"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_entries_are_rejected(self, bad, cells, adopt):
+        entries = np.eye(3)
+        for cell in cells:
+            entries[cell] = bad
+        build = SimilarityMatrix._adopt if adopt else SimilarityMatrix
+        with pytest.raises(ValueError, match="similarity matrix|similarity values"):
+            build(("a", "b", "c"), entries)
+
+    def test_nan_fails_the_range_check(self):
+        """NaN passes the symmetry and diagonal checks, which are written as
+        ``>`` comparisons, so the range check is the one that rejects it."""
+        entries = np.eye(2)
+        entries[0, 1] = entries[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
+            SimilarityMatrix(order=("a", "b"), entries=entries)
+
     def test_validation_rejects_duplicate_order_ids(self):
         with pytest.raises(ValueError, match="duplicate ids"):
             SimilarityMatrix(order=("a", "a"), entries=np.eye(2))

@@ -372,13 +372,9 @@ class TestNormalizeAdjacency:
 
 
 class TestSeedVector:
-    def test_one_hot(self):
-        seed = SeedVector.one_hot(("a", "b", "c"), "b")
-        np.testing.assert_allclose(seed.weights, [0.0, 1.0, 0.0], rtol=0, atol=0)
-
-    def test_one_hot_unknown_node(self):
-        with pytest.raises(ValueError, match="seed node 'z'"):
-            SeedVector.one_hot(("a", "b"), "z")
+    def test_uniform_over_one_node_is_one_hot(self):
+        seed = SeedVector.uniform(("a", "b", "c"), ["b"])
+        assert seed.weights.tolist() == [0.0, 1.0, 0.0]
 
     def test_uniform(self):
         seed = SeedVector.uniform(("a", "b", "c", "d"), ["b", "d"])
@@ -424,7 +420,7 @@ class TestPersonalizedPagerank:
         = 0.15 / 0.2775 and r_b = 0.85 r_a.
         """
         adjacency = normalize_adjacency(_line_graph())
-        seed = SeedVector.one_hot(adjacency.order, "a")
+        seed = SeedVector.uniform(adjacency.order, ["a"])
         result = dict(personalized_pagerank(adjacency, seed, PprConfig(alpha=0.15, tolerance=1e-14)))
         np.testing.assert_allclose(result["a"], 0.5405405405405406, rtol=0, atol=1e-10)
         np.testing.assert_allclose(result["b"], 0.4594594594594595, rtol=0, atol=1e-10)
@@ -442,7 +438,7 @@ class TestPersonalizedPagerank:
         hold in both graphs (the chain re-injects b's mass at the seed).
         Note this is NOT the lazy-walk value (1+alpha)/2 = 0.575."""
         adjacency = normalize_adjacency(_cycle_graph())
-        seed = SeedVector.one_hot(adjacency.order, "a")
+        seed = SeedVector.uniform(adjacency.order, ["a"])
         result = dict(
             personalized_pagerank(adjacency, seed, PprConfig(alpha=0.15, tolerance=1e-14))
         )
@@ -473,7 +469,7 @@ class TestPersonalizedPagerank:
 
     def test_returns_probability_distribution_in_node_order(self):
         adjacency = normalize_adjacency(_line_graph())
-        seed = SeedVector.one_hot(adjacency.order, "a")
+        seed = SeedVector.uniform(adjacency.order, ["a"])
         result = personalized_pagerank(adjacency, seed)
         assert [node_id for node_id, _ in result] == list(adjacency.order)
         scores = np.array([score for _, score in result])
@@ -488,7 +484,7 @@ class TestPersonalizedPagerank:
 
     def test_budget_exhaustion_raises_with_residual(self):
         adjacency = normalize_adjacency(_cycle_graph())
-        seed = SeedVector.one_hot(adjacency.order, "a")
+        seed = SeedVector.uniform(adjacency.order, ["a"])
         config = PprConfig(alpha=0.15, tolerance=1e-300, max_iterations=3)
         with pytest.raises(ConvergenceError, match="no convergence after 3 iterations"):
             personalized_pagerank(adjacency, seed, config)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semrank import hybrid
 from semrank.candidates import top_n_candidates
 from semrank.geometry import EmbeddingVector, cosine_similarity
 from semrank.graph import (
@@ -106,6 +107,21 @@ class TestRankHybrid:
             direct = cosine_similarity(graph.by_id[item_id], pool.query)
             expected = (1.0 - beta) * direct + beta * ppr.get(item_id, 0.0)
             np.testing.assert_allclose(score, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_ppr_runs_once_through_the_module_attribute(self, beta, monkeypatch):
+        """Tracing wraps ``hybrid.personalized_pagerank``; a ranking that
+        bypassed that name would leave the per-layer PPR metrics at 0."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return personalized_pagerank(*args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "personalized_pagerank", counting)
+        pool, graph, seeds = _scene()
+        rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=beta, k=5))
+        assert len(calls) == 1
 
     def test_scope_includes_out_of_pool_neighbors(self):
         """A node outside the pool but heavily favored by diffusion can enter

@@ -88,7 +88,7 @@ def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], 
     cutoff = np.partition(sims, sims.size - n)[sims.size - n]
     contenders = np.flatnonzero(sims >= cutoff).tolist()
     order = sorted(contenders, key=lambda i: (-sims[i], corpus[i].id))[:n]
-    chosen = tuple(corpus[i] for i in order)
+    chosen = corpus.take(order)
     return CandidatePool(
         query=query,
         candidates=chosen,

@@ -17,7 +17,9 @@ With ``lam == 0`` the objective orders items purely by query-independent
 coverage *of the pool by itself* -- but the intended semantics of a zero
 diversity weight is plain top-k by query similarity, so
 :func:`greedy_select` dispatches to :func:`select_topk` in that case and the
-reduction holds exactly, not just approximately.
+reduction holds exactly, not just approximately.  That top-k trace keeps
+a running cover of the pool along the forced order, so its k objective
+values cost O(n * k) and equal :func:`objective` on each prefix bit for bit.
 
 The greedy loop is the accelerated ("lazy") greedy of Minoux (1978) and
 CELF (Leskovec et al., 2007), and picks and gains stay bit for bit those of
@@ -44,6 +46,12 @@ All per-step arithmetic runs in one work buffer allocated per call.  Fresh
 n x n float64 temporaries at every step are at or above glibc's 128 KiB
 mmap threshold from n = 128 on, so each step mapped and page-faulted new
 memory.
+
+Step 0 (the column sums and their pick) and step 1's full coverage pass do
+not depend on the diversity weight.  The first greedy call on a pool works
+them out in its own buffer and keeps them for that pool, and every later
+call on it, at any weight, starts from a copy; a sweep over weights pays
+for one opening, not one per weight.
 """
 
 from __future__ import annotations
@@ -157,6 +165,34 @@ def _argmax_ascending_id(gains: np.ndarray, ids: tuple[str, ...]) -> int:
     return int(min(tied, key=lambda i: ids[i]))
 
 
+@dataclass(frozen=True)
+class _Opening:
+    """The part of a greedy run that no diversity weight changes: step 0's
+    pick and gain, and step 1's coverage gains after that pick."""
+
+    first: int
+    first_gain: float
+    bound: np.ndarray
+
+
+def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
+    """The pool's :class:`_Opening`, computed in ``buffer`` by the first
+    greedy call on the pool and kept on it, as a cached property would be;
+    pools are immutable."""
+    opening = vars(pool).get("_greedy_opening")
+    if opening is None:
+        sims = pool.pairwise.entries
+        # Step 0 is the raw singleton objective (coverage only; a singleton
+        # has no pairs).  Its column sums keep negative similarities, so
+        # they bound nothing and step 1 scores every column.
+        column_sums = sims.sum(axis=0)
+        first = _argmax_ascending_id(column_sums, pool.ids)
+        bound = _coverage_gains(sims, sims[:, first], None, buffer)
+        bound.setflags(write=False)
+        opening = vars(pool)["_greedy_opening"] = _Opening(first, float(column_sums[first]), bound)
+    return opening
+
+
 def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
     sims = pool.pairwise.entries
     ids = pool.ids
@@ -169,28 +205,27 @@ def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
     # One work buffer reused by every step, flat so that each (n, m) view of
     # its head is C-contiguous (see the module docstring).
     buffer = np.empty(n * n, dtype=np.float64)
+    opening = _opening(pool, buffer)
     chosen: list[str] = []
     gains: list[float] = []
     for step in range(k):
         if step == 0:
-            # First step is the raw singleton objective (coverage only; a
-            # singleton has no pairs).  Its column sums keep negative
-            # similarities, so they bound nothing.
-            step_gain = sims.sum(axis=0)
+            best, gain = opening.first, opening.first_gain
         else:
             diversity = 2.0 * lam * (step - sim_to_chosen)
             if step == 1:
                 # Coverage gain of each candidate when it was last scored
                 # exactly; tightened by every later step that scores it.
-                bound = _coverage_gains(sims, cover, None, buffer)
+                bound = opening.bound.copy()
                 step_gain = bound + diversity
                 step_gain[selected] = -np.inf
             else:
                 step_gain = _lazy_gains(sims, cover, diversity, bound, selected, n - step, buffer)
-        best = _argmax_ascending_id(step_gain, ids)
+            best = _argmax_ascending_id(step_gain, ids)
+            gain = float(step_gain[best])
         selected[best] = True
         chosen.append(ids[best])
-        gains.append(float(step_gain[best]))
+        gains.append(gain)
         if step == 0:
             cover[:] = sims[:, best]
         else:
@@ -263,11 +298,20 @@ def _lazy_gains(
 
 
 def _topk_trace(pool: CandidatePool, config: CompressionConfig) -> SelectionTrace:
+    """Objective deltas along the top-k order, with ``lam == 0``.
+
+    Each prefix's value is :func:`objective` bit for bit: ``cover`` is the
+    contiguous vector of row maxima that :func:`coverage_term` sums, and the
+    diversity term it would add is ``0 * diversity``, a signed zero.
+    """
     chosen = select_topk(pool, config.k)
+    sims = pool.pairwise.entries
+    cover = sims[:, 0].copy()
     gains: list[float] = []
     previous = 0.0
-    for end in range(1, len(chosen) + 1):
-        value = objective(pool, chosen[:end], config)
+    for column in range(len(chosen)):
+        np.maximum(cover, sims[:, column], out=cover)
+        value = float(cover.sum())
         gains.append(value - previous)
         previous = value
     return SelectionTrace(chosen=tuple(chosen), marginal_gains=tuple(gains), objective_value=previous)

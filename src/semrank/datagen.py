@@ -119,7 +119,7 @@ def generate_clusters(spec: SyntheticDatasetSpec) -> SyntheticDataset:
     samples = _draw_samples(rng, np.repeat(centroids, sizes, axis=0), spec.cluster_std)
     width = len(str(spec.num_points - 1))
     ids = [f"p{index:0{width}d}" for index in range(spec.num_points)]
-    points = Embeddings(EmbeddingVector(point_id, sample) for point_id, sample in zip(ids, samples))
+    points = Embeddings.from_matrix(ids, samples)
     labels = dict(zip(ids, (label for label, size in enumerate(sizes) for _ in range(size))))
     return SyntheticDataset(points=points, labels=labels, spec=spec)
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .datagen import SyntheticDataset
 from .geometry import EmbeddingVector, Embeddings
 from .graph import GraphEdge, SemanticGraph
@@ -58,17 +60,35 @@ def _parse_header(line: str, path: Path) -> tuple[int, int]:
     return count, dim
 
 
-def _parse_vector(item_id: str, raw: str, dim: int, path: Path) -> EmbeddingVector:
+def _parse_values(item_id: str, raw: str, dim: int, path: Path) -> list[float]:
     pieces = raw.split(",")
     if len(pieces) != dim:
         msg = f"{path}: vector {item_id!r} has {len(pieces)} coordinates, expected {dim}"
         raise ValueError(msg)
     try:
-        values = [float(piece) for piece in pieces]
+        return [float(piece) for piece in pieces]
     except ValueError:
         msg = f"{path}: vector {item_id!r} has a non-numeric coordinate"
         raise ValueError(msg) from None
-    return EmbeddingVector(item_id, values)
+
+
+def _parse_dataset_row(row: str, labels: dict[str, int], dim: int, path: Path) -> tuple[str, int, list[float]]:
+    """Id, label and coordinates of one dataset row; ``labels`` holds the
+    ids read before it.  Finiteness is left to the caller."""
+    fields = row.split("\t")
+    if len(fields) != 3:
+        msg = f"{path}: malformed dataset row {row!r}"
+        raise ValueError(msg)
+    item_id, raw_label, raw_values = fields
+    if item_id in labels:
+        msg = f"{path}: duplicate item id {item_id!r}"
+        raise ValueError(msg)
+    try:
+        label = int(raw_label)
+    except ValueError:
+        msg = f"{path}: non-integer cluster label for {item_id!r}"
+        raise ValueError(msg) from None
+    return item_id, label, _parse_values(item_id, raw_values, dim, path)
 
 
 def save_dataset(dataset: SyntheticDataset, path: str | Path) -> Path:
@@ -97,25 +117,23 @@ def load_dataset(path: str | Path) -> SyntheticDataset:
     if len(rows) != count:
         msg = f"{path}: header declares {count} rows, found {len(rows)}"
         raise ValueError(msg)
-    points: list[EmbeddingVector] = []
     labels: dict[str, int] = {}
+    values: list[list[float]] = []
+    error: ValueError | None = None
     for row in rows:
-        fields = row.split("\t")
-        if len(fields) != 3:
-            msg = f"{path}: malformed dataset row {row!r}"
-            raise ValueError(msg)
-        item_id, raw_label, raw_values = fields
-        if item_id in labels:
-            msg = f"{path}: duplicate item id {item_id!r}"
-            raise ValueError(msg)
         try:
-            label = int(raw_label)
-        except ValueError:
-            msg = f"{path}: non-integer cluster label for {item_id!r}"
-            raise ValueError(msg) from None
-        points.append(_parse_vector(item_id, raw_values, dim, path))
+            item_id, label, row_values = _parse_dataset_row(row, labels, dim, path)
+        except ValueError as exc:
+            error = exc
+            break
         labels[item_id] = label
-    return SyntheticDataset(points=Embeddings(points), labels=labels, spec=None)
+        values.append(row_values)
+    # The rows read are validated first, so a non-finite coordinate is
+    # reported before any error in a later row.
+    points = Embeddings.from_matrix(tuple(labels), np.array(values, dtype=np.float64).reshape(len(values), dim))
+    if error is not None:
+        raise error
+    return SyntheticDataset(points=points, labels=labels, spec=None)
 
 
 def save_graph(graph: SemanticGraph, path: str | Path) -> Path:
@@ -157,7 +175,7 @@ def load_graph(path: str | Path) -> SemanticGraph:
             msg = f"{path}: duplicate item id {item_id!r}"
             raise ValueError(msg)
         seen.add(item_id)
-        nodes.append(_parse_vector(item_id, raw_values, dim, path))
+        nodes.append(EmbeddingVector(item_id, _parse_values(item_id, raw_values, dim, path)))
     edges: list[GraphEdge] = []
     for row in rows[count:]:
         fields = row.split("\t")

@@ -13,15 +13,17 @@ An array any other caller passes to :class:`SimilarityMatrix` is copied, so
 later writes to it never reach ``entries``.
 
 A corpus that many queries scan is an :class:`Embeddings`, a tuple of
-vectors that stacks them into one matrix on first use and keeps it, so
-:func:`query_similarities` does not restack N vectors per query.
+vectors over one read-only matrix, so :func:`query_similarities` does not
+restack N vectors per query.  :meth:`Embeddings.from_matrix` validates a
+whole matrix at once and makes each vector a view of its row; a corpus
+built from separate vectors stacks them on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,9 +62,16 @@ class EmbeddingVector:
         return float(np.linalg.norm(self.values))
 
 
+def _row_view(item_id: str, row: np.ndarray) -> EmbeddingVector:
+    """An :class:`EmbeddingVector` over ``row`` as it is: no copy, no checks."""
+    vector = object.__new__(EmbeddingVector)
+    vector.__dict__.update(id=item_id, values=row)
+    return vector
+
+
 class Embeddings(tuple):
-    """An immutable corpus: a tuple of :class:`EmbeddingVector` that stacks
-    its values once.
+    """An immutable corpus: a tuple of :class:`EmbeddingVector` over one
+    read-only matrix.
 
     It reads as a plain tuple.  The stacked matrix, its row norms and the
     first duplicate id are worked out on first use and kept, so repeated
@@ -74,6 +83,48 @@ class Embeddings(tuple):
         """``vectors`` itself if it already is an :class:`Embeddings`,
         else a new one over the same vectors."""
         return vectors if isinstance(vectors, cls) else cls(vectors)
+
+    @classmethod
+    def from_matrix(cls, ids: Sequence[str], matrix: np.ndarray) -> "Embeddings":
+        """The corpus whose vector ``ids[i]`` is row ``i`` of a float64 copy
+        of ``matrix``.
+
+        The copy is validated once, with the messages of
+        :class:`EmbeddingVector` naming the first offending id, then frozen;
+        each vector is a read-only view of its row.
+        """
+        ids = tuple(ids)
+        matrix = np.array(matrix, dtype=np.float64)
+        if matrix.ndim < 1 or len(matrix) != len(ids):
+            msg = f"{len(ids)} ids do not match a matrix of shape {matrix.shape}"
+            raise ValueError(msg)
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            if ids:
+                msg = f"vector {ids[0]!r} must be one-dimensional and non-empty"
+            else:
+                msg = f"corpus matrix of shape {matrix.shape} needs two dimensions and a column"
+            raise ValueError(msg)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            msg = f"vector {ids[int(finite.argmin())]!r} has non-finite coordinates"
+            raise ValueError(msg)
+        return cls._over(map(_row_view, ids, matrix), matrix)
+
+    @classmethod
+    def _over(cls, vectors: Iterable[EmbeddingVector], matrix: np.ndarray) -> "Embeddings":
+        """``vectors`` with ``matrix``, which holds their values row by row,
+        frozen and kept as :attr:`matrix`."""
+        # Frozen before ``vectors`` is consumed: a view taken of a writable
+        # array stays writable.
+        matrix.setflags(write=False)
+        corpus = cls(vectors)
+        corpus.__dict__["matrix"] = matrix
+        return corpus
+
+    def take(self, positions: Sequence[int]) -> "Embeddings":
+        """The vectors at ``positions``, in that order, over the matching
+        rows of :attr:`matrix` gathered once."""
+        return Embeddings._over((self[i] for i in positions), self.matrix[positions])
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -172,9 +223,15 @@ def _block_pairs(n: int) -> Iterator[tuple[slice, slice]]:
 
 def _asymmetry(entries: np.ndarray) -> float:
     """``abs(entries - entries.T).max()``, one block pair at a time; a NaN
-    anywhere makes it NaN, as it does the whole-matrix expression."""
+    anywhere makes it NaN, as it does the whole-matrix expression.
+
+    An infinite entry gives ``inf - inf``, a NaN too, without the
+    invalid-value warning: the entry itself fails the diagonal or range
+    check that follows.
+    """
     pairs = _block_pairs(len(entries))
-    return float(np.max([np.abs(entries[rows, cols] - entries[cols, rows].T).max() for rows, cols in pairs]))
+    with np.errstate(invalid="ignore"):
+        return float(np.max([np.abs(entries[rows, cols] - entries[cols, rows].T).max() for rows, cols in pairs]))
 
 
 def _symmetrize_clip(entries: np.ndarray) -> None:

@@ -158,6 +158,10 @@ class TestStackedCorpus:
             assert points.matrix is points.matrix
             assert not points.matrix.flags.writeable
             assert not points.norms.flags.writeable
+            for point in points:
+                # Each vector is a read-only view of its row of the matrix.
+                assert np.shares_memory(point.values, points.matrix)
+                assert not point.values.flags.writeable
         np.testing.assert_array_equal(loaded.points.matrix, np.stack([p.values for p in dataset.points]))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -173,6 +177,17 @@ class TestStackedCorpus:
             a, b = top_n_candidates(query, plain, n), top_n_candidates(query, stacked, n)
             assert a.ids == b.ids
             assert a.query_sims.tobytes() == b.query_sims.tobytes()
+
+    def test_pool_rows_are_gathered_from_the_corpus_matrix(self):
+        points = generate_clusters(SyntheticDatasetSpec(num_points=300, dim=4, rng_seed=2)).points
+        query = EmbeddingVector("q", np.ones(4))
+        pool = top_n_candidates(query, points, 40)
+        assert isinstance(pool.candidates, Embeddings)
+        assert "matrix" in vars(pool.candidates)
+        stacked = np.stack([v.values for v in pool.candidates])
+        assert pool.candidates.matrix.tobytes() == stacked.tobytes()
+        plain = similarity_matrix(tuple(pool.candidates))
+        assert pool.pairwise.entries.tobytes() == plain.entries.tobytes()
 
     def test_first_duplicate_id(self):
         a, b = EmbeddingVector("a", [1.0]), EmbeddingVector("b", [1.0])

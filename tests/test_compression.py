@@ -174,6 +174,55 @@ def _duplicated_directions_pool(copies=2 * _BATCH + 3, directions=3, noise=10):
     return top_n_candidates(query, corpus, len(corpus))
 
 
+def _bits(trace):
+    """A trace's picks and the exact bits of every float in it."""
+    return trace.chosen, tuple(g.hex() for g in trace.marginal_gains), trace.objective_value.hex()
+
+
+def _reevaluating_topk_trace(pool, config):
+    """The top-k trace as first written: the whole objective re-evaluated
+    on every prefix of the forced order."""
+    chosen = select_topk(pool, config.k)
+    gains = []
+    previous = 0.0
+    for end in range(1, len(chosen) + 1):
+        value = objective(pool, chosen[:end], config)
+        gains.append(value - previous)
+        previous = value
+    return tuple(chosen), tuple(g.hex() for g in gains), previous.hex()
+
+
+class TestIncrementalTopkTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(pool=_tied_pools(), data=st.data())
+    def test_matches_the_reevaluating_loop_bit_for_bit(self, pool, data):
+        k = data.draw(st.sampled_from([1, len(pool)]))
+        config = CompressionConfig(k=k, lam=data.draw(st.sampled_from([0.0, -0.0])))
+        assert _bits(greedy_select(pool, config)) == _reevaluating_topk_trace(pool, config)
+
+
+class TestSharedOpening:
+    """The first greedy call on a pool keeps the weight-independent opening
+    for later calls; every call must still equal one on a fresh pool."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_calls_in_any_order_match_fresh_pools(self, data):
+        seed = data.draw(st.integers(0, 2**16))
+        count = data.draw(st.sampled_from([3, 40, 150]))
+        shared = _random_pool(count=count, dim=3, seed=seed)
+        k = data.draw(st.integers(1, min(count, 12)))
+        calls = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 16.0, "facility", "facility"]
+        for call in data.draw(st.permutations(calls)):
+            fresh = _random_pool(count=count, dim=3, seed=seed)
+            if call == "facility":
+                got, want = facility_location_greedy(shared, k), facility_location_greedy(fresh, k)
+            else:
+                config = CompressionConfig(k=k, lam=call)
+                got, want = greedy_select(shared, config), greedy_select(fresh, config)
+            assert _bits(got) == _bits(want)
+
+
 def _adversarial_cases():
     pools = {
         "orthogonal_basis": (_orthogonal_basis_pool(), 40),

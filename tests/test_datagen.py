@@ -1,5 +1,6 @@
 """Synthetic cluster generation and composite query construction."""
 
+import hashlib
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from semrank import datagen
+from semrank.cli import main
 from semrank.datagen import (
     SyntheticDataset,
     SyntheticDatasetSpec,
@@ -283,3 +285,26 @@ class TestBulkDraw:
         spec = SyntheticDatasetSpec(num_points=10, dim=1, num_clusters=2, cluster_std=1e-300, rng_seed=0)
         with pytest.raises(ValueError, match="could not sample a non-zero point"):
             generate_clusters(spec)
+
+
+# SHA-256 of ``semrank generate`` output for (num_points, dim, clusters,
+# seed), pinned from a build that made each point its own EmbeddingVector,
+# so building the corpus from one matrix must not move a byte.
+_GENERATE_DIGESTS = {
+    (15, 2, 3, 42): "c8071df4f797f3b35e2bc64c120f72522457dda95bcea31c538e7c352a8bc007",
+    (200, 2, 5, 0): "234a6d05e6f732a890fbcc0a531f9c618786d8b8e208eb5361c1070ef6ce1bec",
+    (1000, 2, 5, 7): "b4480cf1e397dcf6548fb082ccd60c144a7266a04eb2db5a99fb8a0276da57e8",
+    (60, 5, 4, 3): "98ed38f69332411e1a7f9574fc6e458e89a3b14484ac85cfab174684d48f398c",
+    (31, 1, 2, 11): "0ab72b4f98b2c79f4e6dcf54a87bb3a2316cc919dbe8045a18b7b8a98a7c8432",
+    (100, 32, 5, 1000): "075994fd0336a638d856c12019ab9224d64d2352b84a66a53b293792a8719065",
+}
+
+
+class TestGeneratedCorpus:
+    @pytest.mark.parametrize("shape", sorted(_GENERATE_DIGESTS))
+    def test_generate_tsv_bytes_are_unchanged(self, shape, tmp_path):
+        num_points, dim, clusters, seed = shape
+        out = tmp_path / "data.tsv"
+        flags = ["--num-points", num_points, "--dim", dim, "--clusters", clusters, "--seed", seed]
+        assert main(["generate", *map(str, flags), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _GENERATE_DIGESTS[shape]

@@ -99,6 +99,33 @@ class TestDatasetParsing:
         with pytest.raises(ValueError, match="non-numeric coordinate"):
             load_dataset(path)
 
+    def test_non_finite_coordinate(self, tmp_path):
+        path = self._write(tmp_path, "#nodes 2 #dim 2\na\t0\t1.0,2.0\nb\t0\t1.0,inf\n")
+        with pytest.raises(ValueError, match="^vector 'b' has non-finite coordinates$"):
+            load_dataset(path)
+
+    def test_non_finite_row_is_reported_before_a_later_row_error(self, tmp_path):
+        text = "#nodes 3 #dim 1\na\t0\t1.0\nb\t0\tnan\na\t0\t2.0\n"
+        with pytest.raises(ValueError, match="^vector 'b' has non-finite coordinates$"):
+            load_dataset(self._write(tmp_path, text))
+
+    def test_a_row_error_is_reported_before_a_later_non_finite_row(self, tmp_path):
+        text = "#nodes 3 #dim 1\na\t0\t1.0\na\t0\t2.0\nb\t0\tnan\n"
+        with pytest.raises(ValueError, match="duplicate item id 'a'"):
+            load_dataset(self._write(tmp_path, text))
+
+    def test_other_row_errors_precede_the_rows_own_non_finite_value(self, tmp_path):
+        with pytest.raises(ValueError, match="non-integer cluster label for 'a'"):
+            load_dataset(self._write(tmp_path, "#nodes 1 #dim 1\na\tx\tnan\n"))
+        with pytest.raises(ValueError, match="has 2 coordinates, expected 1"):
+            load_dataset(self._write(tmp_path, "#nodes 1 #dim 1\na\t0\tnan,1.0\n"))
+
+    def test_header_only_file_loads_an_empty_corpus(self, tmp_path):
+        loaded = load_dataset(self._write(tmp_path, "#nodes 0 #dim 3\n"))
+        assert loaded.points == ()
+        assert loaded.labels == {}
+        assert loaded.points.matrix.shape == (0, 3)
+
     def test_errors_name_the_file(self, tmp_path):
         path = self._write(tmp_path, "bad\n")
         with pytest.raises(ValueError, match="broken.tsv"):

@@ -11,6 +11,7 @@ from semrank.geometry import (
     _BLOCK,
     MATRIX_TOL,
     EmbeddingVector,
+    Embeddings,
     SimilarityMatrix,
     _symmetrize_clip,
     cosine_similarity,
@@ -59,6 +60,74 @@ class TestEmbeddingVector:
             EmbeddingVector("bad", [1.0, np.nan])
         with pytest.raises(ValueError, match="non-finite"):
             EmbeddingVector("bad", [np.inf, 0.0])
+
+
+def _message(build):
+    with pytest.raises(ValueError) as error:
+        build()
+    return str(error.value)
+
+
+class TestEmbeddingsFromMatrix:
+    def test_vectors_are_read_only_views_of_one_matrix(self):
+        source = np.arange(12.0).reshape(4, 3)
+        points = Embeddings.from_matrix(["a", "b", "c", "d"], source)
+        source[0, 0] = 99.0
+        assert points == tuple(points)
+        assert [p.id for p in points] == ["a", "b", "c", "d"]
+        assert points.matrix.tobytes() == np.arange(12.0).tobytes()
+        assert not points.matrix.flags.writeable
+        for i, point in enumerate(points):
+            assert isinstance(point, EmbeddingVector)
+            assert np.shares_memory(point.values, points.matrix)
+            assert point.values.tobytes() == points.matrix[i].tobytes()
+            assert point.dim == 3
+            with pytest.raises(ValueError):
+                point.values[0] = 5.0
+
+    def test_integer_input_is_stored_as_float64(self):
+        points = Embeddings.from_matrix(["a"], [[1, 2]])
+        assert points.matrix.dtype == np.float64
+        assert points[0].values.dtype == np.float64
+
+    def test_non_finite_rows_name_the_first_bad_id(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            matrix = np.ones((4, 2))
+            matrix[2, 1] = bad
+            matrix[3, 0] = np.nan
+            message = _message(lambda: Embeddings.from_matrix(["a", "b", "c", "d"], matrix))
+            assert message == "vector 'c' has non-finite coordinates"
+            assert message == _message(lambda: EmbeddingVector("c", matrix[2]))
+
+    def test_rows_must_be_one_dimensional_and_non_empty(self):
+        expected = "vector 'a' must be one-dimensional and non-empty"
+        assert _message(lambda: Embeddings.from_matrix(["a", "b"], np.ones(2))) == expected
+        assert _message(lambda: Embeddings.from_matrix(["a", "b"], np.ones((2, 0)))) == expected
+        assert _message(lambda: Embeddings.from_matrix(["a", "b"], np.ones((2, 2, 1)))) == expected
+        assert _message(lambda: EmbeddingVector("a", np.ones((2, 0))[0])) == expected
+        with pytest.raises(ValueError, match="two dimensions"):
+            Embeddings.from_matrix([], np.ones(0))
+
+    def test_ids_must_match_the_rows(self):
+        with pytest.raises(ValueError, match=r"2 ids do not match a matrix of shape \(3, 2\)"):
+            Embeddings.from_matrix(["a", "b"], np.ones((3, 2)))
+        with pytest.raises(ValueError, match="1 ids do not match"):
+            Embeddings.from_matrix(["a"], np.float64(1.0))
+
+    def test_an_empty_corpus_keeps_its_width(self):
+        points = Embeddings.from_matrix([], np.empty((0, 3)))
+        assert points == ()
+        assert points.matrix.shape == (0, 3)
+
+    def test_take_gathers_the_rows_once(self):
+        rng = np.random.default_rng(3)
+        points = Embeddings.from_matrix([f"v{i}" for i in range(10)], rng.normal(size=(10, 4)))
+        order = [7, 2, 9, 0]
+        taken = points.take(order)
+        assert taken == tuple(points[i] for i in order)
+        assert "matrix" in vars(taken)
+        assert taken.matrix.tobytes() == np.stack([points[i].values for i in order]).tobytes()
+        assert not taken.matrix.flags.writeable
 
 
 class TestCosineSimilarity:
@@ -196,7 +265,6 @@ class TestSimilarityMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("cells", [((0, 1), (1, 0)), ((1, 1),), ((2, 0),)], ids=["pair", "diagonal", "one-cell"])
     @pytest.mark.parametrize("adopt", [False, True], ids=["copy", "adopt"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_entries_are_rejected(self, bad, cells, adopt):
         entries = np.eye(3)
         for cell in cells:

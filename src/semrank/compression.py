@@ -34,8 +34,9 @@ scoring every candidate at every step:
 * The diversity gain ``2 * lam * (step - sim_to_chosen)`` is exact and
   cheap, so from step 2 on only candidates whose bound plus diversity gain
   is ``>=`` the best exact gain so far are scored, in batches by descending
-  bound.  Exact ties are therefore all scored, and the smallest-id
-  tie-break sees every one of them.
+  bound, and the pick is taken from the columns scored.  Exact ties are
+  therefore all scored, and the smallest-id tie-break sees every one of
+  them.
 * Every reduction must sum row by row, as the full n x n pass does.  A batch
   is gathered with ``np.take`` into a C-contiguous view of the work buffer
   (``sims[:, cols]`` comes out in a layout whose column sums numpy takes
@@ -158,11 +159,15 @@ def select_topk(pool: CandidatePool, k: int) -> list[str]:
     return list(pool.ids[:k])
 
 
-def _argmax_ascending_id(gains: np.ndarray, ids: tuple[str, ...]) -> int:
+def _argmax_ascending_id(gains: np.ndarray, ids: tuple[str, ...], columns: np.ndarray | None = None) -> int:
+    """Position in ``gains`` of its largest value, where ``gains[i]`` scores
+    pool column ``columns[i]`` (column ``i`` when ``columns`` is None)."""
     # Exact ties resolve to the smallest id for run-to-run determinism.
     best = gains.max()
     tied = np.flatnonzero(gains == best)
-    return int(min(tied, key=lambda i: ids[i]))
+    if columns is None:
+        return int(min(tied, key=lambda i: ids[i]))
+    return int(min(tied, key=lambda i: ids[columns[i]]))
 
 
 @dataclass(frozen=True)
@@ -219,10 +224,12 @@ def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
                 bound = opening.bound.copy()
                 step_gain = bound + diversity
                 step_gain[selected] = -np.inf
+                best = _argmax_ascending_id(step_gain, ids)
+                gain = float(step_gain[best])
             else:
-                step_gain = _lazy_gains(sims, cover, diversity, bound, selected, n - step, buffer)
-            best = _argmax_ascending_id(step_gain, ids)
-            gain = float(step_gain[best])
+                columns, step_gain = _lazy_gains(sims, cover, diversity, bound, selected, n - step, buffer)
+                at = _argmax_ascending_id(step_gain, ids, columns)
+                best, gain = int(columns[at]), float(step_gain[at])
         selected[best] = True
         chosen.append(ids[best])
         gains.append(gain)
@@ -264,27 +271,28 @@ def _lazy_gains(
     selected: np.ndarray,
     live: int,
     buffer: np.ndarray,
-) -> np.ndarray:
-    """Step gains of the ``live`` unselected candidates, exact wherever they
-    can reach the maximum and ``-inf`` elsewhere; ``bound`` is tightened for
+) -> tuple[np.ndarray, np.ndarray]:
+    """The columns scored among the ``live`` unselected candidates, in the
+    order scored, and their exact step gains; ``bound`` is tightened for
     every column scored.
 
     Columns are scored in batches by descending ``bound + diversity`` until
     that upper bound falls below the best exact gain, so every candidate
-    tied with the maximum is scored and the smallest-id tie-break sees them
-    all.
+    that can reach the maximum, ties included, is among them and the
+    smallest-id tie-break sees them all.
     """
     upper = bound + diversity
     upper[selected] = -np.inf
     order = np.argsort(-upper, kind="stable")[:live]
-    step_gain = np.full(len(cover), -np.inf)
+    gains: list[np.ndarray] = []
     best = -np.inf
+    scored = 0
     for start in range(0, live, _BATCH):
         if upper[order[start]] < best:
             break
         columns = order[start : start + _BATCH]
-        scored = len(columns)
-        if scored == 1:
+        scored = start + len(columns)
+        if len(columns) == 1:
             # A one-column reduction sums pairwise; a second copy of the
             # column keeps it row by row.
             coverage = _coverage_gains(sims, cover, np.repeat(columns, 2), buffer)[:1]
@@ -292,9 +300,9 @@ def _lazy_gains(
             coverage = _coverage_gains(sims, cover, columns, buffer)
         bound[columns] = coverage
         gain = coverage + diversity[columns]
-        step_gain[columns] = gain
+        gains.append(gain)
         best = max(best, np.maximum.reduce(gain))
-    return step_gain
+    return order[:scored], np.concatenate(gains)
 
 
 def _topk_trace(pool: CandidatePool, config: CompressionConfig) -> SelectionTrace:

@@ -22,6 +22,7 @@ a tab or a line break.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from .graph import GraphEdge, SemanticGraph
 
 # The field separator plus every line boundary ``str.splitlines`` honours.
 _UNWRITABLE_ID_CHARS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+T = TypeVar("T")
 
 
 def _check_writable_id(item_id: str) -> None:
@@ -74,7 +77,7 @@ def _parse_values(item_id: str, raw: str, dim: int, path: Path) -> list[float]:
 
 def _parse_dataset_row(row: str, labels: dict[str, int], dim: int, path: Path) -> tuple[str, int, list[float]]:
     """Id, label and coordinates of one dataset row; ``labels`` holds the
-    ids read before it.  Finiteness is left to the caller."""
+    ids read before it.  Finiteness is left to :func:`_parse_corpus`."""
     fields = row.split("\t")
     if len(fields) != 3:
         msg = f"{path}: malformed dataset row {row!r}"
@@ -89,6 +92,47 @@ def _parse_dataset_row(row: str, labels: dict[str, int], dim: int, path: Path) -
         msg = f"{path}: non-integer cluster label for {item_id!r}"
         raise ValueError(msg) from None
     return item_id, label, _parse_values(item_id, raw_values, dim, path)
+
+
+def _parse_vector_row(row: str, seen: dict[str, None], dim: int, path: Path) -> tuple[str, None, list[float]]:
+    """Id and coordinates of one graph vector row, in
+    :func:`_parse_dataset_row`'s shape; ``seen`` holds the ids read before it."""
+    fields = row.split("\t")
+    if len(fields) != 2:
+        msg = f"{path}: malformed vector row {row!r}"
+        raise ValueError(msg)
+    item_id, raw_values = fields
+    if item_id in seen:
+        msg = f"{path}: duplicate item id {item_id!r}"
+        raise ValueError(msg)
+    return item_id, None, _parse_values(item_id, raw_values, dim, path)
+
+
+def _parse_corpus(
+    rows: list[str], parse_row: Callable[[str, dict, int, Path], tuple[str, T, list[float]]], dim: int, path: Path
+) -> tuple[Embeddings, dict[str, T]]:
+    """The vectors of ``rows``, each parsed by ``parse_row``, and what it
+    read beside each id.
+
+    On the first row error the rows before it are validated first, so a
+    non-finite coordinate is reported before any error in a later row,
+    while a row's own format errors still come before its non-finite check.
+    """
+    extras: dict[str, T] = {}
+    values: list[list[float]] = []
+    error: ValueError | None = None
+    for row in rows:
+        try:
+            item_id, extra, row_values = parse_row(row, extras, dim, path)
+        except ValueError as exc:
+            error = exc
+            break
+        extras[item_id] = extra
+        values.append(row_values)
+    corpus = Embeddings.from_matrix(tuple(extras), np.array(values, dtype=np.float64).reshape(len(values), dim))
+    if error is not None:
+        raise error
+    return corpus, extras
 
 
 def save_dataset(dataset: SyntheticDataset, path: str | Path) -> Path:
@@ -117,22 +161,7 @@ def load_dataset(path: str | Path) -> SyntheticDataset:
     if len(rows) != count:
         msg = f"{path}: header declares {count} rows, found {len(rows)}"
         raise ValueError(msg)
-    labels: dict[str, int] = {}
-    values: list[list[float]] = []
-    error: ValueError | None = None
-    for row in rows:
-        try:
-            item_id, label, row_values = _parse_dataset_row(row, labels, dim, path)
-        except ValueError as exc:
-            error = exc
-            break
-        labels[item_id] = label
-        values.append(row_values)
-    # The rows read are validated first, so a non-finite coordinate is
-    # reported before any error in a later row.
-    points = Embeddings.from_matrix(tuple(labels), np.array(values, dtype=np.float64).reshape(len(values), dim))
-    if error is not None:
-        raise error
+    points, labels = _parse_corpus(rows, _parse_dataset_row, dim, path)
     return SyntheticDataset(points=points, labels=labels, spec=None)
 
 
@@ -163,19 +192,7 @@ def load_graph(path: str | Path) -> SemanticGraph:
     if len(rows) < count:
         msg = f"{path}: header declares {count} vector rows, found {len(rows)}"
         raise ValueError(msg)
-    nodes: list[EmbeddingVector] = []
-    seen: set[str] = set()
-    for row in rows[:count]:
-        fields = row.split("\t")
-        if len(fields) != 2:
-            msg = f"{path}: malformed vector row {row!r}"
-            raise ValueError(msg)
-        item_id, raw_values = fields
-        if item_id in seen:
-            msg = f"{path}: duplicate item id {item_id!r}"
-            raise ValueError(msg)
-        seen.add(item_id)
-        nodes.append(EmbeddingVector(item_id, _parse_values(item_id, raw_values, dim, path)))
+    nodes, _ = _parse_corpus(rows[:count], _parse_vector_row, dim, path)
     edges: list[GraphEdge] = []
     for row in rows[count:]:
         fields = row.split("\t")
@@ -189,4 +206,4 @@ def load_graph(path: str | Path) -> SemanticGraph:
             msg = f"{path}: non-numeric weight in edge row {row!r}"
             raise ValueError(msg) from None
         edges.append(GraphEdge(source=source, target=target, weight=weight, kind=kind))
-    return SemanticGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return SemanticGraph(nodes=nodes, edges=tuple(edges))

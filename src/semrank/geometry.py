@@ -5,12 +5,21 @@ of the angle between them, so magnitudes never matter once a vector is
 non-zero.  Dot-product scoring would slot in next to :func:`cosine_similarity`
 if it were ever needed, but only cosine is implemented today.
 
-The pairwise stage holds one N x N array.  :func:`similarity_matrix` fills
-it with a single Gram product, then symmetrises, clips and validates it in
-place, one square block pair at a time, so no other N x N temporary exists;
-the array it built is handed to :class:`SimilarityMatrix` without a copy.
-An array any other caller passes to :class:`SimilarityMatrix` is copied, so
-later writes to it never reach ``entries``.
+:func:`similarity_matrix` holds one N x N array, for pools, which need all
+of it.  It fills the array with a single Gram product, then symmetrises,
+clips and validates it in place, one square block pair at a time, so no
+other N x N temporary exists; the array it built is handed to
+:class:`SimilarityMatrix` without a copy.  An array any other caller passes
+to :class:`SimilarityMatrix` is copied, so later writes to it never reach
+``entries``.
+
+:func:`similarity_rows` gives the same rows ``_BLOCK`` at a time, each block
+from its own two products and checked as it is made, so a caller that reads
+the matrix row by row (the kNN build) never holds N x N values.  The rows
+are bitwise those of :func:`similarity_matrix` wherever BLAS rounds a block
+product as it rounds the whole one; where the whole product takes the
+symmetric-rank-k route and the blocks do not, a value can move by a few
+ulps.
 
 A corpus that many queries scan is an :class:`Embeddings`, a tuple of
 vectors over one read-only matrix, so :func:`query_similarities` does not
@@ -32,7 +41,8 @@ import numpy as np
 MATRIX_TOL = 1e-12
 
 # Side of the square blocks the pairwise stage is symmetrised and checked
-# in; one block of float64 is 128 KiB.
+# in (one block of float64 is 128 KiB), and the number of rows per block of
+# :func:`similarity_rows`.
 _BLOCK = 128
 
 
@@ -284,12 +294,9 @@ def normalize(vector: EmbeddingVector) -> EmbeddingVector:
     return EmbeddingVector(vector.id, vector.values / norm)
 
 
-def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
-    """Dense pairwise cosine matrix over ``vectors``.
-
-    Ids must be unique and dimensions uniform; zero-norm rows are rejected
-    with the offending id, mirroring :func:`cosine_similarity`.
-    """
+def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
+    """``vectors`` stacked and scaled to unit norm, after the checks of
+    :func:`similarity_matrix`."""
     if not vectors:
         msg = "similarity matrix requires at least one vector"
         raise ValueError(msg)
@@ -307,11 +314,68 @@ def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
         if not norm > 0.0:
             msg = f"cosine similarity undefined for zero-norm vector {v.id!r}"
             raise ValueError(msg)
-    unit = corpus.matrix / norms[:, None]
+    return corpus.matrix / norms[:, None]
+
+
+def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
+    """Dense pairwise cosine matrix over ``vectors``.
+
+    Ids must be unique and dimensions uniform; zero-norm rows are rejected
+    with the offending id, mirroring :func:`cosine_similarity`.
+    """
+    unit = _unit_rows(vectors)
     entries = unit @ unit.T
     _symmetrize_clip(entries)
     np.fill_diagonal(entries, 1.0)
     return SimilarityMatrix._adopt(tuple(v.id for v in vectors), entries)
+
+
+def similarity_rows(
+    vectors: Sequence[EmbeddingVector],
+) -> tuple[tuple[str, ...], Iterator[tuple[int, np.ndarray]]]:
+    """The ids of ``vectors`` and the rows of their pairwise cosine matrix,
+    about ``_BLOCK`` rows at a time.
+
+    ``vectors`` is checked at once, with :func:`similarity_matrix`'s errors
+    in its order.  Each block is ``(start, rows)``, where ``rows[r]`` is row
+    ``start + r``: ``clip((E[R] + E.T[R]) / 2, -1, 1)`` for ``E = U @ U.T``
+    over the unit rows ``U``, with a unit diagonal.  A block whose values
+    leave ``[-1, 1]`` (a NaN does) raises :class:`SimilarityMatrix`'s error.
+
+    ``rows`` lives in a buffer the next block overwrites, so the whole
+    iteration holds two blocks of values; copy what must outlive a step.
+    """
+    unit = _unit_rows(vectors)
+    return tuple(v.id for v in vectors), _row_blocks(unit)
+
+
+def _row_blocks(unit: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    n = len(unit)
+    starts = list(range(0, n, _BLOCK))
+    # A one-row product goes through gemv, which rounds differently from
+    # the matrix products, so a one-row tail joins the block before it.
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    stops = starts[1:] + [n]
+    height = max(stop - start for start, stop in zip(starts, stops))
+    # Two flat buffers serve every block, so each (m, n) or (n, m) view of
+    # a buffer's head is C-contiguous and numpy writes the products there.
+    row_buffer = np.empty(height * n)
+    column_buffer = np.empty(n * height)
+    for start, stop in zip(starts, stops):
+        rows = row_buffer[: (stop - start) * n].reshape(stop - start, n)
+        columns = column_buffer[: n * (stop - start)].reshape(n, stop - start)
+        np.matmul(unit[start:stop], unit.T, out=rows)
+        np.matmul(unit, unit[start:stop].T, out=columns)
+        rows += columns.T
+        rows /= 2.0
+        np.clip(rows, -1.0, 1.0, out=rows)
+        np.fill_diagonal(rows[:, start:stop], 1.0)
+        # Written so that a NaN, which fails every comparison, fails it too.
+        if not (rows.min() >= -1.0 - MATRIX_TOL and rows.max() <= 1.0 + MATRIX_TOL):
+            msg = "similarity values must lie in [-1, 1]"
+            raise ValueError(msg)
+        yield start, rows
 
 
 def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector]) -> np.ndarray:

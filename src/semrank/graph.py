@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import EmbeddingVector, similarity_matrix
+from .geometry import EmbeddingVector, similarity_matrix, similarity_rows
 
 EDGE_KINDS = ("knn", "symbolic")
 
@@ -344,6 +344,8 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
 
     Neighbours rank by cosine similarity, exact ties by ascending id, so the
     out-degree is exactly ``k`` everywhere.  Requires ``1 <= k < len(nodes)``.
+    Similarities arrive in row blocks from :func:`similarity_rows`, so the
+    build holds two blocks of about ``_BLOCK x N`` of them, never ``N x N``.
     """
     if k < 1:
         msg = f"k must be >= 1, got {k}"
@@ -351,15 +353,16 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
     if k >= len(nodes):
         msg = f"k={k} needs at least {k + 1} nodes, got {len(nodes)}"
         raise ValueError(msg)
-    sims = similarity_matrix(nodes)
-    ids = sims.order
+    ids, blocks = similarity_rows(nodes)
     edges: list[GraphEdge] = []
-    for i, source in enumerate(ids):
-        others = [j for j in range(len(ids)) if j != i]
-        others.sort(key=lambda j: (-sims.entries[i, j], ids[j]))
-        for j in others[:k]:
-            weight = max(float(sims.entries[i, j]), EDGE_WEIGHT_FLOOR)
-            edges.append(GraphEdge(source=source, target=ids[j], weight=weight, kind="knn"))
+    for start, rows in blocks:
+        for r in range(len(rows)):
+            i = start + r
+            others = [j for j in range(len(ids)) if j != i]
+            others.sort(key=lambda j: (-rows[r, j], ids[j]))
+            for j in others[:k]:
+                weight = max(float(rows[r, j]), EDGE_WEIGHT_FLOOR)
+                edges.append(GraphEdge(source=ids[i], target=ids[j], weight=weight, kind="knn"))
     return SemanticGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
@@ -498,10 +501,19 @@ def personalized_pagerank(
     seed: SeedVector,
     config: PprConfig | None = None,
 ) -> list[tuple[str, float]]:
+    """``(id, mass)`` pairs in node order, from :func:`ppr_mass`."""
+    return list(zip(adjacency.order, ppr_mass(adjacency, seed, config).tolist()))
+
+
+def ppr_mass(
+    adjacency: NormalizedAdjacency,
+    seed: SeedVector,
+    config: PprConfig | None = None,
+) -> np.ndarray:
     """Power-iterate ``r = alpha * s + (1 - alpha) * A^T r`` to a fixed point.
 
     Mass sitting on dangling nodes is re-injected through the seed each step,
-    so the result is a probability distribution over nodes (returned in node
+    so the result is a probability distribution over nodes (an array in node
     order).  Raises :class:`ConvergenceError` if the L1 step change never
     drops below ``config.tolerance``; because the update is a contraction
     with factor ``1 - alpha``, a converged iterate also satisfies the fixed-
@@ -542,5 +554,5 @@ def personalized_pagerank(
         residual = float(np.abs(r, out=r).sum())
         r, work = work, r
         if residual < config.tolerance:
-            return list(zip(adjacency.order, r.tolist()))
+            return r
     raise ConvergenceError(residual=residual, iterations=config.max_iterations, tolerance=config.tolerance)

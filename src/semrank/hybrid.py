@@ -13,14 +13,13 @@ default, with optional min-max rescaling of the graph channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .candidates import CandidatePool
 from .geometry import EmbeddingVector
-from .graph import PprConfig, SeedVector, SemanticGraph, normalize_adjacency, personalized_pagerank
+from .graph import PprConfig, SeedVector, SemanticGraph, normalize_adjacency, ppr_mass
 
 METHOD_TAGS = ("topk_ann", "semantic_compression", "graph_ppr", "hybrid")
 
@@ -109,9 +108,7 @@ def rank_hybrid(
         msg = f"result size {config.k} exceeds scored scope of {scope.size} items"
         raise ValueError(msg)
 
-    ppr = personalized_pagerank(normalize_adjacency(graph), seed, ppr_config)
-    mass = np.fromiter(map(itemgetter(1), ppr), dtype=np.float64, count=len(ppr))
-    graph_raw = mass[scope]
+    graph_raw = ppr_mass(normalize_adjacency(graph), seed, ppr_config)[scope]
     if config.rescale_graph:
         low = graph_raw.min()
         span = graph_raw.max() - low

@@ -20,6 +20,7 @@ from semrank.compression import (
     objective,
     select_topk,
     _BATCH,
+    _argmax_ascending_id,
     _lazy_gains,
 )
 from semrank.geometry import EmbeddingVector, cosine_similarity
@@ -260,10 +261,30 @@ class TestLazyGreedyOnAdversarialPools:
         cover = sims[:, 0].copy()
         diversity = np.random.default_rng(seed).normal(size=n)
         bound = np.full(n, np.inf)
-        gains = _lazy_gains(sims, cover, diversity, bound, np.zeros(n, dtype=bool), n, np.empty(n * n))
+        columns, scored = _lazy_gains(sims, cover, diversity, bound, np.zeros(n, dtype=bool), n, np.empty(n * n))
+        gains = np.full(n, -np.inf)
+        gains[columns] = scored
         coverage = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
+        assert sorted(columns) == list(range(n))
         assert gains.tobytes() == (coverage + diversity).tobytes()
         assert bound.tobytes() == coverage.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_pick_comes_from_the_scored_columns(self, seed):
+        """With exact bounds only the first batch can reach the maximum, and
+        the pick taken from the columns scored is the full scan's."""
+        pool = _random_pool(count=6 * _BATCH, dim=3, seed=seed)
+        sims = pool.pairwise.entries
+        n = len(pool)
+        cover = sims[:, 0].copy()
+        diversity = np.random.default_rng(seed).normal(size=n)
+        coverage = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
+        exact = coverage + diversity
+        columns, gains = _lazy_gains(sims, cover, diversity, coverage.copy(), np.zeros(n, dtype=bool), n, np.empty(n * n))
+        assert len(columns) == _BATCH
+        assert gains.tobytes() == exact[columns].tobytes()
+        at = _argmax_ascending_id(gains, pool.ids, columns)
+        assert columns[at] == _argmax_ascending_id(exact, pool.ids)
 
     @pytest.mark.parametrize("lam", [0.01, 16.0])
     def test_orthogonal_basis_ties_resolve_in_id_order(self, lam):

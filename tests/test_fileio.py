@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from semrank.datagen import SyntheticDataset, SyntheticDatasetSpec, generate_clusters
 from semrank.fileio import load_dataset, load_graph, save_dataset, save_graph
-from semrank.geometry import EmbeddingVector
+from semrank.geometry import EmbeddingVector, Embeddings
 from semrank.graph import GraphEdge, SemanticGraph, build_knn_graph
 
 
@@ -159,6 +159,16 @@ class TestGraphRoundTrip:
         assert sorted(e.kind for e in loaded.edges) == ["knn", "symbolic", "symbolic"]
         assert loaded.edges == graph.edges
 
+    def test_loaded_nodes_are_views_of_one_matrix(self, tmp_path):
+        graph = build_knn_graph(_dataset(seed=5).points, 3)
+        loaded = load_graph(save_graph(graph, tmp_path / "graph.tsv"))
+        assert isinstance(loaded.nodes, Embeddings)
+        assert not loaded.nodes.matrix.flags.writeable
+        for node in loaded.nodes:
+            assert np.shares_memory(node.values, loaded.nodes.matrix)
+            assert not node.values.flags.writeable
+        np.testing.assert_array_equal(loaded.nodes.matrix, np.stack([node.values for node in graph.nodes]))
+
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty graph"):
             save_graph(SemanticGraph(nodes=(), edges=()), tmp_path / "nope.tsv")
@@ -189,6 +199,39 @@ class TestGraphParsing:
         path = self._write(tmp_path, "#nodes 2 #dim 1\na\t1.0\na\t2.0\n")
         with pytest.raises(ValueError, match="duplicate item id 'a'"):
             load_graph(path)
+
+    def test_non_finite_coordinate(self, tmp_path):
+        path = self._write(tmp_path, "#nodes 2 #dim 2\na\t1.0,2.0\nb\t1.0,inf\n")
+        with pytest.raises(ValueError, match="^vector 'b' has non-finite coordinates$"):
+            load_graph(path)
+
+    def test_non_finite_row_is_reported_before_a_later_row_error(self, tmp_path):
+        path = self._write(tmp_path, "#nodes 3 #dim 1\na\t1.0\nb\tnan\na\t2.0\n")
+        with pytest.raises(ValueError, match="^vector 'b' has non-finite coordinates$"):
+            load_graph(path)
+
+    def test_a_row_error_is_reported_before_a_later_non_finite_row(self, tmp_path):
+        path = self._write(tmp_path, "#nodes 3 #dim 1\na\t1.0\na\t2.0\nb\tnan\n")
+        with pytest.raises(ValueError, match="duplicate item id 'a'"):
+            load_graph(path)
+
+    def test_other_row_errors_precede_the_rows_own_non_finite_value(self, tmp_path):
+        with pytest.raises(ValueError, match="malformed vector row"):
+            load_graph(self._write(tmp_path, "#nodes 1 #dim 1\na\tnan\textra\n"))
+        with pytest.raises(ValueError, match="has 2 coordinates, expected 1"):
+            load_graph(self._write(tmp_path, "#nodes 1 #dim 1\na\tnan,1.0\n"))
+        with pytest.raises(ValueError, match="has a non-numeric coordinate"):
+            load_graph(self._write(tmp_path, "#nodes 1 #dim 2\na\tnan,x\n"))
+
+    def test_a_non_finite_node_is_reported_before_edge_errors(self, tmp_path):
+        path = self._write(tmp_path, "#nodes 1 #dim 1\na\tinf\na\tb\theavy\tknn\n")
+        with pytest.raises(ValueError, match="^vector 'a' has non-finite coordinates$"):
+            load_graph(path)
+
+    def test_header_only_file_loads_an_empty_graph(self, tmp_path):
+        loaded = load_graph(self._write(tmp_path, "#nodes 0 #dim 3\n"))
+        assert loaded.nodes == () and loaded.edges == ()
+        assert loaded.nodes.matrix.shape == (0, 3)
 
     def test_malformed_edge_row(self, tmp_path):
         path = self._write(tmp_path, "#nodes 2 #dim 1\na\t1.0\nb\t2.0\na\tb\t0.5\n")

@@ -13,11 +13,13 @@ from semrank.geometry import (
     EmbeddingVector,
     Embeddings,
     SimilarityMatrix,
+    _row_view,
     _symmetrize_clip,
     cosine_similarity,
     normalize,
     query_similarities,
     similarity_matrix,
+    similarity_rows,
 )
 
 
@@ -359,6 +361,74 @@ class TestOneArraySimilarityStage:
         # The result is n*n*8 bytes; a whole-matrix (E + E.T) / 2 and a
         # defensive copy peak near three times that.
         assert peak <= 1.6 * n * n * 8
+
+
+def _collect(blocks):
+    """Copies of the blocks' rows, which share buffers, and their starts."""
+    starts, rows = [], []
+    for start, block in blocks:
+        starts.append(start)
+        rows.append(block.copy())
+    return starts, rows
+
+
+class TestSimilarityRows:
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_rows_are_the_matrix_rows_in_blocks(self, n):
+        points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=5, num_clusters=1, rng_seed=n)).points
+        order, blocks = similarity_rows(points)
+        starts, rows = _collect(blocks)
+        assert order == tuple(p.id for p in points)
+        sizes = [len(block) for block in rows]
+        assert starts == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert sum(sizes) == n
+        # A one-row tail joins the block before it.
+        assert all(size > 1 for size in sizes) or n == 1
+        assert max(sizes) <= _BLOCK + 1
+        stacked = np.concatenate(rows)
+        np.testing.assert_allclose(stacked, similarity_matrix(points).entries, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(np.diagonal(stacked), 1.0)
+        assert stacked.min() >= -1.0 and stacked.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_each_block_is_bitwise_its_two_products(self, n):
+        """Rows ``R`` are ``clip((U[R] @ U.T + (U @ U[R].T).T) / 2, -1, 1)``
+        with a unit diagonal, written here with fresh temporaries."""
+        points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=7, num_clusters=3, rng_seed=n)).points
+        stacked = np.stack([p.values for p in points])
+        unit = stacked / np.linalg.norm(stacked, axis=1)[:, None]
+        _, blocks = similarity_rows(points)
+        for start, rows in blocks:
+            stop = start + len(rows)
+            expected = np.clip((unit[start:stop] @ unit.T + (unit @ unit[start:stop].T).T) / 2.0, -1.0, 1.0)
+            np.fill_diagonal(expected[:, start:stop], 1.0)
+            np.testing.assert_array_equal(_bits(rows), _bits(expected))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([], "^similarity matrix requires at least one vector$"),
+            ([("a", [1.0, 0.0]), ("b", [0.0, 0.0]), ("a", [0.0, 1.0])], "^duplicate item id 'a'$"),
+            ([("a", [0.0, 0.0]), ("b", [1.0, 0.0, 0.0])], "^dimension mismatch: 'b' has d=3, expected 2$"),
+            ([("a", [1.0, 0.0]), ("nil", [0.0, 0.0])], "^cosine similarity undefined for zero-norm vector 'nil'$"),
+        ],
+    )
+    def test_input_is_checked_before_any_block(self, values, message):
+        vectors = [EmbeddingVector(item_id, row) for item_id, row in values]
+        with pytest.raises(ValueError, match=message):
+            similarity_matrix(vectors)
+        with pytest.raises(ValueError, match=message):
+            similarity_rows(vectors)
+
+    def test_a_block_outside_the_unit_interval_is_rejected(self):
+        """Only a corpus that skipped validation can reach the range check:
+        an infinite coordinate gives an infinite norm and a NaN unit row."""
+        rows = np.array([[1.0, 0.0], [np.inf, 1.0], [0.0, 1.0]])
+        corpus = Embeddings._over([_row_view(f"v{i}", row) for i, row in enumerate(rows)], rows)
+        with np.errstate(invalid="ignore"):
+            _, blocks = similarity_rows(corpus)
+        with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
+            next(blocks)
 
 
 class TestQuerySimilarities:

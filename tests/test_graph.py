@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semrank.datagen import SyntheticDatasetSpec, generate_clusters
-from semrank.geometry import EmbeddingVector, cosine_similarity
+from semrank.geometry import _BLOCK, EmbeddingVector, cosine_similarity
 from semrank.graph import (
     EDGE_WEIGHT_FLOOR,
     ConvergenceError,
@@ -21,12 +21,35 @@ from semrank.graph import (
     elect_cluster_heads,
     normalize_adjacency,
     personalized_pagerank,
+    ppr_mass,
 )
 
 
 def _nodes(count=10, dim=4, seed=42):
     rng = np.random.default_rng(seed)
     return [EmbeddingVector(f"n{i:02d}", rng.normal(size=dim)) for i in range(count)]
+
+
+def _exhaustive_knn(nodes, k):
+    """Each node's ``k`` nearest by a sort of every per-pair cosine (ties
+    by id), as ``(source, target, floored weight)`` in node order."""
+    edges = []
+    for node in nodes:
+        ranked = sorted((-cosine_similarity(node, other), other.id) for other in nodes if other.id != node.id)
+        edges.extend((node.id, other_id, max(-negated, EDGE_WEIGHT_FLOOR)) for negated, other_id in ranked[:k])
+    return edges
+
+
+def _nodes_with_twins(count, dim=3, seed=0):
+    """``count`` nodes with shuffled ids, where rows 1 and ``count - 1``
+    share a vector, and rows 2, ``_BLOCK + 3`` and ``count - 2`` share
+    another, so exact ties span row blocks."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(count, dim))
+    values[count - 1] = values[1]
+    values[[_BLOCK + 3, count - 2]] = values[2]
+    ids = [f"n{i:03d}" for i in rng.permutation(count)]
+    return [EmbeddingVector(item_id, row) for item_id, row in zip(ids, values)]
 
 
 def _line_graph():
@@ -151,6 +174,45 @@ class TestBuildKnnGraph:
             build_knn_graph(nodes, 0)
         with pytest.raises(ValueError, match="k=4 needs at least 5 nodes"):
             build_knn_graph(nodes, 4)
+
+    @pytest.mark.parametrize("count", [2 * _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_blocked_build_matches_an_exhaustive_sort(self, count):
+        """Odd sizes over several row blocks: a one-row tail (folded into
+        the block before it) and a five-row tail block."""
+        nodes = _nodes_with_twins(count)
+        graph = build_knn_graph(nodes, 4)
+        expected = _exhaustive_knn(nodes, 4)
+        assert [(e.source, e.target) for e in graph.edges] == [(s, t) for s, t, _ in expected]
+        np.testing.assert_allclose([e.weight for e in graph.edges], [w for _, _, w in expected], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("count", [2 * _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_twins_in_different_blocks_tie_by_id(self, count):
+        nodes = _nodes_with_twins(count)
+        graph = build_knn_graph(nodes, 2)
+        targets = {}
+        for edge in graph.edges:
+            targets.setdefault(edge.source, []).append((edge.target, edge.weight))
+        ids = [node.id for node in nodes]
+        assert targets[ids[1]][0][0] == ids[count - 1]
+        assert targets[ids[count - 1]][0][0] == ids[1]
+        triple = [ids[2], ids[_BLOCK + 3], ids[count - 2]]
+        for member in triple:
+            (first, first_weight), (second, second_weight) = targets[member]
+            assert [first, second] == sorted(other for other in triple if other != member)
+            assert first_weight == second_weight
+
+    def test_peak_holds_row_blocks(self):
+        """A full similarity array alone is n*n*8 bytes; the build holds two
+        blocks of rows plus the edges."""
+        n = 2000
+        points = generate_clusters(SyntheticDatasetSpec(num_points=n, rng_seed=0)).points
+        tracemalloc.start()
+        try:
+            build_knn_graph(points, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * n * n * 8
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_peak_holds_one_similarity_matrix(self, n):
@@ -475,6 +537,19 @@ class TestPersonalizedPagerank:
         scores = np.array([score for _, score in result])
         assert (scores >= 0.0).all()
         np.testing.assert_allclose(scores.sum(), 1.0, rtol=0, atol=1e-9)
+
+    def test_list_wraps_the_array_kernel(self):
+        nodes = _nodes(count=30, seed=3)
+        adjacency = normalize_adjacency(build_knn_graph(nodes, 3))
+        seed = SeedVector.uniform(adjacency.order, [nodes[0].id, nodes[7].id])
+        mass = ppr_mass(adjacency, seed)
+        assert mass.dtype == np.float64 and mass.shape == (len(nodes),)
+        pairs = personalized_pagerank(adjacency, seed)
+        assert [node_id for node_id, _ in pairs] == list(adjacency.order)
+        assert np.array([score for _, score in pairs]).tobytes() == mass.tobytes()
+        config = PprConfig(tolerance=1e-300, max_iterations=2)
+        with pytest.raises(ConvergenceError, match="no convergence after 2 iterations"):
+            ppr_mass(adjacency, seed, config)
 
     def test_seed_order_mismatch_rejected(self):
         adjacency = normalize_adjacency(_line_graph())

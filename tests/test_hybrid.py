@@ -16,6 +16,7 @@ from semrank.graph import (
     build_knn_graph,
     normalize_adjacency,
     personalized_pagerank,
+    ppr_mass,
 )
 from semrank.hybrid import (
     METHOD_TAGS,
@@ -110,15 +111,16 @@ class TestRankHybrid:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_ppr_runs_once_through_the_module_attribute(self, beta, monkeypatch):
-        """Tracing wraps ``hybrid.personalized_pagerank``; a ranking that
-        bypassed that name would leave the per-layer PPR metrics at 0."""
+        """Tracing wraps library functions where they are looked up; the
+        ranking runs the array PPR kernel once, through ``hybrid.ppr_mass``,
+        so a wrapper there sees every call."""
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return personalized_pagerank(*args, **kwargs)
+            return ppr_mass(*args, **kwargs)
 
-        monkeypatch.setattr(hybrid, "personalized_pagerank", counting)
+        monkeypatch.setattr(hybrid, "ppr_mass", counting)
         pool, graph, seeds = _scene()
         rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=beta, k=5))
         assert len(calls) == 1

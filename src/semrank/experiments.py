@@ -230,23 +230,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
-def report_from_dict(payload: dict) -> ExperimentReport:
-    raw_config = dict(payload["config"])
-    raw_config["dataset"] = SyntheticDatasetSpec(**raw_config["dataset"])
-    raw_config["ppr"] = PprConfig(**raw_config["ppr"])
-    config = ExperimentConfig(**raw_config)
-    results = tuple(
-        RetrievalResult(
-            method=entry["method"],
-            items=tuple((item_id, float(score)) for item_id, score in entry["items"]),
-            relevance=float(entry["relevance"]),
-            diversity=float(entry["diversity"]),
-        )
-        for entry in payload["results"]
-    )
-    return ExperimentReport(results=results, config=config, runtimes_ms=dict(payload["runtimes_ms"]))
-
-
 def report_to_csv(report: ExperimentReport) -> str:
     """Four columns, metrics at fixed 4-decimal precision, LF endings."""
     lines = ["method,relevance,diversity,items"]

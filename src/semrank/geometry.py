@@ -5,21 +5,19 @@ of the angle between them, so magnitudes never matter once a vector is
 non-zero.  Dot-product scoring would slot in next to :func:`cosine_similarity`
 if it were ever needed, but only cosine is implemented today.
 
-:func:`similarity_matrix` holds one N x N array, for pools, which need all
-of it.  It fills the array with a single Gram product, then symmetrises,
-clips and validates it in place, one square block pair at a time, so no
-other N x N temporary exists; the array it built is handed to
+Every pairwise cosine comes from one kernel over the unit rows ``U``, in
+square tiles of side about ``_BLOCK``: the tile at row block ``a`` and
+column block ``b`` is ``U[a] @ U[b].T`` when ``b >= a`` and the transpose of
+``U[b] @ U[a].T``, the same product recomputed, when ``b < a``.  Cells
+``(i, j)`` and ``(j, i)`` therefore always hold the same bits, so the
+similarities are exactly symmetric by construction and need no symmetry
+pass.  :func:`similarity_rows` gives the clipped rows one block at a time,
+so a caller that reads the matrix row by row (the kNN build) never holds
+N x N values; :func:`similarity_matrix`, for pools, which need all of it,
+stacks the same blocks into one N x N array and hands it to
 :class:`SimilarityMatrix` without a copy.  An array any other caller passes
 to :class:`SimilarityMatrix` is copied, so later writes to it never reach
-``entries``.
-
-:func:`similarity_rows` gives the same rows ``_BLOCK`` at a time, each block
-from its own two products and checked as it is made, so a caller that reads
-the matrix row by row (the kNN build) never holds N x N values.  The rows
-are bitwise those of :func:`similarity_matrix` wherever BLAS rounds a block
-product as it rounds the whole one; where the whole product takes the
-symmetric-rank-k route and the blocks do not, a value can move by a few
-ulps.
+``entries``, and checked for symmetry too.
 
 A corpus that many queries scan is an :class:`Embeddings`, a tuple of
 vectors over one read-only matrix, so :func:`query_similarities` does not
@@ -40,8 +38,8 @@ import numpy as np
 # similarity matrix.  Double precision keeps us far inside this.
 MATRIX_TOL = 1e-12
 
-# Side of the square blocks the pairwise stage is symmetrised and checked
-# in (one block of float64 is 128 KiB), and the number of rows per block of
+# Side of the square tiles the pairwise kernel computes (one tile of
+# float64 is 128 KiB), and the number of rows per block of
 # :func:`similarity_rows`.
 _BLOCK = 128
 
@@ -177,19 +175,20 @@ class SimilarityMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", np.array(self.entries, dtype=np.float64))
-        self._validate()
+        self._validate(check_symmetry=True)
 
     @classmethod
     def _adopt(cls, order: tuple[str, ...], entries: np.ndarray) -> "SimilarityMatrix":
         """Validate and wrap a float64 array nothing else references,
-        without the defensive copy."""
+        without the defensive copy or the symmetry pass: ``entries`` is
+        symmetric by construction."""
         matrix = cls.__new__(cls)
         object.__setattr__(matrix, "order", order)
         object.__setattr__(matrix, "entries", entries)
-        matrix._validate()
+        matrix._validate(check_symmetry=False)
         return matrix
 
-    def _validate(self) -> None:
+    def _validate(self, check_symmetry: bool) -> None:
         """Check the contract on ``entries`` in place, then freeze it."""
         entries = self.entries
         n = len(self.order)
@@ -199,7 +198,11 @@ class SimilarityMatrix:
         if entries.shape != (n, n):
             msg = f"entries shape {entries.shape} does not match {n} ids"
             raise ValueError(msg)
-        if n and _asymmetry(entries) > MATRIX_TOL:
+        # An infinite entry gives ``inf - inf``, a NaN, without the
+        # invalid-value warning: the entry fails the range check below.
+        with np.errstate(invalid="ignore"):
+            asymmetric = check_symmetry and n and np.abs(entries - entries.T).max() > MATRIX_TOL
+        if asymmetric:
             msg = "similarity matrix is not symmetric"
             raise ValueError(msg)
         if n and np.abs(np.diagonal(entries) - 1.0).max() > MATRIX_TOL:
@@ -220,47 +223,6 @@ class SimilarityMatrix:
 
     def value(self, a: str, b: str) -> float:
         return float(self.entries[self.positions[a], self.positions[b]])
-
-
-def _block_pairs(n: int) -> Iterator[tuple[slice, slice]]:
-    """Row and column slices of every ``_BLOCK``-square block of an
-    ``n x n`` array on or above the diagonal."""
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        for column in range(start, n, _BLOCK):
-            yield rows, slice(column, column + _BLOCK)
-
-
-def _asymmetry(entries: np.ndarray) -> float:
-    """``abs(entries - entries.T).max()``, one block pair at a time; a NaN
-    anywhere makes it NaN, as it does the whole-matrix expression.
-
-    An infinite entry gives ``inf - inf``, a NaN too, without the
-    invalid-value warning: the entry itself fails the diagonal or range
-    check that follows.
-    """
-    pairs = _block_pairs(len(entries))
-    with np.errstate(invalid="ignore"):
-        return float(np.max([np.abs(entries[rows, cols] - entries[cols, rows].T).max() for rows, cols in pairs]))
-
-
-def _symmetrize_clip(entries: np.ndarray) -> None:
-    """Replace ``entries`` by ``np.clip((entries + entries.T) / 2, -1, 1)``
-    in place, bit for bit.
-
-    Each block pair is averaged once and written to both halves: IEEE
-    addition commutes, so the lower half gets the very bits the full
-    formula gives it.
-    """
-    buffer = np.empty((_BLOCK, _BLOCK))
-    for rows, cols in _block_pairs(len(entries)):
-        upper = entries[rows, cols]
-        mean = buffer[: upper.shape[0], : upper.shape[1]]
-        np.add(upper, entries[cols, rows].T, out=mean)
-        mean /= 2.0
-        np.clip(mean, -1.0, 1.0, out=mean)
-        upper[...] = mean
-        entries[cols, rows] = mean.T
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -318,15 +280,16 @@ def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
 
 
 def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
-    """Dense pairwise cosine matrix over ``vectors``.
+    """Dense pairwise cosine matrix over ``vectors``: the blocks of
+    :func:`similarity_rows` stacked into one array.
 
     Ids must be unique and dimensions uniform; zero-norm rows are rejected
     with the offending id, mirroring :func:`cosine_similarity`.
     """
     unit = _unit_rows(vectors)
-    entries = unit @ unit.T
-    _symmetrize_clip(entries)
-    np.fill_diagonal(entries, 1.0)
+    entries = np.empty((len(unit), len(unit)))
+    for start, rows in _row_blocks(unit):
+        entries[start : start + len(rows)] = rows
     return SimilarityMatrix._adopt(tuple(v.id for v in vectors), entries)
 
 
@@ -338,12 +301,13 @@ def similarity_rows(
 
     ``vectors`` is checked at once, with :func:`similarity_matrix`'s errors
     in its order.  Each block is ``(start, rows)``, where ``rows[r]`` is row
-    ``start + r``: ``clip((E[R] + E.T[R]) / 2, -1, 1)`` for ``E = U @ U.T``
-    over the unit rows ``U``, with a unit diagonal.  A block whose values
-    leave ``[-1, 1]`` (a NaN does) raises :class:`SimilarityMatrix`'s error.
+    ``start + r`` of the tile kernel's matrix (see the module docstring),
+    clipped to ``[-1, 1]`` with a unit diagonal; stacked, the blocks are
+    exactly symmetric.  A block whose values leave ``[-1, 1]`` (a NaN does)
+    raises :class:`SimilarityMatrix`'s error.
 
-    ``rows`` lives in a buffer the next block overwrites, so the whole
-    iteration holds two blocks of values; copy what must outlive a step.
+    ``rows`` lives in one buffer every block overwrites, so the iteration
+    holds one block of values and one tile; copy what must outlive a step.
     """
     unit = _unit_rows(vectors)
     return tuple(v.id for v in vectors), _row_blocks(unit)
@@ -356,26 +320,28 @@ def _row_blocks(unit: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     # the matrix products, so a one-row tail joins the block before it.
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    stops = starts[1:] + [n]
-    height = max(stop - start for start, stop in zip(starts, stops))
-    # Two flat buffers serve every block, so each (m, n) or (n, m) view of
-    # a buffer's head is C-contiguous and numpy writes the products there.
+    blocks = [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+    height = max(block.stop - block.start for block in blocks)
+    # Flat buffers, so the head of each is a C-contiguous block or tile and
+    # numpy writes each product straight into the tile.
     row_buffer = np.empty(height * n)
-    column_buffer = np.empty(n * height)
-    for start, stop in zip(starts, stops):
-        rows = row_buffer[: (stop - start) * n].reshape(stop - start, n)
-        columns = column_buffer[: n * (stop - start)].reshape(n, stop - start)
-        np.matmul(unit[start:stop], unit.T, out=rows)
-        np.matmul(unit, unit[start:stop].T, out=columns)
-        rows += columns.T
-        rows /= 2.0
+    tile_buffer = np.empty(height * height)
+    for a, rows_of in enumerate(blocks):
+        rows = row_buffer[: (rows_of.stop - rows_of.start) * n].reshape(-1, n)
+        for b, columns in enumerate(blocks):
+            # Below the diagonal, recompute the tile above it with the same
+            # operands, so cell (j, i) is the very product cell (i, j) was.
+            left, right = (unit[rows_of], unit[columns]) if a <= b else (unit[columns], unit[rows_of])
+            tile = tile_buffer[: len(left) * len(right)].reshape(len(left), len(right))
+            np.matmul(left, right.T, out=tile)
+            rows[:, columns] = tile if a <= b else tile.T
         np.clip(rows, -1.0, 1.0, out=rows)
-        np.fill_diagonal(rows[:, start:stop], 1.0)
+        np.fill_diagonal(rows[:, rows_of], 1.0)
         # Written so that a NaN, which fails every comparison, fails it too.
         if not (rows.min() >= -1.0 - MATRIX_TOL and rows.max() <= 1.0 + MATRIX_TOL):
             msg = "similarity values must lie in [-1, 1]"
             raise ValueError(msg)
-        yield start, rows
+        yield rows_of.start, rows
 
 
 def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector]) -> np.ndarray:

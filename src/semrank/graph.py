@@ -345,7 +345,9 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
     Neighbours rank by cosine similarity, exact ties by ascending id, so the
     out-degree is exactly ``k`` everywhere.  Requires ``1 <= k < len(nodes)``.
     Similarities arrive in row blocks from :func:`similarity_rows`, so the
-    build holds two blocks of about ``_BLOCK x N`` of them, never ``N x N``.
+    build holds one block of about ``_BLOCK x N`` of them and one tile,
+    never ``N x N``.  The similarities are exactly symmetric, so a mutual
+    pair of neighbours carries the same weight both ways.
     """
     if k < 1:
         msg = f"k must be >= 1, got {k}"

@@ -14,7 +14,6 @@ from semrank.geometry import (
     Embeddings,
     SimilarityMatrix,
     _row_view,
-    _symmetrize_clip,
     cosine_similarity,
     normalize,
     query_similarities,
@@ -317,14 +316,6 @@ _BLOCK_EDGE_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
 class TestOneArraySimilarityStage:
     @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
-    def test_in_place_symmetrisation_matches_whole_matrix_formula(self, n):
-        # Asymmetric input with values past +-1, so the clip bites too.
-        entries = np.random.default_rng(n).uniform(-1.2, 1.2, size=(n, n))
-        expected = np.clip((entries + entries.T) / 2.0, -1.0, 1.0)
-        _symmetrize_clip(entries)
-        np.testing.assert_array_equal(_bits(entries), _bits(expected))
-
-    @pytest.mark.parametrize("n", _BLOCK_EDGE_SIZES)
     def test_similarity_matrix_is_bitwise_the_whole_matrix_pipeline(self, n):
         rng = np.random.default_rng(7)
         vectors = [EmbeddingVector(f"v{i}", rng.normal(size=3)) for i in range(n)]
@@ -386,23 +377,27 @@ class TestSimilarityRows:
         assert all(size > 1 for size in sizes) or n == 1
         assert max(sizes) <= _BLOCK + 1
         stacked = np.concatenate(rows)
-        np.testing.assert_allclose(stacked, similarity_matrix(points).entries, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(_bits(stacked), _bits(stacked.T))
+        np.testing.assert_array_equal(_bits(stacked), _bits(similarity_matrix(points).entries))
         np.testing.assert_array_equal(np.diagonal(stacked), 1.0)
         assert stacked.min() >= -1.0 and stacked.max() <= 1.0
 
     @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
-    def test_each_block_is_bitwise_its_two_products(self, n):
-        """Rows ``R`` are ``clip((U[R] @ U.T + (U @ U[R].T).T) / 2, -1, 1)``
-        with a unit diagonal, written here with fresh temporaries."""
+    def test_each_block_is_bitwise_its_tile_products(self, n):
+        """Rows ``R`` are the tiles ``U[R] @ U[C].T`` for column blocks ``C``
+        at or after ``R`` and ``(U[C] @ U[R].T).T`` before it, clipped to
+        ``[-1, 1]`` with a unit diagonal, written here with fresh
+        temporaries."""
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=7, num_clusters=3, rng_seed=n)).points
         stacked = np.stack([p.values for p in points])
         unit = stacked / np.linalg.norm(stacked, axis=1)[:, None]
-        _, blocks = similarity_rows(points)
-        for start, rows in blocks:
-            stop = start + len(rows)
-            expected = np.clip((unit[start:stop] @ unit.T + (unit @ unit[start:stop].T).T) / 2.0, -1.0, 1.0)
-            np.fill_diagonal(expected[:, start:stop], 1.0)
-            np.testing.assert_array_equal(_bits(rows), _bits(expected))
+        starts, rows = _collect(similarity_rows(points)[1])
+        spans = [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+        for a, (span, block) in enumerate(zip(spans, rows)):
+            tiles = [unit[span] @ unit[other].T if b >= a else (unit[other] @ unit[span].T).T for b, other in enumerate(spans)]
+            expected = np.clip(np.concatenate(tiles, axis=1), -1.0, 1.0)
+            np.fill_diagonal(expected[:, span], 1.0)
+            np.testing.assert_array_equal(_bits(block), _bits(expected))
 
     @pytest.mark.parametrize(
         "values, message",

@@ -201,9 +201,23 @@ class TestBuildKnnGraph:
             assert [first, second] == sorted(other for other in triple if other != member)
             assert first_weight == second_weight
 
+    @pytest.mark.parametrize(
+        "spec",
+        [SyntheticDatasetSpec(num_points=999, dim=2, rng_seed=0), SyntheticDatasetSpec(num_points=389, dim=5)],
+        ids=["n999-d2-seed0", "n389-d5"],
+    )
+    def test_mutual_neighbours_carry_equal_weights(self, spec):
+        """The similarities are exactly symmetric, so ``w(i -> j)`` and
+        ``w(j -> i)`` are the same float wherever both edges exist."""
+        graph = build_knn_graph(generate_clusters(spec).points, 5)
+        weights = {(edge.source, edge.target): edge.weight for edge in graph.edges}
+        mutual = [(pair, (pair[1], pair[0])) for pair in weights if pair[0] < pair[1] and (pair[1], pair[0]) in weights]
+        assert mutual
+        assert [pair for pair, back in mutual if weights[pair] != weights[back]] == []
+
     def test_peak_holds_row_blocks(self):
-        """A full similarity array alone is n*n*8 bytes; the build holds two
-        blocks of rows plus the edges."""
+        """A full similarity array alone is n*n*8 bytes; the build holds one
+        block of rows and one tile plus the edges."""
         n = 2000
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, rng_seed=0)).points
         tracemalloc.start()
@@ -223,8 +237,8 @@ class TestBuildKnnGraph:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The similarity matrix is n*n*8 bytes; a whole-matrix (E + E.T) / 2
-        # and a defensive copy peak near three times that.
+        # A whole similarity matrix would be n*n*8 bytes; the build reads
+        # row blocks and holds none.
         assert peak <= 1.6 * n * n * 8
 
 

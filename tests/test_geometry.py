@@ -382,6 +382,16 @@ class TestSimilarityRows:
         np.testing.assert_array_equal(np.diagonal(stacked), 1.0)
         assert stacked.min() >= -1.0 and stacked.max() <= 1.0
 
+    @pytest.mark.parametrize("n, dim", [(257, 8), (999, 2), (2003, 32)], ids=["n257-d8", "n999-d2", "n2003-d32"])
+    def test_rows_are_exactly_symmetric_on_clustered_corpora(self, n, dim):
+        """Averaging two full-width products per block left 172, 1,528 and
+        5,026 cells here with ``S[i, j] != S[j, i]``; the tile-pair kernel
+        computes each pair once, and ``_adopt`` relies on that."""
+        points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=dim, rng_seed=0)).points
+        stacked = np.concatenate(_collect(similarity_rows(points)[1])[1])
+        np.testing.assert_array_equal(_bits(stacked), _bits(stacked.T))
+        np.testing.assert_array_equal(_bits(stacked), _bits(similarity_matrix(points).entries))
+
     @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
     def test_each_block_is_bitwise_its_tile_products(self, n):
         """Rows ``R`` are the tiles ``U[R] @ U[C].T`` for column blocks ``C``

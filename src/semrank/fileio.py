@@ -22,13 +22,13 @@ a tab or a line break.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
 from .datagen import SyntheticDataset
 from .geometry import EmbeddingVector, Embeddings
-from .graph import GraphEdge, SemanticGraph
+from .graph import EDGE_KINDS, SemanticGraph
 
 
 # The field separator plus every line boundary ``str.splitlines`` honours.
@@ -108,6 +108,22 @@ def _parse_vector_row(row: str, seen: dict[str, None], dim: int, path: Path) -> 
     return item_id, None, _parse_values(item_id, raw_values, dim, path)
 
 
+def _parse_edge_rows(rows: list[str], path: Path) -> Iterator[tuple[str, str, float, str]]:
+    """Source id, target id, weight and kind name of each edge row."""
+    for row in rows:
+        fields = row.split("\t")
+        if len(fields) != 4:
+            msg = f"{path}: malformed edge row {row!r}"
+            raise ValueError(msg)
+        source, target, raw_weight, kind = fields
+        try:
+            weight = float(raw_weight)
+        except ValueError:
+            msg = f"{path}: non-numeric weight in edge row {row!r}"
+            raise ValueError(msg) from None
+        yield source, target, weight, kind
+
+
 def _parse_corpus(
     rows: list[str], parse_row: Callable[[str, dict, int, Path], tuple[str, T, list[float]]], dim: int, path: Path
 ) -> tuple[Embeddings, dict[str, T]]:
@@ -175,8 +191,10 @@ def save_graph(graph: SemanticGraph, path: str | Path) -> Path:
     for node in graph.nodes:
         _check_writable_id(node.id)
         lines.append(f"{node.id}\t{_format_values(node)}")
-    for edge in graph.edges:
-        lines.append(f"{edge.source}\t{edge.target}\t{edge.weight!r}\t{edge.kind}")
+    ids = graph.node_ids
+    columns = (graph.sources.tolist(), graph.targets.tolist(), graph.weights.tolist(), graph.kind.tolist())
+    for source, target, weight, kind in zip(*columns):
+        lines.append(f"{ids[source]}\t{ids[target]}\t{weight!r}\t{EDGE_KINDS[kind]}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -193,17 +211,5 @@ def load_graph(path: str | Path) -> SemanticGraph:
         msg = f"{path}: header declares {count} vector rows, found {len(rows)}"
         raise ValueError(msg)
     nodes, _ = _parse_corpus(rows[:count], _parse_vector_row, dim, path)
-    edges: list[GraphEdge] = []
-    for row in rows[count:]:
-        fields = row.split("\t")
-        if len(fields) != 4:
-            msg = f"{path}: malformed edge row {row!r}"
-            raise ValueError(msg)
-        source, target, raw_weight, kind = fields
-        try:
-            weight = float(raw_weight)
-        except ValueError:
-            msg = f"{path}: non-numeric weight in edge row {row!r}"
-            raise ValueError(msg) from None
-        edges.append(GraphEdge(source=source, target=target, weight=weight, kind=kind))
-    return SemanticGraph(nodes=nodes, edges=tuple(edges))
+    return SemanticGraph.from_named(nodes, _parse_edge_rows(rows[count:], path))
+

@@ -6,6 +6,12 @@ directions between cluster heads (sparse mode) or between a head and any
 sufficiently similar node of another cluster (dense mode).  Parallel edges
 of different kinds are legal; adjacency normalisation sums them.
 
+A :class:`SemanticGraph` keeps its edges as four parallel read-only arrays
+(source and target positions, weights, kind codes), which every builder,
+the file format and the read path work on directly; per-edge
+:class:`GraphEdge` objects exist only in the lazy :attr:`SemanticGraph.edges`
+view and as input to :meth:`SemanticGraph.from_edges`.
+
 Ranking runs personalized pagerank
 
     r = alpha * s + (1 - alpha) * A^T r
@@ -17,13 +23,13 @@ every step, which keeps ``r`` a probability distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import EmbeddingVector, similarity_matrix, similarity_rows
+from .geometry import EmbeddingVector, Embeddings, similarity_matrix, similarity_rows
 
 EDGE_KINDS = ("knn", "symbolic")
 
@@ -44,45 +50,124 @@ class GraphEdge:
 class SemanticGraph:
     """Immutable directed multigraph over embedded items.
 
+    Edges are stored as parallel read-only arrays, one entry per edge in
+    edge order: ``sources`` and ``targets`` hold node positions (``intp``),
+    ``weights`` the weights (``float64``) and ``kind`` a code into
+    :data:`EDGE_KINDS` (``int8``).  :attr:`edges` is a lazily built, cached
+    tuple of :class:`GraphEdge` over the same arrays, for callers that want
+    one object per edge; nothing in this package reads it.
+
     Invariants: unique node ids, edge endpoints known, weights finite and
     positive, no self-loops, and at most one edge per (source, target, kind).
-    Augmentation helpers return new graphs rather than mutating.
+    A violation raises for the first offending edge in edge order, with its
+    checks in that order.  Augmentation helpers return new graphs rather
+    than mutating.
     """
 
     nodes: tuple[EmbeddingVector, ...]
-    edges: tuple[GraphEdge, ...]
+    sources: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+    kind: np.ndarray
     cluster_heads: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        ids = [node.id for node in self.nodes]
-        known = set(ids)
-        if len(known) != len(ids):
+        self._validate({})
+
+    @classmethod
+    def from_edges(
+        cls,
+        nodes: Sequence[EmbeddingVector],
+        edges: Iterable[GraphEdge],
+        cluster_heads: Sequence[str] | None = None,
+    ) -> "SemanticGraph":
+        """The graph over ``nodes`` with ``edges``, in order."""
+        named = ((edge.source, edge.target, edge.weight, edge.kind) for edge in edges)
+        return cls.from_named(nodes, named, cluster_heads)
+
+    @classmethod
+    def from_named(
+        cls,
+        nodes: Sequence[EmbeddingVector],
+        edges: Iterable[tuple[str, str, float, str]],
+        cluster_heads: Sequence[str] | None = None,
+    ) -> "SemanticGraph":
+        """The graph over ``nodes`` whose edges, in order, are ``(source id,
+        target id, weight, kind name)`` tuples.
+
+        Validated like the constructor, except that an unknown id or kind is
+        reported as it was given.
+        """
+        positions = {node.id: i for i, node in enumerate(nodes)}
+        sources: list[int] = []
+        targets: list[int] = []
+        weights: list[float] = []
+        kind: list[int] = []
+        unknown: dict[int, tuple[str, str, str]] = {}
+        for i, (source, target, weight, kind_name) in enumerate(edges):
+            codes = (positions.get(source, -1), positions.get(target, -1), _KIND_CODES.get(kind_name, -1))
+            if min(codes) < 0:
+                unknown[i] = (source, target, kind_name)
+            sources.append(codes[0])
+            targets.append(codes[1])
+            kind.append(codes[2])
+            weights.append(weight)
+        graph = cls.__new__(cls)
+        values = (nodes, sources, targets, weights, kind, None if cluster_heads is None else tuple(cluster_heads))
+        for field, value in zip(fields(cls), values):
+            object.__setattr__(graph, field.name, value)
+        graph._validate(unknown)
+        return graph
+
+    def _validate(self, unknown: Mapping[int, tuple[str, str, str]]) -> None:
+        """Check the invariants, then store the edge arrays as read-only
+        copies.  ``unknown`` names the edges whose ids or kind have no
+        position or code."""
+        n = len(self.nodes)
+        if len(set(self.node_ids)) != n:
             msg = "graph nodes contain duplicate ids"
             raise ValueError(msg)
-        seen: set[tuple[str, str, str]] = set()
-        for edge in self.edges:
-            if edge.kind not in EDGE_KINDS:
-                msg = f"unknown edge kind {edge.kind!r}"
-                raise ValueError(msg)
-            if edge.source not in known or edge.target not in known:
-                msg = f"edge {edge.source!r}->{edge.target!r} references unknown node"
-                raise ValueError(msg)
-            if edge.source == edge.target:
-                msg = f"self-loop on {edge.source!r}"
-                raise ValueError(msg)
-            if not (np.isfinite(edge.weight) and edge.weight > 0.0):
-                msg = f"edge {edge.source!r}->{edge.target!r} weight must be finite and > 0"
-                raise ValueError(msg)
-            key = (edge.source, edge.target, edge.kind)
-            if key in seen:
-                msg = f"duplicate edge {key}"
-                raise ValueError(msg)
-            seen.add(key)
+        codes = np.asarray(self.kind)
+        sources = np.array(self.sources, dtype=np.intp)
+        targets = np.array(self.targets, dtype=np.intp)
+        weights = np.array(self.weights, dtype=np.float64)
+        if not (sources.ndim == 1 and sources.shape == targets.shape == weights.shape == codes.shape):
+            msg = "edge arrays must be one-dimensional and of one length"
+            raise ValueError(msg)
+        bad_kind = (codes < 0) | (codes >= len(EDGE_KINDS))
+        outside = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
+        loop = sources == targets
+        bad_weight = ~(np.isfinite(weights) & (weights > 0.0))
+        kind = np.where(bad_kind, 0, codes).astype(np.int8)
+        keys = _edge_keys(np.where(outside, 0, sources), np.where(outside, 0, targets), kind, n)
+        repeat = np.ones(keys.size, dtype=bool)
+        repeat[np.unique(keys, return_index=True)[1]] = False
+        bad = np.flatnonzero(bad_kind | outside | loop | bad_weight | repeat)
+        if bad.size:
+            i = int(bad[0])
+            source, target, kind_name = unknown.get(i) or (
+                _name(self.node_ids, sources[i]), _name(self.node_ids, targets[i]), _name(EDGE_KINDS, codes[i])
+            )
+            if bad_kind[i]:
+                msg = f"unknown edge kind {kind_name!r}"
+            elif outside[i]:
+                msg = f"edge {source!r}->{target!r} references unknown node"
+            elif loop[i]:
+                msg = f"self-loop on {source!r}"
+            elif bad_weight[i]:
+                msg = f"edge {source!r}->{target!r} weight must be finite and > 0"
+            else:
+                msg = f"duplicate edge {(source, target, kind_name)}"
+            raise ValueError(msg)
         if self.cluster_heads is not None:
+            known = self.positions
             for head in self.cluster_heads:
                 if head not in known:
                     msg = f"cluster head {head!r} is not a graph node"
                     raise ValueError(msg)
+        for name, array in (("sources", sources), ("targets", targets), ("weights", weights), ("kind", kind)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -101,21 +186,24 @@ class SemanticGraph:
         return {node_id: i for i, node_id in enumerate(self.node_ids)}
 
     @cached_property
+    def edges(self) -> tuple[GraphEdge, ...]:
+        """The edges as :class:`GraphEdge` objects, in edge order; built
+        on first use."""
+        ids = self.node_ids
+        columns = (self.sources.tolist(), self.targets.tolist(), self.weights.tolist(), self.kind.tolist())
+        return tuple(GraphEdge(ids[s], ids[t], w, EDGE_KINDS[k]) for s, t, w, k in zip(*columns))
+
+    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Out-edges as read-only CSR arrays ``(indptr, indices, weights)``.
 
         Row ``i`` lists the targets of ``nodes[i]`` by ascending position;
         parallel edges of different kinds share one entry with their
-        weights summed.
+        weights summed in edge order.
         """
         n = len(self.nodes)
-        count = len(self.edges)
-        positions = self.positions
-        sources = np.fromiter((positions[edge.source] for edge in self.edges), dtype=np.intp, count=count)
-        targets = np.fromiter((positions[edge.target] for edge in self.edges), dtype=np.intp, count=count)
-        weights = np.fromiter((edge.weight for edge in self.edges), dtype=np.float64, count=count)
-        keys, slots = np.unique(sources * n + targets, return_inverse=True)
-        summed = np.bincount(slots, weights=weights, minlength=keys.size).astype(np.float64)
+        keys, slots = np.unique(self.sources * n + self.targets, return_inverse=True)
+        summed = np.bincount(slots, weights=self.weights, minlength=keys.size).astype(np.float64)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         arrays = (indptr, keys % n, summed)
@@ -135,15 +223,19 @@ class SemanticGraph:
     @cached_property
     def unit_rows(self) -> np.ndarray:
         """Node vectors scaled to unit norm, one read-only row per node in
-        node order; a zero-norm node keeps an all-zero row."""
+        node order; a zero-norm node keeps an all-zero row.  Nodes that are
+        one :class:`Embeddings` are read from its matrix."""
         if not self.nodes:
             return np.zeros((0, 0))
-        dim = self.nodes[0].dim
-        for node in self.nodes:
-            if node.dim != dim:
-                msg = f"dimension mismatch: {node.id!r} has d={node.dim}, expected {dim}"
-                raise ValueError(msg)
-        rows = np.stack([node.values for node in self.nodes])
+        if isinstance(self.nodes, Embeddings):
+            rows = np.array(self.nodes.matrix)
+        else:
+            dim = self.nodes[0].dim
+            for node in self.nodes:
+                if node.dim != dim:
+                    msg = f"dimension mismatch: {node.id!r} has d={node.dim}, expected {dim}"
+                    raise ValueError(msg)
+            rows = np.stack([node.values for node in self.nodes])
         norms = np.linalg.norm(rows, axis=1)
         nonzero = norms > 0.0
         rows[nonzero] /= norms[nonzero, None]
@@ -172,6 +264,19 @@ class SemanticGraph:
         indptr, indices, _ = self.csr
         row = self.positions[node_id]
         return {self.node_ids[j] for j in indices[indptr[row] : indptr[row + 1]]}
+
+
+_KIND_CODES = {kind: code for code, kind in enumerate(EDGE_KINDS)}
+
+
+def _name(names: Sequence[str], code: int) -> str | int:
+    """``names[code]``, or ``code`` itself when it indexes no name."""
+    return names[code] if 0 <= code < len(names) else int(code)
+
+
+def _edge_keys(sources: np.ndarray, targets: np.ndarray, kind: np.ndarray, n: int) -> np.ndarray:
+    """One integer per edge that identifies its (source, target, kind)."""
+    return (sources * n + targets) * len(EDGE_KINDS) + kind
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -356,16 +461,20 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
         msg = f"k={k} needs at least {k + 1} nodes, got {len(nodes)}"
         raise ValueError(msg)
     ids, blocks = similarity_rows(nodes)
-    edges: list[GraphEdge] = []
+    sources: list[int] = []
+    targets: list[int] = []
+    weights: list[float] = []
     for start, rows in blocks:
         for r in range(len(rows)):
             i = start + r
             others = [j for j in range(len(ids)) if j != i]
             others.sort(key=lambda j: (-rows[r, j], ids[j]))
             for j in others[:k]:
-                weight = max(float(rows[r, j]), EDGE_WEIGHT_FLOOR)
-                edges.append(GraphEdge(source=ids[i], target=ids[j], weight=weight, kind="knn"))
-    return SemanticGraph(nodes=tuple(nodes), edges=tuple(edges))
+                sources.append(i)
+                targets.append(j)
+                weights.append(max(float(rows[r, j]), EDGE_WEIGHT_FLOOR))
+    kind = np.full(len(weights), _KIND_CODES["knn"], dtype=np.int8)
+    return SemanticGraph(Embeddings.of(nodes), np.array(sources), np.array(targets), np.array(weights), kind)
 
 
 def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, int]) -> list[str]:
@@ -402,23 +511,27 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
     return heads
 
 
-def _merge_edges(existing: tuple[GraphEdge, ...], added: Iterable[GraphEdge]) -> tuple[GraphEdge, ...]:
-    seen = {(edge.source, edge.target, edge.kind) for edge in existing}
-    merged = list(existing)
-    for edge in added:
-        key = (edge.source, edge.target, edge.kind)
-        if key not in seen:
-            seen.add(key)
-            merged.append(edge)
-    return tuple(merged)
-
-
-def _symbolic_pair(a: EmbeddingVector, b: EmbeddingVector, sim: float) -> list[GraphEdge]:
+def _add_symbolic_pair(added: tuple[list, list, list], a: int, b: int, sim: float) -> None:
+    """Append a symbolic edge each way between the nodes at positions ``a``
+    and ``b`` to the ``(sources, targets, weights)`` lists in ``added``."""
     weight = max(float(sim), EDGE_WEIGHT_FLOOR)
-    return [
-        GraphEdge(source=a.id, target=b.id, weight=weight, kind="symbolic"),
-        GraphEdge(source=b.id, target=a.id, weight=weight, kind="symbolic"),
-    ]
+    sources, targets, weights = added
+    sources += (a, b)
+    targets += (b, a)
+    weights += (weight, weight)
+
+
+def _merge_edges(graph: SemanticGraph, added: tuple[list, list, list], heads: Sequence[str]) -> SemanticGraph:
+    """``graph`` with the symbolic edges in ``added`` after its own, where an
+    edge whose (source, target, kind) came earlier is dropped."""
+    new_sources, new_targets, new_weights = added
+    sources = np.concatenate([graph.sources, np.array(new_sources, dtype=np.intp)])
+    targets = np.concatenate([graph.targets, np.array(new_targets, dtype=np.intp)])
+    weights = np.concatenate([graph.weights, np.array(new_weights, dtype=np.float64)])
+    kind = np.concatenate([graph.kind, np.full(len(new_weights), _KIND_CODES["symbolic"], dtype=np.int8)])
+    first = np.unique(_edge_keys(sources, targets, kind, len(graph)), return_index=True)[1]
+    keep = np.sort(first)
+    return SemanticGraph(graph.nodes, sources[keep], targets[keep], weights[keep], kind[keep], tuple(heads))
 
 
 def add_symbolic_edges_sparse(graph: SemanticGraph, heads: Sequence[str], m: int) -> SemanticGraph:
@@ -436,13 +549,14 @@ def add_symbolic_edges_sparse(graph: SemanticGraph, heads: Sequence[str], m: int
         raise ValueError(msg)
     head_vectors = [graph.vector(head) for head in heads]
     sims = similarity_matrix(head_vectors)
-    added: list[GraphEdge] = []
+    positions = [graph.positions[head] for head in heads]
+    added: tuple[list, list, list] = ([], [], [])
     for i, head in enumerate(sims.order):
         others = [j for j in range(len(sims.order)) if j != i]
         others.sort(key=lambda j: (-sims.entries[i, j], sims.order[j]))
         for j in others[:m]:
-            added.extend(_symbolic_pair(head_vectors[i], head_vectors[j], sims.entries[i, j]))
-    return replace(graph, edges=_merge_edges(graph.edges, added), cluster_heads=tuple(heads))
+            _add_symbolic_pair(added, positions[i], positions[j], sims.entries[i, j])
+    return _merge_edges(graph, added, heads)
 
 
 def add_symbolic_edges_dense(
@@ -467,15 +581,16 @@ def add_symbolic_edges_dense(
         if node.id not in labels:
             msg = f"node {node.id!r} has no cluster label"
             raise ValueError(msg)
-    added: list[GraphEdge] = []
+    added: tuple[list, list, list] = ([], [], [])
     for head in heads:
         head_vector = graph.vector(head)
+        head_position = graph.positions[head]
         head_label = int(labels[head])
         head_norm = head_vector.norm()
         if not head_norm > 0.0:
             msg = f"cosine similarity undefined for zero-norm vector {head!r}"
             raise ValueError(msg)
-        for node in graph.nodes:
+        for position, node in enumerate(graph.nodes):
             if int(labels[node.id]) == head_label:
                 continue
             norm = node.norm()
@@ -484,8 +599,8 @@ def add_symbolic_edges_dense(
                 raise ValueError(msg)
             sim = float(np.dot(head_vector.values, node.values) / (head_norm * norm))
             if sim > threshold:
-                added.extend(_symbolic_pair(head_vector, node, sim))
-    return replace(graph, edges=_merge_edges(graph.edges, added), cluster_heads=tuple(heads))
+                _add_symbolic_pair(added, head_position, position, sim)
+    return _merge_edges(graph, added, heads)
 
 
 def normalize_adjacency(graph: SemanticGraph) -> NormalizedAdjacency:

@@ -13,7 +13,7 @@ from pathlib import Path
 from .datagen import SyntheticDataset
 from .experiments import ExperimentBundle, ExperimentReport
 from .geometry import EmbeddingVector
-from .graph import SemanticGraph
+from .graph import EDGE_KINDS, SemanticGraph
 
 _WIDTH = 860.0
 _HEIGHT = 620.0
@@ -115,9 +115,10 @@ def render_svg(
     position = {point.id: canvas.map(float(point.values[0]), float(point.values[1])) for point in dataset.points}
 
     # Edges first so nodes draw on top: knn in light gray, symbolic dashed red.
-    for edge in graph.edges:
-        (x1, y1), (x2, y2) = position[edge.source], position[edge.target]
-        if edge.kind == "knn":
+    ids = graph.node_ids
+    for source, target, kind in zip(graph.sources.tolist(), graph.targets.tolist(), graph.kind.tolist()):
+        (x1, y1), (x2, y2) = position[ids[source]], position[ids[target]]
+        if EDGE_KINDS[kind] == "knn":
             parts.append(
                 f'<line class="knn-edge" x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                 f'stroke="#bbbbbb" stroke-width="0.6"/>'

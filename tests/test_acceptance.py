@@ -121,7 +121,7 @@ class TestAcceptance:
                     GraphEdge(f"n{i}", f"n{j}", float(rng.uniform(0.1, 2.0)), "knn")
                     for j in targets
                 )
-            adjacency = normalize_adjacency(SemanticGraph(nodes=nodes, edges=tuple(edges)))
+            adjacency = normalize_adjacency(SemanticGraph.from_edges(nodes=nodes, edges=tuple(edges)))
             alpha = float(rng.uniform(0.1, 0.9))
             seed = SeedVector.uniform(adjacency.order, [f"n{int(rng.integers(0, n))}"])
             config = PprConfig(alpha=alpha, tolerance=1e-12)

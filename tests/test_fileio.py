@@ -154,7 +154,7 @@ class TestGraphRoundTrip:
             GraphEdge("a", "b", 0.993, "symbolic"),
             GraphEdge("b", "a", 0.993, "symbolic"),
         )
-        graph = SemanticGraph(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
         loaded = load_graph(save_graph(graph, tmp_path / "graph.tsv"))
         assert sorted(e.kind for e in loaded.edges) == ["knn", "symbolic", "symbolic"]
         assert loaded.edges == graph.edges
@@ -171,7 +171,7 @@ class TestGraphRoundTrip:
 
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty graph"):
-            save_graph(SemanticGraph(nodes=(), edges=()), tmp_path / "nope.tsv")
+            save_graph(SemanticGraph.from_edges(nodes=(), edges=()), tmp_path / "nope.tsv")
 
 
 class TestGraphParsing:
@@ -253,6 +253,33 @@ class TestGraphParsing:
         with pytest.raises(ValueError, match="references unknown node"):
             load_graph(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # Edge row format errors, in any row, come before edge checks.
+            ("a\tb\tnan\tknn\na\tb\t0.5\n", "malformed edge row 'a\\tb\\t0.5'"),
+            ("a\tghost\t0.5\tknn\na\tb\theavy\tknn\n", "non-numeric weight in edge row 'a\\tb\\theavy\\tknn'"),
+            # Then the first offending edge in edge order, whatever its fault.
+            ("a\tb\tnan\tknn\na\tghost\t1.0\tmagic\n", "edge 'a'->'b' weight must be finite and > 0"),
+            ("a\tb\t1.0\tknn\nb\ta\t1.0\tknn\na\tb\t2.0\tknn\nb\tb\t1.0\tknn\n", "duplicate edge ('a', 'b', 'knn')"),
+            # Within one edge: kind, endpoints, self-loop, weight.
+            ("a\ta\t-1.0\tmagic\n", "unknown edge kind 'magic'"),
+            ("ghost\tghost\t-1.0\tknn\n", "edge 'ghost'->'ghost' references unknown node"),
+            ("b\tb\t-1.0\tsymbolic\n", "self-loop on 'b'"),
+        ],
+    )
+    def test_edge_errors_keep_their_order(self, tmp_path, body, message):
+        path = self._write(tmp_path, "#nodes 2 #dim 1\na\t1.0\nb\t2.0\n" + body)
+        with pytest.raises(ValueError) as caught:
+            load_graph(path)
+        assert str(caught.value).removeprefix(f"{path}: ") == message
+
+    def test_vector_rows_are_read_before_edge_rows(self, tmp_path):
+        with pytest.raises(ValueError, match="malformed vector row"):
+            load_graph(self._write(tmp_path, "#nodes 2 #dim 1\na\t1.0\textra\nb\t2.0\na\tb\t0.5\n"))
+        with pytest.raises(ValueError, match="^vector 'a' has non-finite coordinates$"):
+            load_graph(self._write(tmp_path, "#nodes 2 #dim 1\na\tnan\nb\t2.0\na\tb\n"))
+
 
 _UNWRITABLE_IDS = ["a\tb", "a\rb", "a\nb", "line\u2028break"]
 
@@ -271,7 +298,7 @@ class TestUnwritableIds:
     @pytest.mark.parametrize("bad", _UNWRITABLE_IDS)
     def test_graph_rejects_tab_and_line_breaks(self, bad, tmp_path):
         nodes = (EmbeddingVector("ok", [1.0, 0.0]), EmbeddingVector(bad, [0.0, 1.0]))
-        graph = SemanticGraph(nodes=nodes, edges=(GraphEdge("ok", bad, 0.5, "knn"),))
+        graph = SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("ok", bad, 0.5, "knn"),))
         path = tmp_path / "graph.tsv"
         with pytest.raises(ValueError, match="contains a tab or line break") as caught:
             save_graph(graph, path)
@@ -319,7 +346,7 @@ class TestRoundTripProperties:
         chosen = data.draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
         weights = st.floats(min_value=1e-300, max_value=1e300)
         edges = tuple(GraphEdge(a, b, data.draw(weights), kind) for a, b, kind in chosen)
-        graph = SemanticGraph(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
         path = tmp_path_factory.mktemp("graph") / "graph.tsv"
         loaded = load_graph(save_graph(graph, path))
         assert loaded.node_ids == graph.node_ids

@@ -56,7 +56,7 @@ def _line_graph():
     """a -> b with b dangling; the smallest graph with re-injected mass."""
     nodes = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [0.0, 1.0]))
     edges = (GraphEdge(source="a", target="b", weight=1.0, kind="knn"),)
-    return SemanticGraph(nodes=nodes, edges=edges)
+    return SemanticGraph.from_edges(nodes=nodes, edges=edges)
 
 
 def _cycle_graph():
@@ -65,52 +65,52 @@ def _cycle_graph():
         GraphEdge(source="a", target="b", weight=1.0, kind="knn"),
         GraphEdge(source="b", target="a", weight=1.0, kind="knn"),
     )
-    return SemanticGraph(nodes=nodes, edges=edges)
+    return SemanticGraph.from_edges(nodes=nodes, edges=edges)
 
 
 class TestSemanticGraphValidation:
     def test_duplicate_node_ids_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("x", [2.0]))
         with pytest.raises(ValueError, match="duplicate ids"):
-            SemanticGraph(nodes=nodes, edges=())
+            SemanticGraph.from_edges(nodes=nodes, edges=())
 
     def test_unknown_endpoint_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]),)
         with pytest.raises(ValueError, match="references unknown node"):
-            SemanticGraph(nodes=nodes, edges=(GraphEdge("x", "ghost", 1.0, "knn"),))
+            SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "ghost", 1.0, "knn"),))
 
     def test_self_loop_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]),)
         with pytest.raises(ValueError, match="self-loop on 'x'"):
-            SemanticGraph(nodes=nodes, edges=(GraphEdge("x", "x", 1.0, "knn"),))
+            SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "x", 1.0, "knn"),))
 
     def test_non_positive_weight_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
         for weight in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="must be finite and > 0"):
-                SemanticGraph(nodes=nodes, edges=(GraphEdge("x", "y", weight, "knn"),))
+                SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "y", weight, "knn"),))
 
     def test_unknown_kind_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
         with pytest.raises(ValueError, match="unknown edge kind 'magic'"):
-            SemanticGraph(nodes=nodes, edges=(GraphEdge("x", "y", 1.0, "magic"),))
+            SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "y", 1.0, "magic"),))
 
     def test_duplicate_edge_key_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
         edges = (GraphEdge("x", "y", 1.0, "knn"), GraphEdge("x", "y", 0.5, "knn"))
         with pytest.raises(ValueError, match="duplicate edge"):
-            SemanticGraph(nodes=nodes, edges=edges)
+            SemanticGraph.from_edges(nodes=nodes, edges=edges)
 
     def test_parallel_edges_of_different_kinds_allowed(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
         edges = (GraphEdge("x", "y", 1.0, "knn"), GraphEdge("x", "y", 0.5, "symbolic"))
-        graph = SemanticGraph(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
         assert graph.out_neighbors("x") == {"y"}
 
     def test_unknown_cluster_head_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]),)
         with pytest.raises(ValueError, match="cluster head 'ghost'"):
-            SemanticGraph(nodes=nodes, edges=(), cluster_heads=("ghost",))
+            SemanticGraph.from_edges(nodes=nodes, edges=(), cluster_heads=("ghost",))
 
     def test_lookups(self):
         graph = _line_graph()
@@ -228,7 +228,9 @@ class TestBuildKnnGraph:
             tracemalloc.stop()
         assert peak < 0.25 * n * n * 8
 
-    @pytest.mark.parametrize("n", [1000, 2000])
+    # At n=2000 this repeated test_peak_holds_row_blocks' build under a
+    # looser bound; n=1000 keeps the bound's scaling checked.
+    @pytest.mark.parametrize("n", [1000])
     def test_peak_holds_one_similarity_matrix(self, n):
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, rng_seed=0)).points
         tracemalloc.start()
@@ -405,7 +407,7 @@ class TestNormalizeAdjacency:
             GraphEdge("x", "z", 1.0, "knn"),
             GraphEdge("y", "x", 2.0, "knn"),
         )
-        adjacency = normalize_adjacency(SemanticGraph(nodes=nodes, edges=edges))
+        adjacency = normalize_adjacency(SemanticGraph.from_edges(nodes=nodes, edges=edges))
         assert adjacency.order == ("x", "y", "z")
         np.testing.assert_allclose(adjacency.matrix[0], [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
         np.testing.assert_allclose(adjacency.matrix[1], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
@@ -419,7 +421,7 @@ class TestNormalizeAdjacency:
         augmented = add_symbolic_edges_sparse(graph, ["n00", "n04", "n08"], 2)
         cached = normalize_adjacency(augmented)
         assert cached is not adjacency
-        rebuilt = normalize_adjacency(SemanticGraph(nodes=augmented.nodes, edges=augmented.edges))
+        rebuilt = normalize_adjacency(SemanticGraph.from_edges(nodes=augmented.nodes, edges=augmented.edges))
         assert not np.array_equal(rebuilt.matrix, adjacency.matrix)
         for name in ("indptr", "indices", "weights"):
             np.testing.assert_array_equal(getattr(cached, name), getattr(rebuilt, name))

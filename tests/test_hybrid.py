@@ -137,7 +137,7 @@ class TestRankHybrid:
             GraphEdge("a", "far", 1.0, "knn"),
             GraphEdge("b", "far", 1.0, "knn"),
         )
-        graph = SemanticGraph(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
         query = EmbeddingVector("q", [1.0, 0.0])
         pool = top_n_candidates(query, [nodes[0], nodes[1]], 2)
         seeds = SeedVector.uniform(graph.node_ids, ["a", "b"])
@@ -175,7 +175,7 @@ class TestRankHybrid:
             EmbeddingVector("z", [0.0, 0.0]),
         )
         edges = (GraphEdge("a", "z", 1.0, "knn"), GraphEdge("b", "a", 1.0, "knn"))
-        graph = SemanticGraph(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
         seeds = SeedVector.uniform(graph.node_ids, ["a"])
         query = EmbeddingVector("q", [1.0, 1.0])
         pool = top_n_candidates(query, list(nodes[:2]), 2)
@@ -198,7 +198,7 @@ class TestRankHybrid:
             GraphEdge("c", "a", 0.5, "knn"),
             GraphEdge("c", "b", 0.5, "knn"),
         )
-        graph = SemanticGraph(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
         query = EmbeddingVector("q", [1.0, 0.0])
         pool = top_n_candidates(query, list(nodes), 3)
         seeds = SeedVector.uniform(graph.node_ids, ["c"])

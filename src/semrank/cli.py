@@ -3,21 +3,27 @@
 Exit codes: 0 on success, 1 for command-line usage errors, 2 for runtime
 failures (bad parameter values, I/O problems, non-convergence, or any other
 exception a command raises).
+
+Every command's ``ExperimentConfig`` comes from :func:`_config`, and
+``compress``, ``retrieve`` and ``build-graph`` call the stage functions that
+``experiment`` runs, so each gives what its stage gives inside ``experiment``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .compression import CompressionConfig, greedy_select
+from .candidates import CandidatePool, top_n_candidates
 from .datagen import SyntheticDataset, SyntheticDatasetSpec, composite_query, generate_clusters
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
-    export_report,
+    build_experiment_graph,
+    compress,
+    graph_rank,
     report_to_csv,
     report_to_json,
     run_experiment_bundle,
@@ -25,10 +31,8 @@ from .experiments import (
     sweep_to_csv,
     sweep_to_json,
 )
-from .candidates import top_n_candidates
 from .fileio import load_dataset, load_graph, save_dataset, save_graph
 from .graph import PprConfig, SeedVector, normalize_adjacency, personalized_pagerank
-from .hybrid import HybridConfig, build_result, rank_hybrid
 from .plotting import emit_bundle_plot
 
 
@@ -54,16 +58,25 @@ def _add_dataset_flags(parser: argparse.ArgumentParser, with_input: bool = True)
     parser.add_argument("--seed", type=int, default=42, help="rng seed (default 42)")
 
 
-def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph-k", type=int, default=5, help="knn out-degree (default 5)")
+def _add_graph_flags(parser: argparse.ArgumentParser, documented: bool = True) -> None:
+    def doc(text: str) -> str:
+        return text if documented else argparse.SUPPRESS
+
+    parser.add_argument("--graph-k", type=int, default=5, help=doc("knn out-degree (default 5)"))
     parser.add_argument(
         "--symbolic-mode",
         choices=("none", "sparse", "dense"),
         default="sparse",
-        help="symbolic edge augmentation (default sparse)",
+        help=doc("symbolic edge augmentation (default sparse)"),
     )
-    parser.add_argument("--threshold", type=float, default=0.85, help="dense-mode similarity threshold (default 0.85)")
-    parser.add_argument("--symbolic-m", type=int, default=2, help="sparse-mode links per head (default 2)")
+    parser.add_argument(
+        "--threshold",
+        dest="symbolic_threshold",
+        type=float,
+        default=0.85,
+        help=doc("dense-mode similarity threshold (default 0.85)"),
+    )
+    parser.add_argument("--symbolic-m", type=int, default=2, help=doc("sparse-mode links per head (default 2)"))
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -101,6 +114,24 @@ def _load_or_generate(args: argparse.Namespace) -> tuple[SyntheticDataset, Synth
     return dataset, spec
 
 
+def _config(args: argparse.Namespace, spec: SyntheticDatasetSpec) -> ExperimentConfig:
+    """The command's config: each field from the flag whose ``dest`` has its
+    name, ``--alpha`` as the PPR restart weight, and any field the command
+    has no flag for at its default."""
+    values = {field.name: getattr(args, field.name) for field in fields(ExperimentConfig) if hasattr(args, field.name)}
+    if hasattr(args, "alpha"):
+        values["ppr"] = PprConfig(alpha=args.alpha)
+    return ExperimentConfig(**values, dataset=spec)
+
+
+def _pool(args: argparse.Namespace) -> tuple[SyntheticDataset, ExperimentConfig, CandidatePool]:
+    """The dataset, the validated config and the query's candidate pool."""
+    dataset, spec = _load_or_generate(args)
+    config = _config(args, spec)
+    pool = top_n_candidates(composite_query(dataset, args.seed), dataset.points, config.pool_size)
+    return dataset, config, pool
+
+
 def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -108,8 +139,8 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _single_result_report(result, config: ExperimentConfig) -> ExperimentReport:
-    return ExperimentReport(results=(result,), config=config, runtimes_ms={})
+def _write_report(args: argparse.Namespace, report: ExperimentReport) -> None:
+    _write(report_to_csv(report) if args.format == "csv" else report_to_json(report), args.out)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -119,36 +150,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
-    dataset, spec = _load_or_generate(args)
-    query = composite_query(dataset, args.seed)
-    pool = top_n_candidates(query, dataset.points, args.pool_size)
-    trace = greedy_select(pool, CompressionConfig(k=args.k, lam=args.lam))
-    result = build_result(
-        "semantic_compression", list(zip(trace.chosen, trace.marginal_gains)), dataset.by_id, query
-    )
-    config = ExperimentConfig(dataset=spec, pool_size=args.pool_size, k=args.k, lam=args.lam)
-    report = _single_result_report(result, config)
-    _write(report_to_csv(report) if args.format == "csv" else report_to_json(report), args.out)
+    dataset, config, pool = _pool(args)
+    result = compress(dataset, pool, config.k, config.lam)
+    _write_report(args, ExperimentReport(results=(result,), config=config, runtimes_ms={}))
     return 0
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
-    from .experiments import build_experiment_graph
-
     dataset, spec = _load_or_generate(args)
-    # Only the graph fields matter here; pool_size/k are pinned to 1 so the
-    # carrier config validates for datasets of any size.
-    config = ExperimentConfig(
-        dataset=spec,
-        pool_size=1,
-        k=1,
-        graph_k=args.graph_k,
-        symbolic_mode=args.symbolic_mode,
-        symbolic_threshold=args.threshold,
-        symbolic_m=args.symbolic_m,
-    )
-    graph = build_experiment_graph(config, dataset)
-    save_graph(graph, args.out)
+    save_graph(build_experiment_graph(_config(args, spec), dataset), args.out)
     return 0
 
 
@@ -171,51 +181,15 @@ def _cmd_ppr(args: argparse.Namespace) -> int:
 
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
-    from .experiments import build_experiment_graph
-
-    dataset, spec = _load_or_generate(args)
-    config = ExperimentConfig(
-        dataset=spec,
-        pool_size=args.pool_size,
-        k=args.k,
-        graph_k=args.graph_k,
-        symbolic_mode=args.symbolic_mode,
-        symbolic_threshold=args.threshold,
-        symbolic_m=args.symbolic_m,
-        ppr=PprConfig(alpha=args.alpha),
-        beta=args.beta,
-    )
-    query = composite_query(dataset, args.seed)
-    pool = top_n_candidates(query, dataset.points, args.pool_size)
-    graph = build_experiment_graph(config, dataset)
-    seed = SeedVector.uniform(graph.node_ids, pool.ids[: min(config.seed_size, len(pool))])
-    result = rank_hybrid(pool, graph, seed, config.ppr, HybridConfig(beta=args.beta, k=args.k))
-    report = _single_result_report(result, config)
-    _write(report_to_csv(report) if args.format == "csv" else report_to_json(report), args.out)
+    dataset, config, pool = _pool(args)
+    result = graph_rank(config, pool, build_experiment_graph(config, dataset))
+    _write_report(args, ExperimentReport(results=(result,), config=config, runtimes_ms={}))
     return 0
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset=_dataset_spec(args),
-        pool_size=args.pool_size,
-        k=args.k,
-        lam=args.lam,
-        graph_k=args.graph_k,
-        symbolic_mode=args.symbolic_mode,
-        symbolic_threshold=args.threshold,
-        symbolic_m=args.symbolic_m,
-        ppr=PprConfig(alpha=args.alpha),
-        beta=args.beta,
-    )
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    bundle = run_experiment_bundle(_experiment_config(args))
-    if args.out and args.out != "-":
-        export_report(bundle.report, args.format, args.out)
-    else:
-        _write(report_to_csv(bundle.report) if args.format == "csv" else report_to_json(bundle.report), None)
+    bundle = run_experiment_bundle(_config(args, _dataset_spec(args)))
+    _write_report(args, bundle.report)
     if args.plot:
         emit_bundle_plot(bundle, args.plot)
     return 0
@@ -223,8 +197,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_lambda(args: argparse.Namespace) -> int:
     lambdas = [float(piece) for piece in args.lambdas.split(",") if piece]
-    config = _experiment_config(args)
-    points = sweep_lambda(config, lambdas, args.runs)
+    points = sweep_lambda(_config(args, _dataset_spec(args)), lambdas, args.runs)
     _write(sweep_to_csv(points) if args.format == "csv" else sweep_to_json(points), args.out)
     return 0
 
@@ -250,7 +223,9 @@ def _build_parser() -> _CliParser:
     _add_dataset_flags(build_graph)
     _add_graph_flags(build_graph)
     build_graph.add_argument("--out", metavar="PATH", required=True, help="graph file to write")
-    build_graph.set_defaults(handler=_cmd_build_graph)
+    # Only the graph fields matter here; pool_size/k are pinned to 1 so the
+    # carrier config validates for datasets of any size.
+    build_graph.set_defaults(handler=_cmd_build_graph, pool_size=1, k=1)
 
     ppr = commands.add_parser("ppr", help="personalized pagerank over a saved graph")
     ppr.add_argument("--graph", metavar="PATH", required=True, help="graph file to load")
@@ -291,15 +266,13 @@ def _build_parser() -> _CliParser:
         help="comma-separated diversity weights (default 0,0.25,0.5,1,2,4)",
     )
     sweep.add_argument("--runs", type=int, default=20, help="number of seeded runs to average (default 20)")
-    # The sweep overrides the diversity weight per point; the base config
-    # still needs a value, so the flag exists but stays undocumented.
+    # The sweep accepts experiment's flags, so one flag set drives both; it
+    # sets the diversity weight per point and never ranks or builds a graph,
+    # so these flags stay undocumented.
     sweep.add_argument("--lambda", dest="lam", type=float, default=0.25, help=argparse.SUPPRESS)
     sweep.add_argument("--beta", type=float, default=1.0, help=argparse.SUPPRESS)
     sweep.add_argument("--alpha", type=float, default=0.15, help=argparse.SUPPRESS)
-    sweep.add_argument("--graph-k", type=int, default=5, help=argparse.SUPPRESS)
-    sweep.add_argument("--symbolic-mode", choices=("none", "sparse", "dense"), default="sparse", help=argparse.SUPPRESS)
-    sweep.add_argument("--threshold", type=float, default=0.85, help=argparse.SUPPRESS)
-    sweep.add_argument("--symbolic-m", type=int, default=2, help=argparse.SUPPRESS)
+    _add_graph_flags(sweep, documented=False)
     _add_output_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep_lambda)
 

@@ -2,9 +2,12 @@
 
 One experiment generates a clustered dataset, forms a composite query, takes
 the top-N candidate pool, and then retrieves k items three ways: plain top-k
-by query similarity, coverage+diversity greedy selection, and graph
-diffusion ranking over a kNN graph with optional symbolic augmentation.
-Reports carry the per-method metrics, a config echo, and per-stage runtimes.
+by query similarity, coverage+diversity greedy selection (:func:`compress`),
+and graph diffusion ranking (:func:`graph_rank`) over a kNN graph with
+optional symbolic augmentation (:func:`build_experiment_graph`).  Each stage
+is one function: the pipeline, the lambda sweep and the CLI commands all
+call it, so every method is scored in one place.  Reports carry the
+per-method metrics, a config echo, and per-stage runtimes.
 """
 
 from __future__ import annotations
@@ -130,36 +133,37 @@ def build_experiment_graph(config: ExperimentConfig, dataset: SyntheticDataset) 
     return add_symbolic_edges_dense(graph, heads, config.symbolic_threshold, dataset.labels)
 
 
+def compress(dataset: SyntheticDataset, pool: CandidatePool, k: int, lam: float) -> RetrievalResult:
+    """The ``semantic_compression`` result: greedy coverage+diversity picks
+    of ``k`` pool items at diversity weight ``lam``."""
+    trace = greedy_select(pool, CompressionConfig(k=k, lam=lam))
+    items = list(zip(trace.chosen, trace.marginal_gains))
+    return build_result("semantic_compression", items, dataset.by_id, pool.query)
+
+
+def graph_rank(config: ExperimentConfig, pool: CandidatePool, graph: SemanticGraph) -> RetrievalResult:
+    """PPR seeded uniformly on the pool's top ``seed_size`` items, blended
+    with the vector scores by ``config.beta``."""
+    seed = SeedVector.uniform(graph.node_ids, pool.ids[: config.seed_size])
+    return rank_hybrid(pool, graph, seed, config.ppr, HybridConfig(beta=config.beta, k=config.k))
+
+
 def run_experiment_bundle(config: ExperimentConfig) -> ExperimentBundle:
     """Run the full pipeline, keeping the intermediate artifacts."""
     runtimes: dict[str, float] = {}
     dataset = _timed(runtimes, "generate", lambda: generate_clusters(config.dataset))
     query = _timed(runtimes, "query", lambda: composite_query(dataset, config.dataset.rng_seed))
     pool = _timed(runtimes, "pool", lambda: top_n_candidates(query, dataset.points, config.pool_size))
-    embeddings = dataset.by_id
 
     def _topk() -> RetrievalResult:
         ids = pool.ids[: config.k]
         items = [(item_id, float(pool.query_sims[i])) for i, item_id in enumerate(ids)]
-        return build_result("topk_ann", items, embeddings, query)
+        return build_result("topk_ann", items, dataset.by_id, query)
 
     topk = _timed(runtimes, "topk_ann", _topk)
-
-    def _compress() -> RetrievalResult:
-        trace = greedy_select(pool, CompressionConfig(k=config.k, lam=config.lam))
-        items = list(zip(trace.chosen, trace.marginal_gains))
-        return build_result("semantic_compression", items, embeddings, query)
-
-    compression = _timed(runtimes, "semantic_compression", _compress)
-
+    compression = _timed(runtimes, "semantic_compression", lambda: compress(dataset, pool, config.k, config.lam))
     graph = _timed(runtimes, "graph_build", lambda: build_experiment_graph(config, dataset))
-
-    def _graph_rank() -> RetrievalResult:
-        seed_ids = pool.ids[: min(config.seed_size, len(pool))]
-        seed = SeedVector.uniform(graph.node_ids, seed_ids)
-        return rank_hybrid(pool, graph, seed, config.ppr, HybridConfig(beta=config.beta, k=config.k))
-
-    ranked = _timed(runtimes, "graph_rank", _graph_rank)
+    ranked = _timed(runtimes, "graph_rank", lambda: graph_rank(config, pool, graph))
 
     report = ExperimentReport(
         results=(topk, compression, ranked),
@@ -199,10 +203,8 @@ def sweep_lambda(
         dataset = generate_clusters(spec)
         query = composite_query(dataset, spec.rng_seed)
         pool = top_n_candidates(query, dataset.points, config.pool_size)
-        embeddings = dataset.by_id
         for lam, total in zip(lambdas, totals):
-            trace = greedy_select(pool, CompressionConfig(k=config.k, lam=lam))
-            result = build_result("semantic_compression", list(zip(trace.chosen, trace.marginal_gains)), embeddings, query)
+            result = compress(dataset, pool, config.k, lam)
             total[0] += result.relevance
             total[1] += result.diversity
     return [

@@ -70,6 +70,25 @@ class TestCompress:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--pool-size", "5", "--k", "10"], "k must lie in [1, pool_size], got 10"),
+            (["--pool-size", "5", "--k", "0"], "k must lie in [1, pool_size], got 0"),
+            ([], "pool_size must lie in [1, num_points], got 50"),
+            (["--pool-size", "0"], "pool_size must lie in [1, num_points], got 0"),
+        ],
+    )
+    def test_config_is_validated_before_the_pool(self, flags, message, capsys):
+        code, out, err = _run(["compress", *_DATA, *flags], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_loaded_pool_beyond_the_file_is_a_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data.tsv"
+        assert main(["generate", *_DATA, "--out", str(data)]) == 0
+        code, out, err = _run(["compress", "--data", str(data), "--pool-size", "40"], capsys)
+        assert (code, out, err) == (2, "", "error: pool_size must lie in [1, num_points], got 40\n")
+
 
 class TestBuildGraphAndPpr:
     def test_graph_round_trips_and_ppr_ranks(self, tmp_path, capsys):
@@ -221,6 +240,30 @@ class TestSweepLambda:
         _, single, _ = _run([*args, "0.25"], capsys)
         rows = out.splitlines()[1:]
         assert rows[0] == rows[1] == single.splitlines()[1]
+
+
+class TestOnePath:
+    """Each single-method command reports the row ``experiment`` reports
+    for that method under the same flags."""
+
+    def _row(self, argv, method, capsys):
+        code, out, err = _run(argv, capsys)
+        assert (code, err) == (0, "")
+        rows = [line for line in out.splitlines()[1:] if line.startswith(f"{method},")]
+        assert len(rows) == 1
+        return rows[0]
+
+    @pytest.mark.parametrize("lam", ["0", "0.25", "2"])
+    def test_compress_row_is_the_experiment_row(self, lam, capsys):
+        flags = [*_DATA, "--pool-size", "12", "--k", "4", "--lambda", lam]
+        method = "semantic_compression"
+        assert self._row(["compress", *flags], method, capsys) == self._row(["experiment", *flags], method, capsys)
+
+    @pytest.mark.parametrize("mode", ["none", "sparse", "dense"])
+    def test_retrieve_row_is_the_experiment_row(self, mode, capsys):
+        flags = [*_SMALL, "--beta", "1.0", "--alpha", "0.3", "--symbolic-mode", mode, "--threshold", "0.6"]
+        method = "graph_ppr"
+        assert self._row(["retrieve", *flags], method, capsys) == self._row(["experiment", *flags], method, capsys)
 
 
 class TestExitCodes:

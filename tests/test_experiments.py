@@ -15,6 +15,7 @@ from semrank.experiments import (
     ExperimentReport,
     SweepPoint,
     build_experiment_graph,
+    compress,
     export_report,
     report_to_csv,
     report_to_dict,
@@ -242,6 +243,14 @@ class TestSweepLambda:
         assert (points[3].relevance, points[3].diversity) == (zero.relevance, zero.diversity)
         assert (points[4].relevance, points[4].diversity) == (zero.relevance, zero.diversity)
         assert all(point.relevance <= 1.0 for point in points)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0])
+    def test_single_run_point_is_the_compress_stage(self, lam):
+        dataset = generate_clusters(_SMALL.dataset)
+        query = composite_query(dataset, _SMALL.dataset.rng_seed)
+        result = compress(dataset, top_n_candidates(query, dataset.points, _SMALL.pool_size), _SMALL.k, lam)
+        (point,) = sweep_lambda(_SMALL, (lam,), 1)
+        assert (point.relevance, point.diversity) == (result.relevance, result.diversity)
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="at least one diversity weight"):

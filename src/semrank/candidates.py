@@ -60,9 +60,6 @@ class CandidatePool:
             msg = f"unknown pool item {item_id!r}"
             raise ValueError(msg) from None
 
-    def query_similarity(self, item_id: str) -> float:
-        return float(self.query_sims[self.pairwise.positions[self.vector(item_id).id]])
-
 
 def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], n: int) -> CandidatePool:
     """Exact scan: the ``n`` corpus items most cosine-similar to ``query``.

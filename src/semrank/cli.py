@@ -58,25 +58,22 @@ def _add_dataset_flags(parser: argparse.ArgumentParser, with_input: bool = True)
     parser.add_argument("--seed", type=int, default=42, help="rng seed (default 42)")
 
 
-def _add_graph_flags(parser: argparse.ArgumentParser, documented: bool = True) -> None:
-    def doc(text: str) -> str:
-        return text if documented else argparse.SUPPRESS
-
-    parser.add_argument("--graph-k", type=int, default=5, help=doc("knn out-degree (default 5)"))
+def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph-k", type=int, default=5, help="knn out-degree (default 5)")
     parser.add_argument(
         "--symbolic-mode",
         choices=("none", "sparse", "dense"),
         default="sparse",
-        help=doc("symbolic edge augmentation (default sparse)"),
+        help="symbolic edge augmentation (default sparse)",
     )
     parser.add_argument(
         "--threshold",
         dest="symbolic_threshold",
         type=float,
         default=0.85,
-        help=doc("dense-mode similarity threshold (default 0.85)"),
+        help="dense-mode similarity threshold (default 0.85)",
     )
-    parser.add_argument("--symbolic-m", type=int, default=2, help=doc("sparse-mode links per head (default 2)"))
+    parser.add_argument("--symbolic-m", type=int, default=2, help="sparse-mode links per head (default 2)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -266,13 +263,6 @@ def _build_parser() -> _CliParser:
         help="comma-separated diversity weights (default 0,0.25,0.5,1,2,4)",
     )
     sweep.add_argument("--runs", type=int, default=20, help="number of seeded runs to average (default 20)")
-    # The sweep accepts experiment's flags, so one flag set drives both; it
-    # sets the diversity weight per point and never ranks or builds a graph,
-    # so these flags stay undocumented.
-    sweep.add_argument("--lambda", dest="lam", type=float, default=0.25, help=argparse.SUPPRESS)
-    sweep.add_argument("--beta", type=float, default=1.0, help=argparse.SUPPRESS)
-    sweep.add_argument("--alpha", type=float, default=0.15, help=argparse.SUPPRESS)
-    _add_graph_flags(sweep, documented=False)
     _add_output_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep_lambda)
 

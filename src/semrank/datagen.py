@@ -75,10 +75,6 @@ class SyntheticDataset:
             grouped.setdefault(self.labels[point.id], []).append(point)
         return {label: tuple(members) for label, members in grouped.items()}
 
-    def members(self, label: int) -> list[EmbeddingVector]:
-        """The points labelled ``label``, sorted by id (a fresh list)."""
-        return list(self.clusters.get(label, ()))
-
 
 def _place_centroids(rng: np.random.Generator, spec: SyntheticDatasetSpec) -> np.ndarray:
     radius_lo = _RADIUS_SPAN[0] * spec.separation

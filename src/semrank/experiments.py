@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .candidates import CandidatePool, top_n_candidates
@@ -258,15 +257,3 @@ def sweep_to_json(points: Sequence[SweepPoint]) -> str:
         for point in points
     ]
     return json.dumps(payload, indent=2) + "\n"
-
-
-def export_report(report: ExperimentReport, format: str, path: str | Path) -> Path:
-    """Write the report as ``csv`` or ``json``; CSV is byte-stable across
-    identical runs (timings live only in the JSON mirror)."""
-    if format not in ("csv", "json"):
-        msg = f"unknown report format {format!r}"
-        raise ValueError(msg)
-    path = Path(path)
-    text = report_to_csv(report) if format == "csv" else report_to_json(report)
-    path.write_text(text, encoding="utf-8", newline="\n")
-    return path

@@ -137,8 +137,17 @@ class Embeddings(tuple):
     @cached_property
     def matrix(self) -> np.ndarray:
         """The values stacked into a read-only ``len x d`` array; raises
-        ``ValueError`` when the vectors differ in dimension."""
-        matrix = np.stack([v.values for v in self])
+        ``ValueError`` naming the first vector whose dimension differs from
+        the first vector's."""
+        try:
+            matrix = np.stack([v.values for v in self])
+        except ValueError:
+            if not self:
+                raise
+            dim = self[0].dim
+            v = next(v for v in self if v.dim != dim)
+            msg = f"dimension mismatch: {v.id!r} has d={v.dim}, expected {dim}"
+            raise ValueError(msg) from None
         matrix.setflags(write=False)
         return matrix
 
@@ -221,9 +230,6 @@ class SimilarityMatrix:
     def positions(self) -> dict[str, int]:
         return {item_id: i for i, item_id in enumerate(self.order)}
 
-    def value(self, a: str, b: str) -> float:
-        return float(self.entries[self.positions[a], self.positions[b]])
-
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine of the angle between two embeddings.
@@ -247,15 +253,6 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return float(min(1.0, max(-1.0, value)))
 
 
-def normalize(vector: EmbeddingVector) -> EmbeddingVector:
-    """Return the unit-norm version of ``vector`` (same id)."""
-    norm = vector.norm()
-    if not norm > 0.0:
-        msg = f"cannot normalize zero-norm vector {vector.id!r}"
-        raise ValueError(msg)
-    return EmbeddingVector(vector.id, vector.values / norm)
-
-
 def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     """``vectors`` stacked and scaled to unit norm, after the checks of
     :func:`similarity_matrix`."""
@@ -266,12 +263,7 @@ def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     if corpus.first_duplicate is not None:
         msg = f"duplicate item id {corpus.first_duplicate!r}"
         raise ValueError(msg)
-    dim = vectors[0].dim
-    for v in vectors[1:]:
-        if v.dim != dim:
-            msg = f"dimension mismatch: {v.id!r} has d={v.dim}, expected {dim}"
-            raise ValueError(msg)
-    norms = corpus.norms
+    norms = corpus.norms  # stacks the matrix, so mixed dimensions raise here
     for v, norm in zip(vectors, norms):
         if not norm > 0.0:
             msg = f"cosine similarity undefined for zero-norm vector {v.id!r}"

@@ -227,15 +227,7 @@ class SemanticGraph:
         one :class:`Embeddings` are read from its matrix."""
         if not self.nodes:
             return np.zeros((0, 0))
-        if isinstance(self.nodes, Embeddings):
-            rows = np.array(self.nodes.matrix)
-        else:
-            dim = self.nodes[0].dim
-            for node in self.nodes:
-                if node.dim != dim:
-                    msg = f"dimension mismatch: {node.id!r} has d={node.dim}, expected {dim}"
-                    raise ValueError(msg)
-            rows = np.stack([node.values for node in self.nodes])
+        rows = np.array(Embeddings.of(self.nodes).matrix)
         norms = np.linalg.norm(rows, axis=1)
         nonzero = norms > 0.0
         rows[nonzero] /= norms[nonzero, None]
@@ -314,7 +306,14 @@ class NormalizedAdjacency:
         ):
             msg = f"CSR arrays do not describe a {n}-node adjacency"
             raise ValueError(msg)
-        sums = np.bincount(_entry_rows(indptr), weights=weights, minlength=n)
+        rows = _entry_rows(indptr)
+        # Written so that a NaN, which fails every comparison, fails it too.
+        negative = np.flatnonzero(~(weights >= 0.0))
+        if negative.size:
+            i = negative[0]
+            msg = f"row for {self.order[rows[i]]!r} has weight {weights[i]}, expected >= 0"
+            raise ValueError(msg)
+        sums = np.bincount(rows, weights=weights, minlength=n)
         expected = np.where(self.dangling_rows, 0.0, 1.0)
         wrong = np.flatnonzero(np.abs(sums - expected) > 1e-9)
         if wrong.size:
@@ -402,7 +401,8 @@ class SeedVector:
         if weights.shape != (len(self.order),):
             msg = "seed weights do not match node order"
             raise ValueError(msg)
-        if weights.min(initial=0.0) < 0.0:
+        # Written so that a NaN, which fails every comparison, fails it too.
+        if not weights.min(initial=0.0) >= 0.0:
             msg = "seed weights must be non-negative"
             raise ValueError(msg)
         if not (weights > 0.0).any():

@@ -6,8 +6,7 @@ The blended score of an item ``v`` for query ``q`` is
 
 ``beta = 0`` is plain similarity ranking, ``beta = 1`` ranks purely by
 diffusion.  Scores of the two channels live on different scales (cosine in
-[-1, 1], diffusion mass in [0, 1] summing to 1); they are blended raw by
-default, with optional min-max rescaling of the graph channel.
+[-1, 1], diffusion mass in [0, 1] summing to 1); they are blended raw.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ METHOD_TAGS = ("topk_ann", "semantic_compression", "graph_ppr", "hybrid")
 
 @dataclass(frozen=True)
 class HybridConfig:
-    """Blend weight, result size, and optional graph-score rescaling."""
+    """Blend weight and result size."""
 
     beta: float
     k: int
-    rescale_graph: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
@@ -109,11 +107,6 @@ def rank_hybrid(
         raise ValueError(msg)
 
     graph_raw = ppr_mass(normalize_adjacency(graph), seed, ppr_config)[scope]
-    if config.rescale_graph:
-        low = graph_raw.min()
-        span = graph_raw.max() - low
-        graph_raw = (graph_raw - low) / span if span > 0.0 else np.zeros_like(graph_raw)
-
     direct = _query_cosines(pool.query, graph, scope)
     blended = (1.0 - config.beta) * direct + config.beta * graph_raw
     top = np.lexsort((graph.id_ranks[scope], -blended))[: config.k]

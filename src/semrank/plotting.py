@@ -182,18 +182,9 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def emit_plot(
-    report: ExperimentReport,
-    dataset: SyntheticDataset,
-    graph: SemanticGraph,
-    query: EmbeddingVector,
-    path: str | Path,
-) -> Path:
-    """Write the experiment scene to ``path`` as deterministic SVG bytes."""
-    path = Path(path)
-    path.write_text(render_svg(report, dataset, graph, query), encoding="utf-8", newline="\n")
-    return path
-
-
 def emit_bundle_plot(bundle: ExperimentBundle, path: str | Path) -> Path:
-    return emit_plot(bundle.report, bundle.dataset, bundle.graph, bundle.query, path)
+    """Write the bundle's experiment scene to ``path`` as deterministic SVG bytes."""
+    path = Path(path)
+    svg = render_svg(bundle.report, bundle.dataset, bundle.graph, bundle.query)
+    path.write_text(svg, encoding="utf-8", newline="\n")
+    return path

@@ -62,9 +62,6 @@ class TestTopNCandidates:
                 rtol=0,
                 atol=1e-12,
             )
-            np.testing.assert_allclose(
-                pool.query_similarity(item_id), pool.query_sims[i], rtol=0, atol=0
-            )
 
     def test_full_corpus_pool(self):
         corpus = _corpus(count=5)

@@ -15,6 +15,8 @@ from semrank.fileio import load_dataset, load_graph
 # Small dataset flags shared by most invocations to keep the suite fast.
 _DATA = ["--num-points", "30", "--clusters", "3", "--seed", "7"]
 _SMALL = [*_DATA, "--pool-size", "10", "--k", "3", "--graph-k", "3"]
+# sweep-lambda never builds a graph, so it takes no graph flags.
+_SWEEP = [*_DATA, "--pool-size", "10", "--k", "3"]
 
 
 def _run(argv, capsys):
@@ -226,7 +228,7 @@ class TestExperiment:
 class TestSweepLambda:
     def test_csv_has_one_row_per_weight(self, capsys):
         code, out, _ = _run(
-            ["sweep-lambda", *_SMALL, "--lambdas", "0,0.5,2", "--runs", "2"], capsys
+            ["sweep-lambda", *_SWEEP, "--lambdas", "0,0.5,2", "--runs", "2"], capsys
         )
         assert code == 0
         lines = out.splitlines()
@@ -234,7 +236,7 @@ class TestSweepLambda:
         assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "0.5", "2.0"]
 
     def test_repeated_weights_match_the_single_weight_row(self, capsys):
-        args = ["sweep-lambda", *_SMALL, "--runs", "2", "--lambdas"]
+        args = ["sweep-lambda", *_SWEEP, "--runs", "2", "--lambdas"]
         code, out, _ = _run([*args, "0.25,0.25,1"], capsys)
         assert code == 0
         _, single, _ = _run([*args, "0.25"], capsys)

@@ -20,6 +20,8 @@ from semrank.graph import PprConfig
 
 _DATA = ["--num-points", "30", "--clusters", "3", "--seed", "7"]
 _SMALL = [*_DATA, "--pool-size", "10", "--k", "3", "--graph-k", "3"]
+# sweep-lambda never builds a graph, so it takes no graph flags.
+_SWEEP = [*_DATA, "--pool-size", "10", "--k", "3"]
 # Placeholders for the files the ``files`` fixture writes: a 30-point and a
 # 250-point dataset, a graph over the 30 points, and an output path.
 _D30, _D250, _GRAPH, _OUT = "{d30}", "{d250}", "{graph}", "{out}"
@@ -62,9 +64,9 @@ _OUTPUT_DIGESTS = {
     ("experiment", *_SMALL, "--format", "json"): "b2d2cabd8ab1587f69703b8af7b5be0f584b934ebc88d1f2113ba8f505c4ed72",
     ("experiment", *_SMALL, "--format", "json", "--alpha", "0.3", "--out", _OUT):
         "3b8979b117e5d81ebe9172ded2f163935d442e51311c32c1e03a16be98f81420",
-    ("sweep-lambda", *_SMALL, "--lambdas", "0,0.5,2", "--runs", "2"):
+    ("sweep-lambda", *_SWEEP, "--lambdas", "0,0.5,2", "--runs", "2"):
         "85cfd83df08fdc846ececdd8b709bebf33c752ee3ee2231263f5d019044e1aa7",
-    ("sweep-lambda", *_SMALL, "--lambdas", "0,0.5,2", "--runs", "2", "--format", "json"):
+    ("sweep-lambda", *_SWEEP, "--lambdas", "0,0.5,2", "--runs", "2", "--format", "json"):
         "9a418420ea9ef7c18f19f5e86f265a026b0f00591e6399ae896555eca650aeb7",
     ("sweep-lambda", "--lambdas", "0.25,4", "--runs", "3", "--out", _OUT):
         "11188766db203ca85f604ce25f8aeb9dada2cce321b5b7e77915f0bd9d79649a",
@@ -115,15 +117,16 @@ _ERRORS = {
         (2, "error: experiment stage 'semantic_compression' failed: diversity weight must be finite "
          "and >= 0, got -1.0\n"),
     ("experiment", *_SMALL, "--alpha", "0"): (2, "error: alpha must lie strictly between 0 and 1, got 0.0\n"),
-    ("sweep-lambda", *_SMALL, "--lambdas", ","): (2, "error: sweep needs at least one diversity weight\n"),
-    ("sweep-lambda", *_SMALL, "--runs", "0"): (2, "error: runs must be >= 1, got 0\n"),
-    ("sweep-lambda", *_SMALL, "--lambdas", "0,x"): (2, "error: could not convert string to float: 'x'\n"),
+    ("sweep-lambda", *_SWEEP, "--lambdas", ","): (2, "error: sweep needs at least one diversity weight\n"),
+    ("sweep-lambda", *_SWEEP, "--runs", "0"): (2, "error: runs must be >= 1, got 0\n"),
+    ("sweep-lambda", *_SWEEP, "--lambdas", "0,x"): (2, "error: could not convert string to float: 'x'\n"),
     ("sweep-lambda", *_DATA, "--pool-size", "5", "--k", "10"): (2, "error: k must lie in [1, pool_size], got 10\n"),
-    ("sweep-lambda", *_SMALL, "--lambdas", "-1"): (2, "error: diversity weight must be finite and >= 0, got -1.0\n"),
+    ("sweep-lambda", *_SWEEP, "--lambdas", "-1"): (2, "error: diversity weight must be finite and >= 0, got -1.0\n"),
+    ("sweep-lambda", *_SWEEP, "--graph-k", "3"): (1, "semrank: error: unrecognized arguments: --graph-k 3\n"),
+    ("sweep-lambda", *_SWEEP, "--beta", "5"): (1, "semrank: error: unrecognized arguments: --beta 5\n"),
 }
 
-# Subcommand -> {option string: default}, every flag it accepts, suppressed
-# ones included.
+# Subcommand -> {option string: default}, every flag it accepts.
 _FLAGS = {
     "generate": {
         "-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS, "--num-points": 200, "--dim": 2, "--clusters": 5,
@@ -158,9 +161,7 @@ _FLAGS = {
     "sweep-lambda": {
         "-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS, "--num-points": 200, "--dim": 2, "--clusters": 5,
         "--cluster-std": 0.5, "--separation": 5.0, "--seed": 42, "--pool-size": 50, "--k": 10,
-        "--lambdas": "0,0.25,0.5,1,2,4", "--runs": 20, "--lambda": 0.25, "--beta": 1.0, "--alpha": 0.15,
-        "--graph-k": 5, "--symbolic-mode": "sparse", "--threshold": 0.85, "--symbolic-m": 2, "--format": "csv",
-        "--out": None,
+        "--lambdas": "0,0.25,0.5,1,2,4", "--runs": 20, "--format": "csv", "--out": None,
     },
 }
 

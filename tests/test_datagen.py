@@ -57,7 +57,7 @@ class TestGenerateClusters:
 
     def test_cluster_sizes_differ_by_at_most_one(self):
         dataset = generate_clusters(SyntheticDatasetSpec(num_points=23, num_clusters=5, rng_seed=3))
-        sizes = [len(dataset.members(label)) for label in range(5)]
+        sizes = [len(dataset.clusters[label]) for label in range(5)]
         assert sum(sizes) == 23
         assert max(sizes) - min(sizes) <= 1
         # Larger clusters come first.
@@ -68,7 +68,7 @@ class TestGenerateClusters:
         assert len(dataset.points) == 200
         assert all(point.dim == 2 for point in dataset.points)
         assert sorted(set(dataset.labels.values())) == [0, 1, 2, 3, 4]
-        assert all(len(dataset.members(label)) == 40 for label in range(5))
+        assert all(len(dataset.clusters[label]) == 40 for label in range(5))
 
     def test_ids_zero_padded_in_generation_order(self):
         dataset = generate_clusters(SyntheticDatasetSpec(num_points=12, num_clusters=3, rng_seed=4))
@@ -84,7 +84,7 @@ class TestGenerateClusters:
         )
         dataset = generate_clusters(spec)
         means = [
-            np.mean([p.values for p in dataset.members(label)], axis=0) for label in range(5)
+            np.mean([p.values for p in dataset.clusters[label]], axis=0) for label in range(5)
         ]
         for i in range(5):
             for j in range(i + 1, 5):
@@ -98,7 +98,7 @@ class TestGenerateClusters:
         )
         dataset = generate_clusters(spec)
         for label in range(5):
-            mean = np.mean([p.values for p in dataset.members(label)], axis=0)
+            mean = np.mean([p.values for p in dataset.clusters[label]], axis=0)
             radius = float(np.linalg.norm(mean))
             angle = math.atan2(mean[1], mean[0])
             assert 2.0 * spec.separation - 0.1 <= radius <= 4.8 * spec.separation + 0.1
@@ -125,7 +125,7 @@ class TestGenerateClusters:
         assert dataset.spec == spec
         seen = set()
         for label in range(4):
-            ids = {p.id for p in dataset.members(label)}
+            ids = {p.id for p in dataset.clusters[label]}
             assert not ids & seen
             seen |= ids
         assert len(seen) == 20
@@ -162,7 +162,7 @@ class TestCompositeQuery:
         dataset = generate_clusters(SyntheticDatasetSpec(num_points=30, num_clusters=3, rng_seed=12))
         query = composite_query(dataset, rng_seed=1)
         total = query.values * 3.0
-        choices = [[m.values for m in dataset.members(label)] for label in range(3)]
+        choices = [[m.values for m in dataset.clusters[label]] for label in range(3)]
         matches = any(
             np.allclose(sum(choice), total, rtol=0, atol=1e-9)
             for choice in itertools.product(*choices)
@@ -210,15 +210,13 @@ class TestClusterMembersCache:
                 want = _scanning_composite_query(data, seed)
                 assert got.tobytes() == want.tobytes()
 
-    def test_members_are_id_sorted_fresh_lists(self):
+    def test_clusters_are_id_sorted(self):
         dataset = generate_clusters(SyntheticDatasetSpec(num_points=40, num_clusters=4, rng_seed=5))
         reordered = SyntheticDataset(points=dataset.points[::-1], labels=dataset.labels)
         for label in range(4):
-            members = reordered.members(label)
+            members = reordered.clusters[label]
             assert [p.id for p in members] == sorted(p.id for p in dataset.points if dataset.labels[p.id] == label)
-            members.clear()
-            assert len(reordered.members(label)) == 10
-        assert reordered.members(99) == []
+        assert sorted(reordered.clusters) == [0, 1, 2, 3]
 
 
 def _per_point_generate(spec):

@@ -207,6 +207,9 @@ class TestUnitRows:
         with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=3, expected 2$"):
             SemanticGraph.from_edges(nodes, ()).unit_rows
 
+    def test_empty_graph_has_no_rows(self):
+        assert SemanticGraph.from_edges((), ()).unit_rows.shape == (0, 0)
+
 
 @pytest.fixture
 def no_graph_edge(monkeypatch):

@@ -16,7 +16,6 @@ from semrank.experiments import (
     SweepPoint,
     build_experiment_graph,
     compress,
-    export_report,
     report_to_csv,
     report_to_dict,
     report_to_json,
@@ -297,16 +296,6 @@ class TestSerialisation:
         payload = json.loads(sweep_to_json(points))
         assert payload == [{"lambda": 0.25, "relevance": 0.9, "diversity": 0.1}]
 
-    def test_export_report_formats(self, tmp_path):
-        report = run_experiment(_SMALL)
-        csv_path = export_report(report, "csv", tmp_path / "out.csv")
-        json_path = export_report(report, "json", tmp_path / "out.json")
-        assert csv_path.read_text(encoding="utf-8") == report_to_csv(report)
-        assert json.loads(json_path.read_text(encoding="utf-8")) == report_to_dict(report)
-        with pytest.raises(ValueError, match="unknown report format 'xml'"):
-            export_report(report, "xml", tmp_path / "out.xml")
-
-    def test_export_is_byte_stable_across_runs(self, tmp_path):
-        first = export_report(run_experiment(_SMALL), "csv", tmp_path / "a.csv")
-        second = export_report(run_experiment(_SMALL), "csv", tmp_path / "b.csv")
-        assert first.read_bytes() == second.read_bytes()
+    def test_csv_is_byte_stable_across_runs(self):
+        first = report_to_csv(run_experiment(_SMALL)).encode("utf-8")
+        assert report_to_csv(run_experiment(_SMALL)).encode("utf-8") == first

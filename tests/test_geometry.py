@@ -15,7 +15,6 @@ from semrank.geometry import (
     SimilarityMatrix,
     _row_view,
     cosine_similarity,
-    normalize,
     query_similarities,
     similarity_matrix,
     similarity_rows,
@@ -186,19 +185,6 @@ class TestCosineSimilarity:
             cosine_similarity(ok, zero)
 
 
-class TestNormalize:
-    def test_unit_norm_and_direction_preserved(self):
-        vector = EmbeddingVector("a", [3.0, 4.0])
-        unit = normalize(vector)
-        assert unit.id == "a"
-        np.testing.assert_allclose(unit.norm(), 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(unit.values, [0.6, 0.8], rtol=0, atol=1e-15)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="cannot normalize zero-norm vector 'nil'"):
-            normalize(EmbeddingVector("nil", [0.0]))
-
-
 class TestSimilarityMatrix:
     def _vectors(self, count=5, dim=4, seed=42):
         rng = np.random.default_rng(seed)
@@ -220,14 +206,6 @@ class TestSimilarityMatrix:
         np.testing.assert_allclose(np.diagonal(sims.entries), 1.0, rtol=0, atol=MATRIX_TOL)
         assert sims.entries.min() >= -1.0
         assert sims.entries.max() <= 1.0
-
-    def test_value_lookup_by_id(self):
-        vectors = self._vectors(count=3)
-        sims = similarity_matrix(vectors)
-        np.testing.assert_allclose(
-            sims.value("v0", "v2"), cosine_similarity(vectors[0], vectors[2]), rtol=0, atol=1e-12
-        )
-        assert sims.value("v1", "v1") == 1.0
 
     def test_duplicate_ids_rejected(self):
         twice = [EmbeddingVector("same", [1.0, 0.0]), EmbeddingVector("same", [0.0, 1.0])]

@@ -293,6 +293,11 @@ class TestElectClusterHeads:
         with pytest.raises(ValueError, match="node 'a' has no cluster label"):
             elect_cluster_heads(nodes, {})
 
+    def test_zero_norm_member_of_a_nonzero_mean_cluster_rejected(self):
+        nodes = [EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("z", [0.0, 0.0])]
+        with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
+            elect_cluster_heads(nodes, {"a": 0, "z": 0})
+
 
 class TestSymbolicEdges:
     def _clustered(self):
@@ -393,6 +398,23 @@ class TestSymbolicEdges:
         with pytest.raises(ValueError, match="node 'c1' has no cluster label"):
             add_symbolic_edges_dense(graph, heads, 0.5, partial)
 
+    def test_dense_needs_heads_with_nonzero_norm(self):
+        nodes, labels = self._clustered()
+        graph = build_knn_graph(nodes, 1)
+        with pytest.raises(ValueError, match="^dense symbolic augmentation needs at least one head$"):
+            add_symbolic_edges_dense(graph, [], 0.5, labels)
+        zero = SemanticGraph.from_edges([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
+        with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
+            add_symbolic_edges_dense(zero, ["z"], 0.5, {**labels, "z": 3})
+
+    def test_dense_zero_norm_node_fails_only_outside_the_head_cluster(self):
+        nodes, labels = self._clustered()
+        graph = SemanticGraph.from_edges([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
+        with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
+            add_symbolic_edges_dense(graph, ["a0"], 0.5, {**labels, "z": 1})
+        same_cluster = add_symbolic_edges_dense(graph, ["a0"], 0.5, {**labels, "z": 0})
+        assert "z" not in {edge.target for edge in same_cluster.edges}
+
 
 class TestNormalizeAdjacency:
     def test_rows_are_stochastic_and_parallel_edges_sum(self):
@@ -431,6 +453,14 @@ class TestNormalizeAdjacency:
         matrix = np.array([[0.0, 0.7], [0.0, 0.0]])
         with pytest.raises(ValueError, match="row for 'a' sums to"):
             NormalizedAdjacency.from_dense(("a", "b"), matrix, frozenset({"b"}))
+
+    @pytest.mark.parametrize("row, bad", [([np.nan, 1.0], "nan"), ([1.5, -0.5], "-0.5"), ([-0.5, 0.2], "-0.5")])
+    def test_validation_rejects_nan_and_negative_weights(self, row, bad):
+        """Checked before the row sums: these rows sum to NaN, to 1 and to
+        -0.3, which the sum check would report instead."""
+        matrix = np.array([[0.0, 0.0], row])
+        with pytest.raises(ValueError, match=f"^row for 'b' has weight {bad}, expected >= 0$"):
+            NormalizedAdjacency.from_dense(("a", "b"), matrix, frozenset({"a"}))
 
     def test_validation_checks_shape(self):
         with pytest.raises(ValueError, match="does not match"):
@@ -475,6 +505,12 @@ class TestSeedVector:
             SeedVector(order=("a", "b"), weights=np.array([1.5, -0.5]))
         with pytest.raises(ValueError, match="sum to"):
             SeedVector(order=("a", "b"), weights=np.array([0.9, 0.3]))
+        with pytest.raises(ValueError, match="^seed needs at least one positive weight$"):
+            SeedVector(order=("a", "b"), weights=np.array([0.0, 0.0]))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="^seed weights must be non-negative$"):
+            SeedVector(order=("a", "b"), weights=np.array([np.nan, 1.0]))
 
 
 class TestPprConfig:

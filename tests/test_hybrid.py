@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semrank import hybrid
-from semrank.candidates import top_n_candidates
-from semrank.geometry import EmbeddingVector, cosine_similarity
+from semrank.candidates import CandidatePool, top_n_candidates
+from semrank.geometry import EmbeddingVector, cosine_similarity, similarity_matrix
 from semrank.graph import (
     GraphEdge,
     PprConfig,
@@ -144,17 +144,6 @@ class TestRankHybrid:
         result = rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=1.0, k=1))
         assert result.item_ids == ("far",)
 
-    def test_rescale_preserves_pure_graph_order(self):
-        """Min-max rescaling is monotone, so the order at beta=1 is unchanged."""
-        pool, graph, seeds = _scene(seed=7)
-        raw = rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=1.0, k=6))
-        rescaled = rank_hybrid(
-            pool, graph, seeds, PprConfig(), HybridConfig(beta=1.0, k=6, rescale_graph=True)
-        )
-        assert raw.item_ids == rescaled.item_ids
-        scores = [score for _, score in rescaled.items]
-        assert max(scores) <= 1.0 + 1e-12
-
     def test_pool_item_missing_from_graph_rejected(self):
         pool, _, _ = _scene()
         corpus = _corpus(count=4, seed=99)
@@ -185,6 +174,16 @@ class TestRankHybrid:
         wide_pool = top_n_candidates(wide, [EmbeddingVector(i, [1.0, 0.5, 0.0]) for i in ("a", "b")], 2)
         with pytest.raises(ValueError, match="dimension mismatch: 'a' has d=2, 'q3' has d=3"):
             rank_hybrid(wide_pool, graph, seeds, PprConfig(), HybridConfig(beta=0.5, k=2))
+
+    def test_zero_norm_query_rejected(self):
+        """No scan builds a pool for a zero-norm query, so this one is built by hand."""
+        nodes = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [0.0, 1.0]))
+        graph = SemanticGraph.from_edges(nodes, (GraphEdge("a", "b", 1.0, "knn"),))
+        query = EmbeddingVector("q0", [0.0, 0.0])
+        pool = CandidatePool(query, nodes, np.zeros(2), similarity_matrix(nodes))
+        seeds = SeedVector.uniform(graph.node_ids, ["a"])
+        with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'q0'$"):
+            rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=0.5, k=2))
 
     def test_exact_ties_resolve_by_id(self):
         nodes = (

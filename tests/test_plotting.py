@@ -1,13 +1,16 @@
 """Deterministic SVG emission for 2D experiment scenes."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from semrank.cli import main
+
 from semrank.datagen import SyntheticDatasetSpec
 from semrank.experiments import ExperimentConfig, run_experiment_bundle
 from semrank.hybrid import RetrievalResult
-from semrank.plotting import emit_bundle_plot, emit_plot, render_svg
+from semrank.plotting import emit_bundle_plot, render_svg
 
 _CONFIG = ExperimentConfig(
     dataset=SyntheticDatasetSpec(num_points=30, num_clusters=3, rng_seed=7),
@@ -16,6 +19,10 @@ _CONFIG = ExperimentConfig(
     graph_k=3,
     seed_size=3,
 )
+
+
+_CLI_SMALL = ["--num-points", "30", "--clusters", "3", "--seed", "7", "--pool-size", "10", "--k", "3", "--graph-k", "3"]
+_HYBRID_PLOT_DIGEST = "45f2449b0ea93b2b3fb6b19cb9c69bb719c6248c145edb526f42c0f9d768b1ec"
 
 
 def _scene():
@@ -84,16 +91,18 @@ class TestRenderSvg:
 
 class TestEmitPlot:
     def test_writes_svg_with_unix_newlines(self, tmp_path):
-        report, dataset, graph, query = _scene()
-        path = emit_plot(report, dataset, graph, query, tmp_path / "scene.svg")
+        bundle = run_experiment_bundle(_CONFIG)
+        path = emit_bundle_plot(bundle, tmp_path / "scene.svg")
         data = path.read_bytes()
-        assert data == render_svg(report, dataset, graph, query).encode("utf-8")
+        assert data == render_svg(bundle.report, bundle.dataset, bundle.graph, bundle.query).encode("utf-8")
         assert b"\r" not in data
 
-    def test_bundle_emitter_matches_direct_call(self, tmp_path):
-        bundle = run_experiment_bundle(_CONFIG)
-        direct = emit_plot(
-            bundle.report, bundle.dataset, bundle.graph, bundle.query, tmp_path / "a.svg"
-        )
-        via_bundle = emit_bundle_plot(bundle, tmp_path / "b.svg")
-        assert direct.read_bytes() == via_bundle.read_bytes()
+    def test_hybrid_plot_bytes_are_unchanged(self, tmp_path):
+        """A beta=0.5 run tags its graph result ``hybrid``, which draws the
+        square marker; its ``--plot`` SVG's SHA-256 is pinned."""
+        svg = tmp_path / "scene.svg"
+        argv = ["experiment", *_CLI_SMALL, "--beta", "0.5", "--out", str(tmp_path / "report.csv"), "--plot", str(svg)]
+        assert main(argv) == 0
+        data = svg.read_bytes()
+        assert data.count(b'class="mark-hybrid"') == 3
+        assert hashlib.sha256(data).hexdigest() == _HYBRID_PLOT_DIGEST

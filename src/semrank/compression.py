@@ -37,16 +37,19 @@ scoring every candidate at every step:
   bound, and the pick is taken from the columns scored.  Exact ties are
   therefore all scored, and the smallest-id tie-break sees every one of
   them.
-* Every reduction must sum row by row, as the full n x n pass does.  A batch
-  is gathered with ``np.take`` into a C-contiguous view of the work buffer
-  (``sims[:, cols]`` comes out in a layout whose column sums numpy takes
-  pairwise), and a one-column batch is padded to two columns (numpy sums a
-  single column pairwise too).
+* Every reduction must sum row by row, as the dense loop's n x n pass
+  does.  A batch is gathered with ``np.take`` into a C-contiguous view of
+  the work buffer (``sims[:, cols]`` comes out in a layout whose column
+  sums numpy takes pairwise), and a one-column batch is padded to two
+  columns (numpy sums a single column pairwise too).
 
-All per-step arithmetic runs in one work buffer allocated per call.  Fresh
-n x n float64 temporaries at every step are at or above glibc's 128 KiB
-mmap threshold from n = 128 on, so each step mapped and page-faulted new
-memory.
+All per-step arithmetic runs in one n x ``_WIDTH`` work buffer allocated per
+call, and step 1's pass over every column runs through it in batches of
+``_WIDTH`` columns, so a call holds no n x n array but the pool's own.
+Column by column, a batch sums exactly what the full pass sums, so picks
+and gains keep their bits.  Fresh n x n float64 temporaries are at or
+above glibc's 128 KiB mmap threshold from n = 128 on, so each one mapped
+and page-faulted new memory.
 
 Step 0 (the column sums and their pick) and step 1's full coverage pass do
 not depend on the diversity weight.  The first greedy call on a pool works
@@ -68,6 +71,10 @@ from .candidates import CandidatePool
 
 # Candidates scored exactly per batch by the lazy greedy steps.
 _BATCH = 16
+
+# Columns of the greedy work buffer, at least ``_BATCH``: step 1 scores
+# every column in batches this wide.
+_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,13 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
         # they bound nothing and step 1 scores every column.
         column_sums = sims.sum(axis=0)
         first = _argmax_ascending_id(column_sums, pool.ids)
-        bound = _coverage_gains(sims, sims[:, first], None, buffer)
+        n = len(pool)
+        bound = np.concatenate(
+            [
+                _coverage_gains(sims, sims[:, first], np.arange(start, min(start + _WIDTH, n)), buffer)
+                for start in range(0, n, _WIDTH)
+            ]
+        )
         bound.setflags(write=False)
         opening = vars(pool)["_greedy_opening"] = _Opening(first, float(column_sums[first]), bound)
     return opening
@@ -208,8 +221,9 @@ def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
     cover = np.zeros(n, dtype=np.float64)
     sim_to_chosen = np.zeros(n, dtype=np.float64)
     # One work buffer reused by every step, flat so that each (n, m) view of
-    # its head is C-contiguous (see the module docstring).
-    buffer = np.empty(n * n, dtype=np.float64)
+    # its head is C-contiguous (see the module docstring).  It holds a batch
+    # of up to ``_WIDTH`` columns, or a one-column batch padded to two.
+    buffer = np.empty(n * max(2, min(n, _WIDTH)), dtype=np.float64)
     opening = _opening(pool, buffer)
     chosen: list[str] = []
     gains: list[float] = []
@@ -245,22 +259,19 @@ def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
     )
 
 
-def _coverage_gains(
-    sims: np.ndarray, cover: np.ndarray, columns: np.ndarray | None, buffer: np.ndarray
-) -> np.ndarray:
-    """``sum_v max(sims[v, c] - cover[v], 0)`` for each column ``c`` (all
-    columns when ``columns`` is None), summed row by row in ``buffer``."""
+def _coverage_gains(sims: np.ndarray, cover: np.ndarray, columns: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """``sum_v max(sims[v, c] - cover[v], 0)`` for each of ``columns``,
+    summed row by row in ``buffer``."""
+    # A one-column reduction sums pairwise; a second copy of the column
+    # keeps it row by row.
+    gathered = np.repeat(columns, 2) if len(columns) == 1 else columns
     n = len(cover)
-    width = n if columns is None else len(columns)
-    work = buffer[: n * width].reshape(n, width)
-    if columns is None:
-        np.subtract(sims, cover[:, None], out=work)
-    else:
-        # With mode "raise", numpy writes ``out`` through a temporary.
-        np.take(sims, columns, axis=1, out=work, mode="clip")
-        np.subtract(work, cover[:, None], out=work)
+    work = buffer[: n * len(gathered)].reshape(n, len(gathered))
+    # With mode "raise", numpy writes ``out`` through a temporary.
+    np.take(sims, gathered, axis=1, out=work, mode="clip")
+    np.subtract(work, cover[:, None], out=work)
     np.maximum(work, 0.0, out=work)
-    return work.sum(axis=0)
+    return work.sum(axis=0)[: len(columns)]
 
 
 def _lazy_gains(
@@ -292,12 +303,7 @@ def _lazy_gains(
             break
         columns = order[start : start + _BATCH]
         scored = start + len(columns)
-        if len(columns) == 1:
-            # A one-column reduction sums pairwise; a second copy of the
-            # column keeps it row by row.
-            coverage = _coverage_gains(sims, cover, np.repeat(columns, 2), buffer)[:1]
-        else:
-            coverage = _coverage_gains(sims, cover, columns, buffer)
+        coverage = _coverage_gains(sims, cover, columns, buffer)
         bound[columns] = coverage
         gain = coverage + diversity[columns]
         gains.append(gain)

@@ -14,7 +14,8 @@ similarities are exactly symmetric by construction and need no symmetry
 pass.  :func:`similarity_rows` gives the clipped rows one block at a time,
 so a caller that reads the matrix row by row (the kNN build) never holds
 N x N values; :func:`similarity_matrix`, for pools, which need all of it,
-stacks the same blocks into one N x N array and hands it to
+has the kernel write the same blocks straight into the rows of one N x N
+array, with no row buffer between, and hands that array to
 :class:`SimilarityMatrix` without a copy.  An array any other caller passes
 to :class:`SimilarityMatrix` is copied, so later writes to it never reach
 ``entries``, and checked for symmetry too.
@@ -273,15 +274,15 @@ def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
 
 def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
     """Dense pairwise cosine matrix over ``vectors``: the blocks of
-    :func:`similarity_rows` stacked into one array.
+    :func:`similarity_rows`, written in place into one array.
 
     Ids must be unique and dimensions uniform; zero-norm rows are rejected
     with the offending id, mirroring :func:`cosine_similarity`.
     """
     unit = _unit_rows(vectors)
     entries = np.empty((len(unit), len(unit)))
-    for start, rows in _row_blocks(unit):
-        entries[start : start + len(rows)] = rows
+    for _ in _row_blocks(unit, entries):
+        pass
     return SimilarityMatrix._adopt(tuple(v.id for v in vectors), entries)
 
 
@@ -305,7 +306,11 @@ def similarity_rows(
     return tuple(v.id for v in vectors), _row_blocks(unit)
 
 
-def _row_blocks(unit: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _row_blocks(unit: np.ndarray, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The tile kernel: ``(start, rows)`` for each row block of the matrix
+    over the unit rows ``unit``.  ``rows`` is the block's rows of ``out``, an
+    N x N array that ends up holding the whole matrix, or, without ``out``,
+    one buffer every block overwrites."""
     n = len(unit)
     starts = list(range(0, n, _BLOCK))
     # A one-row product goes through gemv, which rounds differently from
@@ -316,10 +321,13 @@ def _row_blocks(unit: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     height = max(block.stop - block.start for block in blocks)
     # Flat buffers, so the head of each is a C-contiguous block or tile and
     # numpy writes each product straight into the tile.
-    row_buffer = np.empty(height * n)
+    row_buffer = np.empty(height * n) if out is None else None
     tile_buffer = np.empty(height * height)
     for a, rows_of in enumerate(blocks):
-        rows = row_buffer[: (rows_of.stop - rows_of.start) * n].reshape(-1, n)
+        if out is None:
+            rows = row_buffer[: (rows_of.stop - rows_of.start) * n].reshape(-1, n)
+        else:
+            rows = out[rows_of]
         for b, columns in enumerate(blocks):
             # Below the diagonal, recompute the tile above it with the same
             # operands, so cell (j, i) is the very product cell (i, j) was.

@@ -20,6 +20,7 @@ from semrank.compression import (
     objective,
     select_topk,
     _BATCH,
+    _WIDTH,
     _argmax_ascending_id,
     _lazy_gains,
 )
@@ -100,11 +101,19 @@ def _allocating_greedy(pool, k, lam):
 
 @st.composite
 def _tied_pools(draw):
-    """Pools on both sides of the size where an n x n float64 temporary
-    crosses glibc's 128 KiB mmap threshold (n >= 128), with exact ties:
-    integer coordinates and duplicate vectors under distinct ids, whose id
-    order differs from pool order."""
-    n = draw(st.one_of(st.integers(2, 40), st.integers(130, 220)))
+    """Pools narrower than the greedy's batch width ``_WIDTH``, pools whose
+    step-1 pass takes two batches, and the sizes at the batch edges: one
+    batch short of full, full, one column over, and ``2 * _WIDTH + 1``,
+    whose last batch is a single column.  Ties are exact: integer
+    coordinates and duplicate vectors under distinct ids, whose id order
+    differs from pool order."""
+    n = draw(
+        st.one_of(
+            st.integers(2, 40),
+            st.integers(130, 220),
+            st.sampled_from([_WIDTH - 1, _WIDTH, _WIDTH + 1, 2 * _WIDTH + 1]),
+        )
+    )
     dim = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
@@ -145,6 +154,22 @@ class TestBufferedGreedyMatchesAllocatingGreedy:
         # One n x n buffer is n*n*8 bytes; fresh per-step temporaries peak
         # near twice that.
         assert peak < 1.5 * n * n * 8
+
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_calls_hold_no_n_by_n_buffer(self, n):
+        """Beyond the pool's own matrix, a sweep of calls holds one n x
+        ``_WIDTH`` work buffer and a few n-vectors; an n x n work buffer
+        per call would be n*n*8 bytes on its own."""
+        pool = _random_pool(count=n + 600, dim=2, seed=5, pool_size=n)
+        tracemalloc.start()
+        try:
+            for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
+                greedy_select(pool, CompressionConfig(k=40, lam=lam))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 16 n-vectors and 128 KiB for the traces' Python objects.
+        assert peak < n * (_WIDTH + 16) * 8 + 2**17
 
 
 def _shuffled_ids(count, seed):

@@ -331,6 +331,20 @@ class TestOneArraySimilarityStage:
         # defensive copy peak near three times that.
         assert peak <= 1.6 * n * n * 8
 
+    def test_blocks_are_written_into_the_result(self):
+        """Beyond the n*n*8 bytes of the result, the kernel holds one tile
+        and the unit rows, not a block of rows to copy from."""
+        n = 1000
+        points = generate_clusters(SyntheticDatasetSpec(num_points=n, rng_seed=0)).points
+        tracemalloc.start()
+        try:
+            similarity_matrix(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 64 KiB covers the unit rows and norms of these 2-d points.
+        assert peak < n * n * 8 + (_BLOCK + 1) ** 2 * 8 + 2**16
+
 
 def _collect(blocks):
     """Copies of the blocks' rows, which share buffers, and their starts."""
@@ -342,7 +356,7 @@ def _collect(blocks):
 
 
 class TestSimilarityRows:
-    @pytest.mark.parametrize("n", [1, 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
     def test_rows_are_the_matrix_rows_in_blocks(self, n):
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=5, num_clusters=1, rng_seed=n)).points
         order, blocks = similarity_rows(points)

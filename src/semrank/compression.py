@@ -199,11 +199,11 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
         # they bound nothing and step 1 scores every column.
         column_sums = sims.sum(axis=0)
         first = _argmax_ascending_id(column_sums, pool.ids)
-        n = len(pool)
+        columns = np.arange(len(pool))
         bound = np.concatenate(
             [
-                _coverage_gains(sims, sims[:, first], np.arange(start, min(start + _WIDTH, n)), buffer)
-                for start in range(0, n, _WIDTH)
+                _coverage_gains(sims, sims[:, first], columns[start : start + _WIDTH], buffer)
+                for start in range(0, len(columns), _WIDTH)
             ]
         )
         bound.setflags(write=False)

@@ -103,10 +103,10 @@ def _allocating_greedy(pool, k, lam):
 def _tied_pools(draw):
     """Pools narrower than the greedy's batch width ``_WIDTH``, pools whose
     step-1 pass takes two batches, and the sizes at the batch edges: one
-    batch short of full, full, one column over, and ``2 * _WIDTH + 1``,
-    whose last batch is a single column.  Ties are exact: integer
-    coordinates and duplicate vectors under distinct ids, whose id order
-    differs from pool order."""
+    column short of a full batch, a full batch, one column over, and
+    ``2 * _WIDTH + 1``, whose last batch is a single column.  Ties are
+    exact: integer coordinates and duplicate vectors under distinct ids,
+    whose id order differs from pool order."""
     n = draw(
         st.one_of(
             st.integers(2, 40),

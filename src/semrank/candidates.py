@@ -8,17 +8,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import EmbeddingVector, Embeddings, SimilarityMatrix, query_similarities, similarity_matrix
+from .geometry import (
+    MATRIX_TOL,
+    EmbeddingVector,
+    Embeddings,
+    SimilarityMatrix,
+    query_similarities,
+    ranked,
+    similarity_matrix,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class CandidatePool:
     """A query plus its retrieval pool, sorted by query similarity.
 
-    ``candidates`` are ordered by descending cosine similarity to the query;
-    exact ties fall back to ascending item id so pools are deterministic.
-    ``query_sims[i]`` belongs to ``candidates[i]`` and ``pairwise`` covers the
-    pool in the same order.
+    ``candidates`` (kept as an :class:`Embeddings`) are in :func:`ranked`
+    order of their query similarities ``query_sims``, which are finite and
+    in ``[-1, 1]`` within ``MATRIX_TOL``.  ``query_sims[i]`` belongs to
+    ``candidates[i]`` and ``pairwise`` covers the pool in the same order.
     """
 
     query: EmbeddingVector
@@ -27,15 +35,22 @@ class CandidatePool:
     pairwise: SimilarityMatrix
 
     def __post_init__(self) -> None:
+        candidates = Embeddings.of(self.candidates)
+        object.__setattr__(self, "candidates", candidates)
         sims = np.asarray(self.query_sims, dtype=np.float64)
-        if len(self.candidates) != sims.size or len(self.candidates) != len(self.pairwise):
+        if len(candidates) != sims.size or len(candidates) != len(self.pairwise):
             msg = "pool candidates, similarities and pairwise matrix disagree in size"
             raise ValueError(msg)
-        if tuple(v.id for v in self.candidates) != self.pairwise.order:
+        if tuple(v.id for v in candidates) != self.pairwise.order:
             msg = "pool candidate order does not match pairwise matrix order"
             raise ValueError(msg)
-        keys = [(-float(s), v.id) for s, v in zip(sims, self.candidates)]
-        if keys != sorted(keys):
+        # Written so that a NaN, which fails every comparison, fails it too.
+        bad = np.flatnonzero(~(np.abs(sims) <= 1.0 + MATRIX_TOL))
+        if bad.size:
+            i = bad[0]
+            msg = f"query similarity of {candidates[i].id!r} is {float(sims[i])}, expected a value in [-1, 1]"
+            raise ValueError(msg)
+        if not np.array_equal(ranked(sims, candidates.id_ranks), np.arange(sims.size)):
             msg = "pool must be sorted by descending query similarity, ties by id"
             raise ValueError(msg)
         sims = sims.copy()
@@ -83,8 +98,8 @@ def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], 
     sims = query_similarities(query, corpus)
     # Only items at or above the n-th largest similarity can make the pool.
     cutoff = np.partition(sims, sims.size - n)[sims.size - n]
-    contenders = np.flatnonzero(sims >= cutoff).tolist()
-    order = sorted(contenders, key=lambda i: (-sims[i], corpus[i].id))[:n]
+    contenders = np.flatnonzero(sims >= cutoff)
+    order = contenders[ranked(sims[contenders], corpus.id_ranks[contenders])[:n]]
     chosen = corpus.take(order)
     return CandidatePool(
         query=query,

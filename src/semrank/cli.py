@@ -32,7 +32,8 @@ from .experiments import (
     sweep_to_json,
 )
 from .fileio import load_dataset, load_graph, save_dataset, save_graph
-from .graph import PprConfig, SeedVector, normalize_adjacency, personalized_pagerank
+from .geometry import ranked
+from .graph import PprConfig, SeedVector, normalize_adjacency, ppr_mass
 from .plotting import emit_bundle_plot
 
 
@@ -164,15 +165,15 @@ def _cmd_ppr(args: argparse.Namespace) -> int:
     seed_ids = [piece for piece in args.seeds.split(",") if piece]
     seed = SeedVector.uniform(graph.node_ids, seed_ids)
     config = PprConfig(alpha=args.alpha)
-    scores = personalized_pagerank(normalize_adjacency(graph), seed, config)
-    ranked = sorted(scores, key=lambda pair: (-pair[1], pair[0]))
+    mass = ppr_mass(normalize_adjacency(graph), seed, config)
+    ranking = [(graph.node_ids[i], float(mass[i])) for i in ranked(mass, graph.nodes.id_ranks)]
     if args.format == "csv":
-        lines = ["node,score"] + [f"{node_id},{score:.6f}" for node_id, score in ranked]
+        lines = ["node,score"] + [f"{node_id},{score:.6f}" for node_id, score in ranking]
         text = "\n".join(lines) + "\n"
     else:
         import json
 
-        text = json.dumps([{"node": node_id, "score": score} for node_id, score in ranked], indent=2) + "\n"
+        text = json.dumps([{"node": node_id, "score": score} for node_id, score in ranking], indent=2) + "\n"
     _write(text, args.out)
     return 0
 

@@ -68,6 +68,7 @@ import math
 import numpy as np
 
 from .candidates import CandidatePool
+from .geometry import ranked
 
 # Candidates scored exactly per batch by the lazy greedy steps.
 _BATCH = 16
@@ -166,17 +167,6 @@ def select_topk(pool: CandidatePool, k: int) -> list[str]:
     return list(pool.ids[:k])
 
 
-def _argmax_ascending_id(gains: np.ndarray, ids: tuple[str, ...], columns: np.ndarray | None = None) -> int:
-    """Position in ``gains`` of its largest value, where ``gains[i]`` scores
-    pool column ``columns[i]`` (column ``i`` when ``columns`` is None)."""
-    # Exact ties resolve to the smallest id for run-to-run determinism.
-    best = gains.max()
-    tied = np.flatnonzero(gains == best)
-    if columns is None:
-        return int(min(tied, key=lambda i: ids[i]))
-    return int(min(tied, key=lambda i: ids[columns[i]]))
-
-
 @dataclass(frozen=True)
 class _Opening:
     """The part of a greedy run that no diversity weight changes: step 0's
@@ -198,7 +188,7 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
         # has no pairs).  Its column sums keep negative similarities, so
         # they bound nothing and step 1 scores every column.
         column_sums = sims.sum(axis=0)
-        first = _argmax_ascending_id(column_sums, pool.ids)
+        first = int(ranked(column_sums, pool.candidates.id_ranks)[0])
         columns = np.arange(len(pool))
         bound = np.concatenate(
             [
@@ -214,6 +204,7 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
 def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
     sims = pool.pairwise.entries
     ids = pool.ids
+    id_ranks = pool.candidates.id_ranks
     n = len(pool)
     selected = np.zeros(n, dtype=bool)
     # Incremental state: best similarity of every pool item into the chosen
@@ -238,11 +229,11 @@ def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
                 bound = opening.bound.copy()
                 step_gain = bound + diversity
                 step_gain[selected] = -np.inf
-                best = _argmax_ascending_id(step_gain, ids)
+                best = int(ranked(step_gain, id_ranks)[0])
                 gain = float(step_gain[best])
             else:
                 columns, step_gain = _lazy_gains(sims, cover, diversity, bound, selected, n - step, buffer)
-                at = _argmax_ascending_id(step_gain, ids, columns)
+                at = ranked(step_gain, id_ranks[columns])[0]
                 best, gain = int(columns[at]), float(step_gain[at])
         selected[best] = True
         chosen.append(ids[best])
@@ -334,10 +325,11 @@ def _topk_trace(pool: CandidatePool, config: CompressionConfig) -> SelectionTrac
 def greedy_select(pool: CandidatePool, config: CompressionConfig) -> SelectionTrace:
     """Greedy maximisation of coverage + ``lam`` * diversity over the pool.
 
-    Each step adds the candidate with the largest marginal gain (ties to the
-    smallest id).  A zero diversity weight dispatches to :func:`select_topk`
-    so the zero case reduces to plain top-k by query similarity; the trace
-    then carries the objective deltas along that forced order.
+    Each step adds the candidate that :func:`~semrank.geometry.ranked`
+    puts first by marginal gain.  A zero diversity weight dispatches to
+    :func:`select_topk` so the zero case reduces to plain top-k by query
+    similarity; the trace then carries the objective deltas along that
+    forced order.
     """
     if config.k > len(pool):
         msg = f"selection size {config.k} exceeds pool size {len(pool)}"

@@ -25,6 +25,10 @@ vectors over one read-only matrix, so :func:`query_similarities` does not
 restack N vectors per query.  :meth:`Embeddings.from_matrix` validates a
 whole matrix at once and makes each vector a view of its row; a corpus
 built from separate vectors stacks them on first use.
+
+Every ranking in the package follows one rule: descending score, exact
+ties to the smaller id.  :func:`ranked` applies it to positions of a
+corpus, given their ranks in id order (:attr:`Embeddings.id_ranks`).
 """
 
 from __future__ import annotations
@@ -160,6 +164,15 @@ class Embeddings(tuple):
         return norms
 
     @cached_property
+    def id_ranks(self) -> np.ndarray:
+        """Read-only rank of each vector's id in ascending id order, so
+        positions can be ordered by id with an integer sort."""
+        ranks = np.empty(len(self), dtype=np.intp)
+        ranks[sorted(range(len(self)), key=lambda i: self[i].id)] = np.arange(len(self))
+        ranks.setflags(write=False)
+        return ranks
+
+    @cached_property
     def first_duplicate(self) -> str | None:
         """The first id that repeats an earlier one, or ``None``."""
         seen: set[str] = set()
@@ -168,6 +181,12 @@ class Embeddings(tuple):
                 return v.id
             seen.add(v.id)
         return None
+
+
+def ranked(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
+    """Positions of ``scores`` by descending score, exact ties by ascending
+    ``id_ranks`` (the ranks of the positions' ids in id order)."""
+    return np.lexsort((id_ranks, -scores))
 
 
 @dataclass(frozen=True, eq=False)

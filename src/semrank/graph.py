@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import EmbeddingVector, Embeddings, similarity_matrix, similarity_rows
+from .geometry import EmbeddingVector, Embeddings, ranked, similarity_matrix, similarity_rows
 
 EDGE_KINDS = ("knn", "symbolic")
 
@@ -123,6 +123,7 @@ class SemanticGraph:
         """Check the invariants, then store the edge arrays as read-only
         copies.  ``unknown`` names the edges whose ids or kind have no
         position or code."""
+        object.__setattr__(self, "nodes", Embeddings.of(self.nodes))
         n = len(self.nodes)
         if len(set(self.node_ids)) != n:
             msg = "graph nodes contain duplicate ids"
@@ -223,26 +224,16 @@ class SemanticGraph:
     @cached_property
     def unit_rows(self) -> np.ndarray:
         """Node vectors scaled to unit norm, one read-only row per node in
-        node order; a zero-norm node keeps an all-zero row.  Nodes that are
-        one :class:`Embeddings` are read from its matrix."""
+        node order; a zero-norm node keeps an all-zero row."""
         if not self.nodes:
             return np.zeros((0, 0))
-        rows = np.array(Embeddings.of(self.nodes).matrix)
+        rows = np.array(self.nodes.matrix)
         norms = np.linalg.norm(rows, axis=1)
         nonzero = norms > 0.0
         rows[nonzero] /= norms[nonzero, None]
         rows[~nonzero] = 0.0
         rows.setflags(write=False)
         return rows
-
-    @cached_property
-    def id_ranks(self) -> np.ndarray:
-        """Rank of each node's id in ascending id order, in node order, so
-        node positions can be ordered by id with an integer sort."""
-        ranks = np.empty(len(self.nodes), dtype=np.intp)
-        ranks[sorted(range(len(self.nodes)), key=self.node_ids.__getitem__)] = np.arange(len(self.nodes))
-        ranks.setflags(write=False)
-        return ranks
 
     def vector(self, node_id: str) -> EmbeddingVector:
         try:
@@ -478,12 +469,12 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
 
 
 def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, int]) -> list[str]:
-    """Pick one representative per cluster: the member most similar to the
-    cluster's mean vector (cosine; ties to the lowest id).
+    """Pick one representative per cluster: the member that :func:`ranked`
+    puts first by cosine similarity to the cluster's mean vector.
 
     Returned heads are ordered by ascending cluster label.  Every node must
-    carry a label.  A zero-norm cluster mean makes every member equally good,
-    which collapses to the lowest-id member.
+    carry a label.  A zero-norm cluster mean scores every member 0, which
+    picks the lowest-id member.
     """
     for node in nodes:
         if node.id not in labels:
@@ -494,20 +485,18 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
         members.setdefault(int(labels[node.id]), []).append(node)
     heads: list[str] = []
     for label in sorted(members):
-        cluster = sorted(members[label], key=lambda node: node.id)
+        cluster = Embeddings(sorted(members[label], key=lambda node: node.id))
         mean = np.mean([node.values for node in cluster], axis=0)
         mean_norm = float(np.linalg.norm(mean))
+        cosines = np.zeros(len(cluster))
         if mean_norm > 0.0:
-            scored = []
-            for node in cluster:
+            for i, node in enumerate(cluster):
                 norm = node.norm()
                 if not norm > 0.0:
                     msg = f"cosine similarity undefined for zero-norm vector {node.id!r}"
                     raise ValueError(msg)
-                scored.append((-float(np.dot(node.values, mean) / (norm * mean_norm)), node.id))
-            heads.append(min(scored)[1])
-        else:
-            heads.append(cluster[0].id)
+                cosines[i] = np.dot(node.values, mean) / (norm * mean_norm)
+        heads.append(cluster[ranked(cosines, cluster.id_ranks)[0]].id)
     return heads
 
 
@@ -547,13 +536,12 @@ def add_symbolic_edges_sparse(graph: SemanticGraph, heads: Sequence[str], m: int
     if m >= len(heads):
         msg = f"m={m} needs at least {m + 1} heads, got {len(heads)}"
         raise ValueError(msg)
-    head_vectors = [graph.vector(head) for head in heads]
+    head_vectors = Embeddings(graph.vector(head) for head in heads)
     sims = similarity_matrix(head_vectors)
     positions = [graph.positions[head] for head in heads]
     added: tuple[list, list, list] = ([], [], [])
-    for i, head in enumerate(sims.order):
-        others = [j for j in range(len(sims.order)) if j != i]
-        others.sort(key=lambda j: (-sims.entries[i, j], sims.order[j]))
+    for i in range(len(heads)):
+        others = [j for j in ranked(sims.entries[i], head_vectors.id_ranks) if j != i]
         for j in others[:m]:
             _add_symbolic_pair(added, positions[i], positions[j], sims.entries[i, j])
     return _merge_edges(graph, added, heads)

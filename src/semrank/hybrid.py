@@ -11,13 +11,14 @@ diffusion.  Scores of the two channels live on different scales (cosine in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .candidates import CandidatePool
-from .geometry import EmbeddingVector
+from .geometry import EmbeddingVector, cosine_similarity, ranked
 from .graph import PprConfig, SeedVector, SemanticGraph, normalize_adjacency, ppr_mass
 
 METHOD_TAGS = ("topk_ann", "semantic_compression", "graph_ppr", "hybrid")
@@ -88,8 +89,8 @@ def rank_hybrid(
 
     The graph must cover every pool node.  Neighbours outside the pool are
     scored from their stored embeddings, not defaulted, so a strong graph
-    signal can promote an item the first stage missed.  Ordering is by
-    descending blended score with exact ties broken by ascending id.
+    signal can promote an item the first stage missed.  Items are in
+    :func:`ranked` order of blended score.
     """
     positions = graph.positions
     for item_id in pool.ids:
@@ -109,7 +110,7 @@ def rank_hybrid(
     graph_raw = ppr_mass(normalize_adjacency(graph), seed, ppr_config)[scope]
     direct = _query_cosines(pool.query, graph, scope)
     blended = (1.0 - config.beta) * direct + config.beta * graph_raw
-    top = np.lexsort((graph.id_ranks[scope], -blended))[: config.k]
+    top = ranked(blended, graph.nodes.id_ranks[scope])[: config.k]
     items = [(graph.node_ids[scope[j]], float(blended[j])) for j in top]
     return build_result(_method_tag(config.beta), items, graph.by_id, pool.query)
 
@@ -134,22 +135,14 @@ def _query_cosines(query: EmbeddingVector, graph: SemanticGraph, rows: np.ndarra
     return np.clip(chosen @ (query.values / query_norm), -1.0, 1.0)
 
 
-def _known_prefix(item_ids: Sequence[str], embeddings: Mapping[str, EmbeddingVector]) -> list[EmbeddingVector]:
-    """Embeddings of the ids before the first one missing from ``embeddings``."""
-    vectors = []
-    for item_id in item_ids:
-        if item_id not in embeddings:
-            break
-        vectors.append(embeddings[item_id])
-    return vectors
-
-
-def _leading_rows(vectors: Sequence[EmbeddingVector], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked values and norms of the vectors before the first whose
-    dimension is not ``dim``."""
-    run = next((i for i, vector in enumerate(vectors) if vector.dim != dim), len(vectors))
-    rows = np.array([vector.values for vector in vectors[:run]]).reshape(run, dim)
-    return rows, np.linalg.norm(rows, axis=1)
+def _stacked(vectors: Sequence[EmbeddingVector | None], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stacked values and norms of ``vectors``, or ``None`` unless every
+    vector is known, has dimension ``dim`` and a norm > 0."""
+    if any(vector is None or vector.dim != dim for vector in vectors):
+        return None
+    rows = np.array([vector.values for vector in vectors]).reshape(len(vectors), dim)
+    norms = np.linalg.norm(rows, axis=1)
+    return (rows, norms) if (norms > 0.0).all() else None
 
 
 def relevance_metric(
@@ -166,24 +159,17 @@ def relevance_metric(
     if not item_ids:
         msg = "relevance is undefined for an empty item list"
         raise ValueError(msg)
-    vectors = _known_prefix(item_ids, embeddings)
-    rows, norms = _leading_rows(vectors, query.dim)
-    zero = np.flatnonzero(~(norms > 0.0))
-    first_bad = int(zero[0]) if zero.size else len(rows)
+    vectors = [embeddings.get(item_id) for item_id in item_ids]
+    stacked = _stacked(vectors, query.dim)
     query_norm = query.norm()
-    # A zero-norm query fails the first item unless that item fails first.
-    if first_bad > 0 and not query_norm > 0.0:
-        msg = f"cosine similarity undefined for zero-norm vector {query.id!r}"
-        raise ValueError(msg)
-    if first_bad < len(item_ids):
-        if zero.size:
-            msg = f"cosine similarity undefined for zero-norm vector {vectors[first_bad].id!r}"
-        elif first_bad == len(vectors):
-            msg = f"unknown item {item_ids[first_bad]!r}"
-        else:
-            item = vectors[first_bad]
-            msg = f"dimension mismatch: {item.id!r} has d={item.dim}, {query.id!r} has d={query.dim}"
-        raise ValueError(msg)
+    if stacked is None or not query_norm > 0.0:
+        # Raises at the first item that fails.
+        for item_id, vector in zip(item_ids, vectors):
+            if vector is None:
+                msg = f"unknown item {item_id!r}"
+                raise ValueError(msg)
+            cosine_similarity(vector, query)
+    rows, norms = stacked
     cosines = np.clip(rows @ query.values / (norms * query_norm), -1.0, 1.0)
     return float(cosines.sum()) / len(item_ids)
 
@@ -199,21 +185,17 @@ def diversity_metric(item_ids: Sequence[str], embeddings: Mapping[str, Embedding
     if len(item_ids) < 2:
         msg = f"diversity needs at least two items, got {len(item_ids)}"
         raise ValueError(msg)
-    vectors = _known_prefix(item_ids, embeddings)
-    if len(vectors) < len(item_ids):
-        msg = f"unknown item {item_ids[len(vectors)]!r}"
-        raise ValueError(msg)
-    rows, norms = _leading_rows(vectors, vectors[0].dim)
-    zero = np.flatnonzero(~(norms > 0.0))
-    # Pair (0, j) checks the dimension of j, then the norm of item 0, then
-    # the norm of j, so a zero-norm item 0 only hides behind a mismatched item 1.
-    if zero.size and max(int(zero[0]), 1) < len(rows):
-        msg = f"cosine similarity undefined for zero-norm vector {vectors[zero[0]].id!r}"
-        raise ValueError(msg)
-    if len(rows) < len(vectors):
-        first, other = vectors[0], vectors[len(rows)]
-        msg = f"dimension mismatch: {first.id!r} has d={first.dim}, {other.id!r} has d={other.dim}"
-        raise ValueError(msg)
+    vectors = [embeddings.get(item_id) for item_id in item_ids]
+    for item_id, vector in zip(item_ids, vectors):
+        if vector is None:
+            msg = f"unknown item {item_id!r}"
+            raise ValueError(msg)
+    stacked = _stacked(vectors, vectors[0].dim)
+    if stacked is None:
+        # Raises at the first pair that fails.
+        for a, b in itertools.combinations(vectors, 2):
+            cosine_similarity(a, b)
+    rows, norms = stacked
     cosines = np.clip(rows @ rows.T / np.outer(norms, norms), -1.0, 1.0)
     upper = cosines[np.triu_indices(len(rows), 1)]
     return 1.0 - float(upper.sum()) / upper.size

@@ -1,5 +1,6 @@
 """First-stage pool construction: exact top-N scan and pool invariants."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from semrank.candidates import CandidatePool, top_n_candidates
 from semrank.datagen import SyntheticDatasetSpec, generate_clusters
 from semrank.fileio import load_dataset, save_dataset
 from semrank.geometry import (
+    MATRIX_TOL,
     EmbeddingVector,
     Embeddings,
     cosine_similarity,
@@ -109,6 +111,28 @@ class TestCandidatePoolValidation:
                 query_sims=sims[::-1],
                 pairwise=similarity_matrix(list(backwards)),
             )
+
+    @pytest.mark.parametrize(
+        ("values", "named"),
+        [
+            ([np.nan, 0.5], "'a' is nan"),
+            ([0.5, np.nan], "'b' is nan"),
+            ([np.inf, 0.5], "'a' is inf"),
+            ([0.5, -np.inf], "'b' is -inf"),
+            ([1.5, 0.5], "'a' is 1.5"),
+            ([0.5, -1.0 - 1e-9], "'b' is -1.000000001"),
+        ],
+    )
+    def test_query_sims_outside_the_cosine_range_rejected(self, values, named):
+        query, candidates, _, pairwise = self._parts()
+        message = f"query similarity of {named}, expected a value in [-1, 1]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CandidatePool(query=query, candidates=candidates, query_sims=np.array(values), pairwise=pairwise)
+
+    def test_query_sims_within_tolerance_of_the_range_accepted(self):
+        query, candidates, _, pairwise = self._parts()
+        sims = np.array([1.0 + MATRIX_TOL / 2, -1.0 - MATRIX_TOL / 2])
+        assert CandidatePool(query=query, candidates=candidates, query_sims=sims, pairwise=pairwise).ids == ("a", "b")
 
     def test_size_mismatch_rejected(self):
         query, candidates, sims, pairwise = self._parts()

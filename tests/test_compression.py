@@ -21,10 +21,9 @@ from semrank.compression import (
     select_topk,
     _BATCH,
     _WIDTH,
-    _argmax_ascending_id,
     _lazy_gains,
 )
-from semrank.geometry import EmbeddingVector, cosine_similarity
+from semrank.geometry import EmbeddingVector, cosine_similarity, ranked
 
 
 def _random_pool(count=12, dim=4, seed=42, pool_size=None):
@@ -308,8 +307,9 @@ class TestLazyGreedyOnAdversarialPools:
         columns, gains = _lazy_gains(sims, cover, diversity, coverage.copy(), np.zeros(n, dtype=bool), n, np.empty(n * n))
         assert len(columns) == _BATCH
         assert gains.tobytes() == exact[columns].tobytes()
-        at = _argmax_ascending_id(gains, pool.ids, columns)
-        assert columns[at] == _argmax_ascending_id(exact, pool.ids)
+        id_ranks = pool.candidates.id_ranks
+        at = ranked(gains, id_ranks[columns])[0]
+        assert columns[at] == ranked(exact, id_ranks)[0]
 
     @pytest.mark.parametrize("lam", [0.01, 16.0])
     def test_orthogonal_basis_ties_resolve_in_id_order(self, lam):

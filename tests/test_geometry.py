@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semrank.datagen import SyntheticDatasetSpec, generate_clusters
 from semrank.geometry import (
@@ -16,6 +18,7 @@ from semrank.geometry import (
     _row_view,
     cosine_similarity,
     query_similarities,
+    ranked,
     similarity_matrix,
     similarity_rows,
 )
@@ -128,6 +131,31 @@ class TestEmbeddingsFromMatrix:
         assert "matrix" in vars(taken)
         assert taken.matrix.tobytes() == np.stack([points[i].values for i in order]).tobytes()
         assert not taken.matrix.flags.writeable
+
+
+# Few distinct scores, so that exact ties are common; -0.0 ties with 0.0.
+_TIED_SCORES = (-math.inf, -0.0, 0.0, 0.5, 1.0)
+# Code-point order puts "B" before "a", "p10" before "p9" and "é" last.
+_ODD_IDS = ("p9", "a", "x'y", "B", "é", "p10", "b")
+
+
+class TestRanked:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_an_exhaustive_sort(self, data):
+        ids = data.draw(st.permutations(_ODD_IDS))
+        ids = ids[: data.draw(st.integers(0, len(ids)))]
+        scores = data.draw(st.lists(st.sampled_from(_TIED_SCORES), min_size=len(ids), max_size=len(ids)))
+        corpus = Embeddings(EmbeddingVector(item_id, [1.0]) for item_id in ids)
+        expected = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+        assert ranked(np.array(scores, dtype=np.float64), corpus.id_ranks).tolist() == expected
+
+    def test_equal_scores_follow_code_point_order(self):
+        corpus = Embeddings(EmbeddingVector(item_id, [1.0]) for item_id in _ODD_IDS)
+        order = ranked(np.zeros(len(corpus)), corpus.id_ranks)
+        assert [corpus[i].id for i in order] == ["B", "a", "b", "p10", "p9", "x'y", "é"]
+        with pytest.raises(ValueError):
+            corpus.id_ranks[0] = 0
 
 
 class TestCosineSimilarity:

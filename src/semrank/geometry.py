@@ -168,7 +168,8 @@ class Embeddings(tuple):
         """Read-only rank of each vector's id in ascending id order, so
         positions can be ordered by id with an integer sort."""
         ranks = np.empty(len(self), dtype=np.intp)
-        ranks[sorted(range(len(self)), key=lambda i: self[i].id)] = np.arange(len(self))
+        ids = [v.id for v in self]
+        ranks[sorted(range(len(self)), key=ids.__getitem__)] = np.arange(len(self))
         ranks.setflags(write=False)
         return ranks
 
@@ -208,13 +209,15 @@ class SimilarityMatrix:
 
     @classmethod
     def _adopt(cls, order: tuple[str, ...], entries: np.ndarray) -> "SimilarityMatrix":
-        """Validate and wrap a float64 array nothing else references,
-        without the defensive copy or the symmetry pass: ``entries`` is
-        symmetric by construction."""
+        """Validate and wrap a C-contiguous float64 array nothing else
+        references, without the defensive copy or the symmetry pass:
+        ``entries`` is symmetric bit for bit by construction, so it is its
+        own :attr:`transposed`."""
         matrix = cls.__new__(cls)
         object.__setattr__(matrix, "order", order)
         object.__setattr__(matrix, "entries", entries)
         matrix._validate(check_symmetry=False)
+        matrix.__dict__["transposed"] = entries
         return matrix
 
     def _validate(self, check_symmetry: bool) -> None:
@@ -249,6 +252,18 @@ class SimilarityMatrix:
     @cached_property
     def positions(self) -> dict[str, int]:
         return {item_id: i for i, item_id in enumerate(self.order)}
+
+    @cached_property
+    def transposed(self) -> np.ndarray:
+        """Read-only, C-contiguous ``entries.T``, whose row ``c`` is column
+        ``c`` of ``entries``: ``entries`` itself when it equals its
+        transpose (up to the signs of zeros), as every
+        :func:`similarity_matrix` does bit for bit, else a transposed copy
+        made once."""
+        entries = self.entries
+        rows = np.ascontiguousarray(entries if np.array_equal(entries, entries.T) else entries.T)
+        rows.setflags(write=False)
+        return rows
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semrank.candidates import top_n_candidates
+from semrank.candidates import CandidatePool, top_n_candidates
 from semrank.compression import (
     CompressionConfig,
     SelectionTrace,
@@ -21,9 +21,10 @@ from semrank.compression import (
     select_topk,
     _BATCH,
     _WIDTH,
+    _coverage_gains,
     _lazy_gains,
 )
-from semrank.geometry import EmbeddingVector, cosine_similarity, ranked
+from semrank.geometry import EmbeddingVector, SimilarityMatrix, cosine_similarity, ranked
 
 
 def _random_pool(count=12, dim=4, seed=42, pool_size=None):
@@ -100,16 +101,16 @@ def _allocating_greedy(pool, k, lam):
 
 @st.composite
 def _tied_pools(draw):
-    """Pools narrower than the greedy's batch width ``_WIDTH``, pools whose
-    step-1 pass takes two batches, and the sizes at the batch edges: one
-    column short of a full batch, a full batch, one column over, and
+    """Pools of up to 40 items, pools whose step-1 pass takes two or more
+    batches of ``_WIDTH``, and the sizes at the batch edges: one column
+    short of a full batch, a full batch, one column over, and
     ``2 * _WIDTH + 1``, whose last batch is a single column.  Ties are
     exact: integer coordinates and duplicate vectors under distinct ids,
     whose id order differs from pool order."""
     n = draw(
         st.one_of(
             st.integers(2, 40),
-            st.integers(130, 220),
+            st.integers(_WIDTH + 2, 220),
             st.sampled_from([_WIDTH - 1, _WIDTH, _WIDTH + 1, 2 * _WIDTH + 1]),
         )
     )
@@ -157,8 +158,9 @@ class TestBufferedGreedyMatchesAllocatingGreedy:
     @pytest.mark.parametrize("n", [400, 2000])
     def test_calls_hold_no_n_by_n_buffer(self, n):
         """Beyond the pool's own matrix, a sweep of calls holds one n x
-        ``_WIDTH`` work buffer and a few n-vectors; an n x n work buffer
-        per call would be n*n*8 bytes on its own."""
+        ``_WIDTH`` work buffer, a batch's positive residuals and a few
+        n-vectors; an n x n work buffer per call would be n*n*8 bytes on
+        its own."""
         pool = _random_pool(count=n + 600, dim=2, seed=5, pool_size=n)
         tracemalloc.start()
         try:
@@ -167,8 +169,9 @@ class TestBufferedGreedyMatchesAllocatingGreedy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 16 n-vectors and 128 KiB for the traces' Python objects.
-        assert peak < n * (_WIDTH + 16) * 8 + 2**17
+        # An n x 128 buffer, 16 n-vectors and 128 KiB for the traces'
+        # Python objects.
+        assert peak < n * (128 + 16) * 8 + 2**17
 
 
 def _shuffled_ids(count, seed):
@@ -277,15 +280,16 @@ class TestLazyGreedyOnAdversarialPools:
     @pytest.mark.parametrize("seed", range(5))
     def test_a_one_column_batch_sums_row_by_row(self, seed):
         """With bounds that prune nothing, every live column is scored and
-        the last batch holds one column, whose reduction numpy would sum
-        pairwise; its gain must still equal the row-by-row dense sum."""
+        the last batch holds one column; its gain must still equal the
+        row-by-row dense sum."""
         pool = _random_pool(count=3 * _BATCH + 1, dim=3, seed=seed)
         sims = pool.pairwise.entries
         n = len(pool)
         cover = sims[:, 0].copy()
         diversity = np.random.default_rng(seed).normal(size=n)
         bound = np.full(n, np.inf)
-        columns, scored = _lazy_gains(sims, cover, diversity, bound, np.zeros(n, dtype=bool), n, np.empty(n * n))
+        rows = pool.pairwise.transposed
+        columns, scored = _lazy_gains(rows, cover, diversity, bound, np.zeros(n, dtype=bool), n, np.empty(n * n))
         gains = np.full(n, -np.inf)
         gains[columns] = scored
         coverage = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
@@ -304,7 +308,8 @@ class TestLazyGreedyOnAdversarialPools:
         diversity = np.random.default_rng(seed).normal(size=n)
         coverage = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
         exact = coverage + diversity
-        columns, gains = _lazy_gains(sims, cover, diversity, coverage.copy(), np.zeros(n, dtype=bool), n, np.empty(n * n))
+        rows = pool.pairwise.transposed
+        columns, gains = _lazy_gains(rows, cover, diversity, coverage.copy(), np.zeros(n, dtype=bool), n, np.empty(n * n))
         assert len(columns) == _BATCH
         assert gains.tobytes() == exact[columns].tobytes()
         id_ranks = pool.candidates.id_ranks
@@ -316,6 +321,93 @@ class TestLazyGreedyOnAdversarialPools:
         pool = _orthogonal_basis_pool()
         trace = greedy_select(pool, CompressionConfig(k=len(pool), lam=lam))
         assert list(trace.chosen) == sorted(pool.ids)
+
+
+def _row_by_row_gains(sims, cover, columns):
+    """Each column's coverage gain by definition, its clipped residuals
+    added in Python from the first row to the last."""
+    gains = []
+    for c in columns:
+        terms = np.maximum(sims[:, c] - cover, 0.0).tolist()
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        gains.append(total)
+    return np.array(gains)
+
+
+class TestCoverageGainsKernel:
+    """``_coverage_gains`` sums only positive residuals; each gain must keep
+    every bit of the row-by-row column sum, the sign of a zero included."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_every_batch_width_matches_the_row_by_row_sums(self, seed):
+        pool = _random_pool(count=2 * _WIDTH + 1, dim=3, seed=seed)
+        sims = pool.pairwise.entries
+        n = len(pool)
+        rng = np.random.default_rng(seed)
+        cover = sims[:, rng.choice(n, size=3, replace=False)].max(axis=1)
+        buffer = np.empty(n * _WIDTH)
+        for width in range(1, _WIDTH + 1):
+            columns = rng.choice(n, size=width, replace=False)
+            gains = _coverage_gains(pool.pairwise.transposed, cover, columns, buffer)
+            assert gains.tobytes() == _row_by_row_gains(sims, cover, columns).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_gain_positive_zero_among_negative_zeros(self, seed):
+        """Similarities depend only on the items' classes, so items of one
+        class are exact duplicates.  Off-class similarities of ``-0.0`` and
+        ``0.0`` give ``-0.0`` residuals wherever the cover is ``+0.0``; the
+        covered classes' duplicates gain exactly ``+0.0``, as the row-by-row
+        sum does."""
+        rng = np.random.default_rng(seed)
+        classes = 6
+        table = rng.choice([-0.0, 0.0, 0.25, -0.5], size=(classes, classes))
+        table = np.where(np.triu(np.ones((classes, classes), dtype=bool)), table, table.T)
+        np.fill_diagonal(table, 1.0)
+        labels = rng.permutation(np.arange(3 * classes) % classes)
+        sims = np.ascontiguousarray(table[labels[:, None], labels[None, :]])
+        chosen = [int(np.flatnonzero(labels == 0)[0]), int(np.flatnonzero(labels == 1)[0])]
+        cover = sims[:, chosen].max(axis=1)
+        columns = np.arange(len(labels))
+        residuals = sims - cover[:, None]
+        assert ((residuals == 0.0) & np.signbit(residuals)).any()
+        buffer = np.empty(len(labels) ** 2)
+        gains = _coverage_gains(sims, cover, columns, buffer)
+        assert gains.tobytes() == _row_by_row_gains(sims, cover, columns).tobytes()
+        covered = np.isin(labels, [0, 1])
+        assert gains[covered].tobytes() == np.zeros(covered.sum()).tobytes()
+        for c in columns:
+            one = _coverage_gains(sims, cover, columns[c : c + 1], buffer)
+            assert one.tobytes() == gains[c : c + 1].tobytes()
+
+
+class TestCallerBuiltPools:
+    """A caller's :class:`SimilarityMatrix` need only be symmetric within
+    ``MATRIX_TOL``; greedy gains are still defined by its columns."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 4.0])
+    def test_asymmetric_entries_keep_the_column_definition(self, lam):
+        base = _random_pool(count=2 * _WIDTH + 1, dim=3, seed=11)
+        n = len(base)
+        rng = np.random.default_rng(12)
+        entries = base.pairwise.entries.copy()
+        upper = np.triu_indices(n, 1)
+        entries[upper] += rng.choice([-3e-13, 3e-13], size=len(upper[0]))
+        entries = np.clip(entries, -1.0, 1.0)
+        pool = CandidatePool(
+            query=base.query,
+            candidates=base.candidates,
+            query_sims=base.query_sims,
+            pairwise=SimilarityMatrix(order=base.ids, entries=entries),
+        )
+        assert not np.array_equal(pool.pairwise.entries, pool.pairwise.entries.T)
+        k = 40
+        if lam == 0.0:
+            trace = facility_location_greedy(pool, k)
+        else:
+            trace = greedy_select(pool, CompressionConfig(k=k, lam=lam))
+        assert (trace.chosen, trace.marginal_gains) == _allocating_greedy(pool, k, lam)
 
 
 class TestCompressionConfig:

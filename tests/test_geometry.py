@@ -301,6 +301,22 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError):
             sims.entries[0, 1] = 0.0
 
+    def test_transposed_rows_are_the_columns(self):
+        """``transposed`` is ``entries`` itself when that is exactly
+        symmetric and C-contiguous, else a C-contiguous transposed copy;
+        either way read-only, with row ``c`` holding column ``c``."""
+        built = similarity_matrix(self._vectors(count=6))
+        assert built.transposed is built.entries
+        symmetric = SimilarityMatrix(order=built.order, entries=built.entries)
+        assert symmetric.transposed is symmetric.entries
+        asymmetric = built.entries.copy()
+        asymmetric[0, 1] += 3e-13
+        for entries in (np.asfortranarray(built.entries), asymmetric):
+            matrix = SimilarityMatrix(order=built.order, entries=entries)
+            rows = matrix.transposed
+            assert rows.flags.c_contiguous and not rows.flags.writeable
+            np.testing.assert_array_equal(_bits(rows), _bits(matrix.entries.T))
+
 
 def _three_array_similarities(vectors):
     """The pairwise stage written with whole-matrix temporaries:

@@ -186,7 +186,11 @@ class Embeddings(tuple):
 
 def ranked(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
     """Positions of ``scores`` by descending score, exact ties by ascending
-    ``id_ranks`` (the ranks of the positions' ids in id order)."""
+    ``id_ranks`` (the ranks of the positions' ids in id order).
+
+    A 2-D ``scores`` is ranked row by row, each row against the same row of
+    an ``id_ranks`` of its shape (``np.broadcast_to`` gives one without a
+    copy): row ``i`` of the result is ``ranked(scores[i], id_ranks[i])``."""
     return np.lexsort((id_ranks, -scores))
 
 

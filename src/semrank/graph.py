@@ -10,7 +10,9 @@ A :class:`SemanticGraph` keeps its edges as four parallel read-only arrays
 (source and target positions, weights, kind codes), which every builder,
 the file format and the read path work on directly; per-edge
 :class:`GraphEdge` objects exist only in the lazy :attr:`SemanticGraph.edges`
-view and as input to :meth:`SemanticGraph.from_edges`.
+view and as input to :meth:`SemanticGraph.from_edges`.  The kNN build
+fills ``(N, k)`` target and weight arrays row by row, and both symbolic
+passes hand ``(m, 2)`` arrays of node-position pairs to one merge.
 
 Ranking runs personalized pagerank
 
@@ -228,7 +230,7 @@ class SemanticGraph:
         if not self.nodes:
             return np.zeros((0, 0))
         rows = np.array(self.nodes.matrix)
-        norms = np.linalg.norm(rows, axis=1)
+        norms = self.nodes.norms
         nonzero = norms > 0.0
         rows[nonzero] /= norms[nonzero, None]
         rows[~nonzero] = 0.0
@@ -273,7 +275,8 @@ class NormalizedAdjacency:
 
     Row ``i`` of the matrix holds ``weights[indptr[i]:indptr[i + 1]]`` at
     columns ``indices[indptr[i]:indptr[i + 1]]``.  Every row sums to 1,
-    except the rows of ``dangling`` nodes, which sum to 0.
+    except the rows of ``dangling`` nodes, which sum to 0.  The ids in
+    ``order`` are unique, and every ``dangling`` id is one of them.
     """
 
     order: tuple[str, ...]
@@ -284,6 +287,16 @@ class NormalizedAdjacency:
 
     def __post_init__(self) -> None:
         n = len(self.order)
+        known: set[str] = set()
+        for node_id in self.order:
+            if node_id in known:
+                msg = f"adjacency order repeats id {node_id!r}"
+                raise ValueError(msg)
+            known.add(node_id)
+        unknown = set(self.dangling) - known
+        if unknown:
+            msg = f"dangling id {min(unknown)!r} is not in the adjacency order"
+            raise ValueError(msg)
         indptr = np.array(self.indptr, dtype=np.intp)
         indices = np.array(self.indices, dtype=np.intp)
         weights = np.array(self.weights, dtype=np.float64)
@@ -438,7 +451,8 @@ class ConvergenceError(RuntimeError):
 def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
     """Directed graph with an edge from every node to its ``k`` nearest.
 
-    Neighbours rank by cosine similarity, exact ties by ascending id, so the
+    Neighbours rank by cosine similarity, exact ties by ascending id (a
+    Python sort of each row keyed on :attr:`Embeddings.id_ranks`), so the
     out-degree is exactly ``k`` everywhere.  Requires ``1 <= k < len(nodes)``.
     Similarities arrive in row blocks from :func:`similarity_rows`, so the
     build holds one block of about ``_BLOCK x N`` of them and one tile,
@@ -451,21 +465,21 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
     if k >= len(nodes):
         msg = f"k={k} needs at least {k + 1} nodes, got {len(nodes)}"
         raise ValueError(msg)
-    ids, blocks = similarity_rows(nodes)
-    sources: list[int] = []
-    targets: list[int] = []
-    weights: list[float] = []
+    nodes = Embeddings.of(nodes)
+    _, blocks = similarity_rows(nodes)
+    id_ranks = nodes.id_ranks.tolist()
+    n = len(nodes)
+    targets = np.empty((n, k), dtype=np.intp)
+    weights = np.empty((n, k))
     for start, rows in blocks:
         for r in range(len(rows)):
             i = start + r
-            others = [j for j in range(len(ids)) if j != i]
-            others.sort(key=lambda j: (-rows[r, j], ids[j]))
-            for j in others[:k]:
-                sources.append(i)
-                targets.append(j)
-                weights.append(max(float(rows[r, j]), EDGE_WEIGHT_FLOOR))
-    kind = np.full(len(weights), _KIND_CODES["knn"], dtype=np.int8)
-    return SemanticGraph(Embeddings.of(nodes), np.array(sources), np.array(targets), np.array(weights), kind)
+            others = [j for j in range(n) if j != i]
+            others.sort(key=lambda j: (-rows[r, j], id_ranks[j]))
+            targets[i] = others[:k]
+            np.maximum(rows[r, targets[i]], EDGE_WEIGHT_FLOOR, out=weights[i])
+    kind = np.full(n * k, _KIND_CODES["knn"], dtype=np.int8)
+    return SemanticGraph(nodes, np.arange(n).repeat(k), targets.ravel(), weights.ravel(), kind)
 
 
 def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, int]) -> list[str]:
@@ -500,24 +514,15 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
     return heads
 
 
-def _add_symbolic_pair(added: tuple[list, list, list], a: int, b: int, sim: float) -> None:
-    """Append a symbolic edge each way between the nodes at positions ``a``
-    and ``b`` to the ``(sources, targets, weights)`` lists in ``added``."""
-    weight = max(float(sim), EDGE_WEIGHT_FLOOR)
-    sources, targets, weights = added
-    sources += (a, b)
-    targets += (b, a)
-    weights += (weight, weight)
-
-
-def _merge_edges(graph: SemanticGraph, added: tuple[list, list, list], heads: Sequence[str]) -> SemanticGraph:
-    """``graph`` with the symbolic edges in ``added`` after its own, where an
-    edge whose (source, target, kind) came earlier is dropped."""
-    new_sources, new_targets, new_weights = added
-    sources = np.concatenate([graph.sources, np.array(new_sources, dtype=np.intp)])
-    targets = np.concatenate([graph.targets, np.array(new_targets, dtype=np.intp)])
-    weights = np.concatenate([graph.weights, np.array(new_weights, dtype=np.float64)])
-    kind = np.concatenate([graph.kind, np.full(len(new_weights), _KIND_CODES["symbolic"], dtype=np.int8)])
+def _with_symbolic(graph: SemanticGraph, heads: Sequence[str], pairs: np.ndarray, sims: np.ndarray) -> SemanticGraph:
+    """``graph`` with, after its own edges, a symbolic edge each way between
+    the two node positions of every row of the (m, 2) array ``pairs``,
+    weighted by its floored similarity in ``sims``; an edge whose (source,
+    target, kind) came earlier is dropped."""
+    sources = np.concatenate([graph.sources, pairs.ravel()])
+    targets = np.concatenate([graph.targets, pairs[:, ::-1].ravel()])
+    weights = np.concatenate([graph.weights, np.maximum(sims, EDGE_WEIGHT_FLOOR).repeat(2)])
+    kind = np.concatenate([graph.kind, np.full(pairs.size, _KIND_CODES["symbolic"], dtype=np.int8)])
     first = np.unique(_edge_keys(sources, targets, kind, len(graph)), return_index=True)[1]
     keep = np.sort(first)
     return SemanticGraph(graph.nodes, sources[keep], targets[keep], weights[keep], kind[keep], tuple(heads))
@@ -537,14 +542,13 @@ def add_symbolic_edges_sparse(graph: SemanticGraph, heads: Sequence[str], m: int
         msg = f"m={m} needs at least {m + 1} heads, got {len(heads)}"
         raise ValueError(msg)
     head_vectors = Embeddings(graph.vector(head) for head in heads)
-    sims = similarity_matrix(head_vectors)
-    positions = [graph.positions[head] for head in heads]
-    added: tuple[list, list, list] = ([], [], [])
-    for i in range(len(heads)):
-        others = [j for j in ranked(sims.entries[i], head_vectors.id_ranks) if j != i]
-        for j in others[:m]:
-            _add_symbolic_pair(added, positions[i], positions[j], sims.entries[i, j])
-    return _merge_edges(graph, added, heads)
+    sims = similarity_matrix(head_vectors).entries
+    h = len(heads)
+    order = ranked(sims, np.broadcast_to(head_vectors.id_ranks, sims.shape))
+    rows = np.arange(h).repeat(m)
+    columns = order[order != np.arange(h)[:, None]].reshape(h, h - 1)[:, :m].ravel()
+    positions = np.array([graph.positions[head] for head in heads])
+    return _with_symbolic(graph, heads, positions[np.stack([rows, columns], axis=1)], sims[rows, columns])
 
 
 def add_symbolic_edges_dense(
@@ -569,26 +573,28 @@ def add_symbolic_edges_dense(
         if node.id not in labels:
             msg = f"node {node.id!r} has no cluster label"
             raise ValueError(msg)
-    added: tuple[list, list, list] = ([], [], [])
+    node_labels = np.array([int(labels[node.id]) for node in graph.nodes])
+    norms = [node.norm() for node in graph.nodes]
+    pairs: list[tuple[int, int]] = []
+    sims: list[float] = []
     for head in heads:
         head_vector = graph.vector(head)
         head_position = graph.positions[head]
-        head_label = int(labels[head])
-        head_norm = head_vector.norm()
+        head_norm = norms[head_position]
         if not head_norm > 0.0:
             msg = f"cosine similarity undefined for zero-norm vector {head!r}"
             raise ValueError(msg)
-        for position, node in enumerate(graph.nodes):
-            if int(labels[node.id]) == head_label:
-                continue
-            norm = node.norm()
+        for position in np.flatnonzero(node_labels != node_labels[head_position]).tolist():
+            node = graph.nodes[position]
+            norm = norms[position]
             if not norm > 0.0:
                 msg = f"cosine similarity undefined for zero-norm vector {node.id!r}"
                 raise ValueError(msg)
             sim = float(np.dot(head_vector.values, node.values) / (head_norm * norm))
             if sim > threshold:
-                _add_symbolic_pair(added, head_position, position, sim)
-    return _merge_edges(graph, added, heads)
+                pairs.append((head_position, position))
+                sims.append(sim)
+    return _with_symbolic(graph, heads, np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(sims))
 
 
 def normalize_adjacency(graph: SemanticGraph) -> NormalizedAdjacency:

@@ -150,6 +150,20 @@ class TestRanked:
         expected = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
         assert ranked(np.array(scores, dtype=np.float64), corpus.id_ranks).tolist() == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_two_dimensional_scores_rank_row_by_row(self, data):
+        """Scores drawn from ``_TIED_SCORES`` (exact ties, -0.0 against
+        0.0), ranked as one array against one broadcast id-rank row."""
+        ids = data.draw(st.permutations(_ODD_IDS))
+        ids = ids[: data.draw(st.integers(1, len(ids)))]
+        rows = data.draw(st.integers(1, 5))
+        cells = st.lists(st.sampled_from(_TIED_SCORES), min_size=rows * len(ids), max_size=rows * len(ids))
+        scores = np.array(data.draw(cells), dtype=np.float64).reshape(rows, len(ids))
+        id_ranks = Embeddings(EmbeddingVector(item_id, [1.0]) for item_id in ids).id_ranks
+        expected = np.stack([ranked(row, id_ranks) for row in scores])
+        assert ranked(scores, np.broadcast_to(id_ranks, scores.shape)).tolist() == expected.tolist()
+
     def test_equal_scores_follow_code_point_order(self):
         corpus = Embeddings(EmbeddingVector(item_id, [1.0]) for item_id in _ODD_IDS)
         order = ranked(np.zeros(len(corpus)), corpus.id_ranks)

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semrank.datagen import SyntheticDatasetSpec, generate_clusters
-from semrank.geometry import _BLOCK, EmbeddingVector, cosine_similarity
+from semrank.geometry import _BLOCK, EmbeddingVector, Embeddings, cosine_similarity, ranked, similarity_matrix
 from semrank.graph import (
     EDGE_WEIGHT_FLOOR,
     ConvergenceError,
@@ -50,6 +52,101 @@ def _nodes_with_twins(count, dim=3, seed=0):
     values[[_BLOCK + 3, count - 2]] = values[2]
     ids = [f"n{i:03d}" for i in rng.permutation(count)]
     return [EmbeddingVector(item_id, row) for item_id, row in zip(ids, values)]
+
+
+def _code_point_twins(count, dim=3, seed=0):
+    """``count`` nodes with two triples of equal vectors, each spread over
+    the row blocks, whose ids sort one way in code-point order and another
+    in natural order: ``"B" < "a" < "b"`` and ``"p10" < "p11" < "p9"``.
+    Every other id is ``"n<i>"`` unpadded, so ``"n10" < "n9"`` too."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(count, dim))
+    ids = [f"n{i}" for i in rng.permutation(count)]
+    triples = (((1, _BLOCK + 1, count - 1), ("p11", "p9", "p10")), ((2, _BLOCK + 3, count - 2), ("b", "a", "B")))
+    for rows, names in triples:
+        values[list(rows)] = values[rows[0]]
+        for row, name in zip(rows, names):
+            ids[row] = name
+    return [EmbeddingVector(item_id, row) for item_id, row in zip(ids, values)]
+
+
+def _reference_merge(graph, added):
+    """The symbolic edges in ``added``, ``(sources, targets, weights)``
+    lists, after ``graph``'s own, first occurrence of each (source, target,
+    kind) kept: the four edge arrays the per-pair build produced."""
+    new_sources, new_targets, new_weights = added
+    sources = np.concatenate([graph.sources, np.array(new_sources, dtype=np.intp)])
+    targets = np.concatenate([graph.targets, np.array(new_targets, dtype=np.intp)])
+    weights = np.concatenate([graph.weights, np.array(new_weights, dtype=np.float64)])
+    kind = np.concatenate([graph.kind, np.full(len(new_weights), 1, dtype=np.int8)])
+    keys = (sources * len(graph) + targets) * 2 + kind
+    keep = np.sort(np.unique(keys, return_index=True)[1])
+    return sources[keep], targets[keep], weights[keep], kind[keep]
+
+
+def _reference_pair(added, a, b, sim):
+    weight = max(float(sim), EDGE_WEIGHT_FLOOR)
+    sources, targets, weights = added
+    sources += (a, b)
+    targets += (b, a)
+    weights += (weight, weight)
+
+
+def _reference_sparse(graph, heads, m):
+    """The sparse pass as a loop over heads and pairs."""
+    head_vectors = Embeddings(graph.vector(head) for head in heads)
+    sims = similarity_matrix(head_vectors)
+    positions = [graph.positions[head] for head in heads]
+    added = ([], [], [])
+    for i in range(len(heads)):
+        others = [j for j in ranked(sims.entries[i], head_vectors.id_ranks) if j != i]
+        for j in others[:m]:
+            _reference_pair(added, positions[i], positions[j], sims.entries[i, j])
+    return _reference_merge(graph, added)
+
+
+def _reference_dense(graph, heads, threshold, labels):
+    """The dense pass as a loop over heads and nodes."""
+    added = ([], [], [])
+    for head in heads:
+        head_vector = graph.vector(head)
+        head_label = int(labels[head])
+        head_norm = head_vector.norm()
+        for position, node in enumerate(graph.nodes):
+            if int(labels[node.id]) == head_label:
+                continue
+            sim = float(np.dot(head_vector.values, node.values) / (head_norm * node.norm()))
+            if sim > threshold:
+                _reference_pair(added, graph.positions[head], position, sim)
+    return _reference_merge(graph, added)
+
+
+def _assert_edges_equal(graph, expected):
+    for name, array in zip(("sources", "targets", "weights", "kind"), expected):
+        got = getattr(graph, name)
+        assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
+
+
+@st.composite
+def _clustered_corpora(draw):
+    """Generated clusters under ids whose code-point order is not natural
+    order; rounded to whole coordinates half the time, so that equal
+    vectors and exactly tied similarities are common."""
+    spec = SyntheticDatasetSpec(
+        num_points=draw(st.integers(8, 48)),
+        dim=draw(st.integers(2, 4)),
+        num_clusters=draw(st.integers(2, 6)),
+        cluster_std=draw(st.sampled_from([0.5, 2.0, 6.0])),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+    dataset = generate_clusters(spec)
+    values = np.array([point.values for point in dataset.points])
+    if draw(st.booleans()):
+        values = np.round(values)
+        values[~values.any(axis=1), 0] = 1.0
+    ids = [f"{'pP'[i % 2]}{i}" for i in range(len(values))]
+    labels = {item_id: dataset.labels[point.id] for item_id, point in zip(ids, dataset.points)}
+    return [EmbeddingVector(item_id, row) for item_id, row in zip(ids, values)], labels
 
 
 def _line_graph():
@@ -214,6 +311,22 @@ class TestBuildKnnGraph:
         mutual = [(pair, (pair[1], pair[0])) for pair in weights if pair[0] < pair[1] and (pair[1], pair[0]) in weights]
         assert mutual
         assert [pair for pair, back in mutual if weights[pair] != weights[back]] == []
+
+    @pytest.mark.parametrize("count", [2 * _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_ties_follow_code_point_order(self, count):
+        """Twins tie by code-point order, the order of a string sort, not
+        by natural order."""
+        nodes = _code_point_twins(count)
+        graph = build_knn_graph(nodes, 4)
+        expected = _exhaustive_knn(nodes, 4)
+        assert [(e.source, e.target) for e in graph.edges] == [(s, t) for s, t, _ in expected]
+        targets = {}
+        for edge in graph.edges:
+            targets.setdefault(edge.source, []).append(edge.target)
+        assert targets["p11"][:2] == ["p10", "p9"]
+        assert targets["p9"][:2] == ["p10", "p11"]
+        assert targets["a"][:2] == ["B", "b"]
+        assert targets["b"][:2] == ["B", "a"]
 
     def test_peak_holds_row_blocks(self):
         """A full similarity array alone is n*n*8 bytes; the build holds one
@@ -416,6 +529,40 @@ class TestSymbolicEdges:
         assert "z" not in {edge.target for edge in same_cluster.edges}
 
 
+class TestSymbolicReference:
+    """Both symbolic passes against their per-pair loops, edge arrays bit
+    for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=_clustered_corpora())
+    def test_passes_match_the_per_pair_loops(self, corpus):
+        nodes, labels = corpus
+        graph = build_knn_graph(nodes, 3)
+        heads = elect_cluster_heads(nodes, labels)
+        # Every m, up to m = h - 1, where every pair of heads is mutual.
+        for m in range(1, len(heads)):
+            once = add_symbolic_edges_sparse(graph, heads, m)
+            _assert_edges_equal(once, _reference_sparse(graph, heads, m))
+            assert once.cluster_heads == tuple(heads)
+            _assert_edges_equal(add_symbolic_edges_sparse(once, heads, m), _reference_sparse(once, heads, m))
+        top = max(
+            cosine_similarity(graph.vector(head), node)
+            for head in heads
+            for node in nodes
+            if labels[node.id] != labels[head]
+        )
+        # ``top`` is the largest similarity there is, so it adds no pair.
+        thresholds = [-0.5, 0.0, 0.5, 0.9] + ([top] if top < 1.0 else [])
+        for threshold in thresholds:
+            once = add_symbolic_edges_dense(graph, heads, threshold, labels)
+            _assert_edges_equal(once, _reference_dense(graph, heads, threshold, labels))
+            assert once.cluster_heads == tuple(heads)
+            twice = add_symbolic_edges_dense(once, heads, threshold, labels)
+            _assert_edges_equal(twice, _reference_dense(once, heads, threshold, labels))
+        if top < 1.0:
+            assert not (add_symbolic_edges_dense(graph, heads, top, labels).kind == 1).any()
+
+
 class TestNormalizeAdjacency:
     def test_rows_are_stochastic_and_parallel_edges_sum(self):
         nodes = (
@@ -469,6 +616,20 @@ class TestNormalizeAdjacency:
     def test_validation_checks_csr_arrays(self):
         with pytest.raises(ValueError, match="do not describe a 2-node adjacency"):
             NormalizedAdjacency(("a", "b"), [0, 1, 1], [5], [1.0], frozenset({"b"}))
+
+    def test_validation_rejects_unknown_dangling_ids(self):
+        """A frozenset has no order, so the smallest unknown id is named."""
+        message = "^dangling id 'ghost' is not in the adjacency order$"
+        with pytest.raises(ValueError, match=message):
+            NormalizedAdjacency(("a", "b"), [0, 1, 1], [1], [1.0], frozenset({"b", "zz", "ghost"}))
+        with pytest.raises(ValueError, match=message):
+            NormalizedAdjacency.from_dense(("a", "b"), np.array([[0.0, 1.0], [0.0, 0.0]]), ["zz", "b", "ghost"])
+
+    def test_validation_rejects_repeated_ids(self):
+        with pytest.raises(ValueError, match="^adjacency order repeats id 'a'$"):
+            NormalizedAdjacency(("a", "a"), [0, 1, 2], [1, 0], [1.0, 1.0], frozenset())
+        with pytest.raises(ValueError, match="^adjacency order repeats id 'b'$"):
+            NormalizedAdjacency.from_dense(("b", "a", "b", "a"), np.zeros((4, 4)), {"a", "b"})
 
     def test_dense_view_round_trips_through_csr(self):
         matrix = np.array([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

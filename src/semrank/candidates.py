@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +40,7 @@ class CandidatePool:
         if len(candidates) != sims.size or len(candidates) != len(self.pairwise):
             msg = "pool candidates, similarities and pairwise matrix disagree in size"
             raise ValueError(msg)
-        if tuple(v.id for v in candidates) != self.pairwise.order:
+        if candidates.ids != self.pairwise.order:
             msg = "pool candidate order does not match pairwise matrix order"
             raise ValueError(msg)
         # Written so that a NaN, which fails every comparison, fails it too.
@@ -64,13 +63,9 @@ class CandidatePool:
     def ids(self) -> tuple[str, ...]:
         return self.pairwise.order
 
-    @cached_property
-    def _by_id(self) -> dict[str, EmbeddingVector]:
-        return {v.id: v for v in self.candidates}
-
     def vector(self, item_id: str) -> EmbeddingVector:
         try:
-            return self._by_id[item_id]
+            return self.candidates.by_id[item_id]
         except KeyError:
             msg = f"unknown pool item {item_id!r}"
             raise ValueError(msg) from None

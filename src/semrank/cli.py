@@ -19,6 +19,7 @@ from pathlib import Path
 from .candidates import CandidatePool, top_n_candidates
 from .datagen import SyntheticDataset, SyntheticDatasetSpec, composite_query, generate_clusters
 from .experiments import (
+    SYMBOLIC_MODES,
     ExperimentConfig,
     ExperimentReport,
     build_experiment_graph,
@@ -48,37 +49,43 @@ class _CliParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+def _add_flag(parser: argparse.ArgumentParser, flag: str, default: object, what: str, **kwargs: object) -> None:
+    """``flag``, parsed with the type of its ``default``, which its help names."""
+    parser.add_argument(flag, type=type(default), default=default, help=f"{what} (default %(default)s)", **kwargs)
+
+
 def _add_dataset_flags(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         parser.add_argument("--data", metavar="PATH", help="dataset file to load instead of generating")
-    parser.add_argument("--num-points", type=int, default=200, help="points to generate (default 200)")
-    parser.add_argument("--dim", type=int, default=2, help="embedding dimension (default 2)")
-    parser.add_argument("--clusters", type=int, default=5, help="number of clusters (default 5)")
-    parser.add_argument("--cluster-std", type=float, default=0.5, help="blob standard deviation (default 0.5)")
-    parser.add_argument("--separation", type=float, default=5.0, help="minimum centroid distance (default 5.0)")
-    parser.add_argument("--seed", type=int, default=42, help="rng seed (default 42)")
+    spec = SyntheticDatasetSpec
+    _add_flag(parser, "--num-points", spec.num_points, "points to generate")
+    _add_flag(parser, "--dim", spec.dim, "embedding dimension")
+    _add_flag(parser, "--clusters", spec.num_clusters, "number of clusters")
+    _add_flag(parser, "--cluster-std", spec.cluster_std, "blob standard deviation")
+    _add_flag(parser, "--separation", spec.separation, "minimum centroid distance")
+    _add_flag(parser, "--seed", spec.rng_seed, "rng seed")
 
 
 def _add_graph_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph-k", type=int, default=5, help="knn out-degree (default 5)")
-    parser.add_argument(
-        "--symbolic-mode",
-        choices=("none", "sparse", "dense"),
-        default="sparse",
-        help="symbolic edge augmentation (default sparse)",
+    config = ExperimentConfig
+    _add_flag(parser, "--graph-k", config.graph_k, "knn out-degree")
+    _add_flag(parser, "--symbolic-mode", config.symbolic_mode, "symbolic edge augmentation", choices=SYMBOLIC_MODES)
+    _add_flag(
+        parser, "--threshold", config.symbolic_threshold, "dense-mode similarity threshold", dest="symbolic_threshold"
     )
-    parser.add_argument(
-        "--threshold",
-        dest="symbolic_threshold",
-        type=float,
-        default=0.85,
-        help="dense-mode similarity threshold (default 0.85)",
-    )
-    parser.add_argument("--symbolic-m", type=int, default=2, help="sparse-mode links per head (default 2)")
+    _add_flag(parser, "--symbolic-m", config.symbolic_m, "sparse-mode links per head")
+
+
+def _add_selection_flags(parser: argparse.ArgumentParser, k_help: str, with_lambda: bool = False) -> None:
+    config = ExperimentConfig
+    _add_flag(parser, "--pool-size", config.pool_size, "candidate pool size")
+    _add_flag(parser, "--k", config.k, k_help)
+    if with_lambda:
+        _add_flag(parser, "--lambda", config.lam, "diversity weight", dest="lam")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default csv)")
+    _add_flag(parser, "--format", "csv", "output format", choices=("csv", "json"))
     parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
 
 
@@ -211,9 +218,7 @@ def _build_parser() -> _CliParser:
 
     compress = commands.add_parser("compress", help="coverage+diversity selection from a candidate pool")
     _add_dataset_flags(compress)
-    compress.add_argument("--pool-size", type=int, default=50, help="candidate pool size (default 50)")
-    compress.add_argument("--k", type=int, default=10, help="items to select (default 10)")
-    compress.add_argument("--lambda", dest="lam", type=float, default=0.25, help="diversity weight (default 0.25)")
+    _add_selection_flags(compress, "items to select", with_lambda=True)
     _add_output_flags(compress)
     compress.set_defaults(handler=_cmd_compress)
 
@@ -228,27 +233,25 @@ def _build_parser() -> _CliParser:
     ppr = commands.add_parser("ppr", help="personalized pagerank over a saved graph")
     ppr.add_argument("--graph", metavar="PATH", required=True, help="graph file to load")
     ppr.add_argument("--seeds", required=True, help="comma-separated seed node ids")
-    ppr.add_argument("--alpha", type=float, default=0.15, help="restart weight (default 0.15)")
+    _add_flag(ppr, "--alpha", PprConfig.alpha, "restart weight")
     _add_output_flags(ppr)
     ppr.set_defaults(handler=_cmd_ppr)
 
     retrieve = commands.add_parser("retrieve", help="hybrid retrieval blending vector and graph scores")
     _add_dataset_flags(retrieve)
-    retrieve.add_argument("--pool-size", type=int, default=50, help="candidate pool size (default 50)")
-    retrieve.add_argument("--k", type=int, default=10, help="items to retrieve (default 10)")
-    retrieve.add_argument("--beta", type=float, default=0.5, help="graph blend weight (default 0.5)")
-    retrieve.add_argument("--alpha", type=float, default=0.15, help="restart weight (default 0.15)")
+    _add_selection_flags(retrieve, "items to retrieve")
+    # Blends both channels by default, unlike the pure-graph config default.
+    _add_flag(retrieve, "--beta", 0.5, "graph blend weight")
+    _add_flag(retrieve, "--alpha", PprConfig.alpha, "restart weight")
     _add_graph_flags(retrieve)
     _add_output_flags(retrieve)
     retrieve.set_defaults(handler=_cmd_retrieve)
 
     experiment = commands.add_parser("experiment", help="run the three-method benchmark")
     _add_dataset_flags(experiment, with_input=False)
-    experiment.add_argument("--pool-size", type=int, default=50, help="candidate pool size (default 50)")
-    experiment.add_argument("--k", type=int, default=10, help="items per method (default 10)")
-    experiment.add_argument("--lambda", dest="lam", type=float, default=0.25, help="diversity weight (default 0.25)")
-    experiment.add_argument("--beta", type=float, default=1.0, help="graph blend weight (default 1.0)")
-    experiment.add_argument("--alpha", type=float, default=0.15, help="restart weight (default 0.15)")
+    _add_selection_flags(experiment, "items per method", with_lambda=True)
+    _add_flag(experiment, "--beta", ExperimentConfig.beta, "graph blend weight")
+    _add_flag(experiment, "--alpha", PprConfig.alpha, "restart weight")
     _add_graph_flags(experiment)
     _add_output_flags(experiment)
     experiment.add_argument("--plot", metavar="PATH", help="also write an SVG rendering")
@@ -256,14 +259,9 @@ def _build_parser() -> _CliParser:
 
     sweep = commands.add_parser("sweep-lambda", help="sweep the diversity weight over seeded runs")
     _add_dataset_flags(sweep, with_input=False)
-    sweep.add_argument("--pool-size", type=int, default=50, help="candidate pool size (default 50)")
-    sweep.add_argument("--k", type=int, default=10, help="items to select (default 10)")
-    sweep.add_argument(
-        "--lambdas",
-        default="0,0.25,0.5,1,2,4",
-        help="comma-separated diversity weights (default 0,0.25,0.5,1,2,4)",
-    )
-    sweep.add_argument("--runs", type=int, default=20, help="number of seeded runs to average (default 20)")
+    _add_selection_flags(sweep, "items to select")
+    _add_flag(sweep, "--lambdas", "0,0.25,0.5,1,2,4", "comma-separated diversity weights")
+    _add_flag(sweep, "--runs", 20, "number of seeded runs to average")
     _add_output_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep_lambda)
 

@@ -111,9 +111,12 @@ class CompressionConfig:
 class SelectionTrace:
     """Greedy output: chosen ids in pick order, per-step gains, final value.
 
-    ``objective_value`` always equals the sum of ``marginal_gains`` and, up
-    to accumulated rounding, the objective re-evaluated from scratch on the
-    final set.
+    ``objective_value`` is, up to accumulated rounding, the objective
+    re-evaluated from scratch on the final set.  The greedy (``lam != 0``,
+    or :func:`facility_location_greedy`) stores the float sum of
+    ``marginal_gains``; :func:`greedy_select`'s ``lam == 0`` top-k trace
+    stores its last prefix's objective, which the float sum of its gains
+    (differences of prefix objectives) can miss in the last bits.
     """
 
     chosen: tuple[str, ...]

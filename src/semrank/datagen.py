@@ -63,9 +63,12 @@ class SyntheticDataset:
     labels: dict[str, int]
     spec: SyntheticDatasetSpec | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", Embeddings.of(self.points))
+
     @cached_property
     def by_id(self) -> dict[str, EmbeddingVector]:
-        return {point.id: point for point in self.points}
+        return self.points.by_id
 
     @cached_property
     def clusters(self) -> dict[int, tuple[EmbeddingVector, ...]]:

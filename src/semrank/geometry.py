@@ -24,7 +24,9 @@ A corpus that many queries scan is an :class:`Embeddings`, a tuple of
 vectors over one read-only matrix, so :func:`query_similarities` does not
 restack N vectors per query.  :meth:`Embeddings.from_matrix` validates a
 whole matrix at once and makes each vector a view of its row; a corpus
-built from separate vectors stacks them on first use.
+built from separate vectors stacks them on first use.  The corpus also
+keeps its index (ids, positions, vectors by id, unit rows), which the pool,
+the graph and the dataset read rather than rebuild.
 
 Every ranking in the package follows one rule: descending score, exact
 ties to the smaller id.  :func:`ranked` applies it to positions of a
@@ -86,9 +88,10 @@ class Embeddings(tuple):
     """An immutable corpus: a tuple of :class:`EmbeddingVector` over one
     read-only matrix.
 
-    It reads as a plain tuple.  The stacked matrix, its row norms and the
-    first duplicate id are worked out on first use and kept, so repeated
-    scans of the same corpus do not restack or re-check its vectors.
+    It reads as a plain tuple.  The stacked matrix, its row norms and unit
+    rows, the ids with their positions, vectors and ranks, and the first
+    duplicate id are worked out on first use and kept, so repeated scans of
+    the same corpus do not restack or re-check its vectors.
     """
 
     @classmethod
@@ -164,12 +167,38 @@ class Embeddings(tuple):
         return norms
 
     @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """Read-only rows of :attr:`matrix` scaled to unit norm; a zero-norm
+        row stays all zero, and an empty corpus gives shape ``(0, 0)``."""
+        if not self:
+            rows = np.zeros((0, 0))
+        else:
+            norms = self.norms[:, None]
+            rows = np.divide(self.matrix, norms, out=np.zeros(self.matrix.shape), where=norms > 0.0)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """Every vector's id, in order."""
+        return tuple(v.id for v in self)
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Position of each id; a repeated id maps to its last position."""
+        return {item_id: i for i, item_id in enumerate(self.ids)}
+
+    @cached_property
+    def by_id(self) -> dict[str, EmbeddingVector]:
+        """Vector of each id; a repeated id maps to its last vector."""
+        return dict(zip(self.ids, self))
+
+    @cached_property
     def id_ranks(self) -> np.ndarray:
         """Read-only rank of each vector's id in ascending id order, so
         positions can be ordered by id with an integer sort."""
         ranks = np.empty(len(self), dtype=np.intp)
-        ids = [v.id for v in self]
-        ranks[sorted(range(len(self)), key=ids.__getitem__)] = np.arange(len(self))
+        ranks[sorted(range(len(self)), key=self.ids.__getitem__)] = np.arange(len(self))
         ranks.setflags(write=False)
         return ranks
 
@@ -292,22 +321,21 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return float(min(1.0, max(-1.0, value)))
 
 
-def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """``vectors`` stacked and scaled to unit norm, after the checks of
+def _unit_rows(corpus: Embeddings) -> np.ndarray:
+    """:attr:`Embeddings.unit_rows` of ``corpus``, after the checks of
     :func:`similarity_matrix`."""
-    if not vectors:
+    if not corpus:
         msg = "similarity matrix requires at least one vector"
         raise ValueError(msg)
-    corpus = Embeddings.of(vectors)
     if corpus.first_duplicate is not None:
         msg = f"duplicate item id {corpus.first_duplicate!r}"
         raise ValueError(msg)
-    norms = corpus.norms  # stacks the matrix, so mixed dimensions raise here
-    for v, norm in zip(vectors, norms):
-        if not norm > 0.0:
-            msg = f"cosine similarity undefined for zero-norm vector {v.id!r}"
-            raise ValueError(msg)
-    return corpus.matrix / norms[:, None]
+    # Stacks the matrix, so mixed dimensions raise here.
+    zero = np.flatnonzero(~(corpus.norms > 0.0))
+    if zero.size:
+        msg = f"cosine similarity undefined for zero-norm vector {corpus[zero[0]].id!r}"
+        raise ValueError(msg)
+    return corpus.unit_rows
 
 
 def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
@@ -317,18 +345,17 @@ def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
     Ids must be unique and dimensions uniform; zero-norm rows are rejected
     with the offending id, mirroring :func:`cosine_similarity`.
     """
-    unit = _unit_rows(vectors)
+    corpus = Embeddings.of(vectors)
+    unit = _unit_rows(corpus)
     entries = np.empty((len(unit), len(unit)))
     for _ in _row_blocks(unit, entries):
         pass
-    return SimilarityMatrix._adopt(tuple(v.id for v in vectors), entries)
+    return SimilarityMatrix._adopt(corpus.ids, entries)
 
 
-def similarity_rows(
-    vectors: Sequence[EmbeddingVector],
-) -> tuple[tuple[str, ...], Iterator[tuple[int, np.ndarray]]]:
-    """The ids of ``vectors`` and the rows of their pairwise cosine matrix,
-    about ``_BLOCK`` rows at a time.
+def similarity_rows(vectors: Sequence[EmbeddingVector]) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of the pairwise cosine matrix over ``vectors``, about
+    ``_BLOCK`` rows at a time.
 
     ``vectors`` is checked at once, with :func:`similarity_matrix`'s errors
     in its order.  Each block is ``(start, rows)``, where ``rows[r]`` is row
@@ -340,8 +367,7 @@ def similarity_rows(
     ``rows`` lives in one buffer every block overwrites, so the iteration
     holds one block of values and one tile; copy what must outlive a step.
     """
-    unit = _unit_rows(vectors)
-    return tuple(v.id for v in vectors), _row_blocks(unit)
+    return _row_blocks(_unit_rows(Embeddings.of(vectors)))
 
 
 def _row_blocks(unit: np.ndarray, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:

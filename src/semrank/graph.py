@@ -12,7 +12,10 @@ the file format and the read path work on directly; per-edge
 :class:`GraphEdge` objects exist only in the lazy :attr:`SemanticGraph.edges`
 view and as input to :meth:`SemanticGraph.from_edges`.  The kNN build
 fills ``(N, k)`` target and weight arrays row by row, and both symbolic
-passes hand ``(m, 2)`` arrays of node-position pairs to one merge.
+passes hand ``(m, 2)`` arrays of node-position pairs to one merge.  Node
+positions, vectors and unit rows come from the graph's
+:class:`~semrank.geometry.Embeddings` ``nodes``, the one place they are
+worked out.
 
 Ranking runs personalized pagerank
 
@@ -20,7 +23,8 @@ Ranking runs personalized pagerank
 
 over the row-stochastic adjacency ``A`` with restart distribution ``s``.
 Rows without out-edges (dangling nodes) push their mass back into ``s`` on
-every step, which keeps ``r`` a probability distribution.
+every step, which keeps ``r`` a probability distribution.  A
+:class:`NormalizedAdjacency` finds its dangling rows from its own row sums.
 """
 
 from __future__ import annotations
@@ -100,7 +104,8 @@ class SemanticGraph:
         Validated like the constructor, except that an unknown id or kind is
         reported as it was given.
         """
-        positions = {node.id: i for i, node in enumerate(nodes)}
+        nodes = Embeddings.of(nodes)
+        positions = nodes.positions
         sources: list[int] = []
         targets: list[int] = []
         weights: list[float] = []
@@ -127,7 +132,7 @@ class SemanticGraph:
         position or code."""
         object.__setattr__(self, "nodes", Embeddings.of(self.nodes))
         n = len(self.nodes)
-        if len(set(self.node_ids)) != n:
+        if self.nodes.first_duplicate is not None:
             msg = "graph nodes contain duplicate ids"
             raise ValueError(msg)
         codes = np.asarray(self.kind)
@@ -163,7 +168,7 @@ class SemanticGraph:
                 msg = f"duplicate edge {(source, target, kind_name)}"
             raise ValueError(msg)
         if self.cluster_heads is not None:
-            known = self.positions
+            known = self.nodes.positions
             for head in self.cluster_heads:
                 if head not in known:
                     msg = f"cluster head {head!r} is not a graph node"
@@ -177,16 +182,11 @@ class SemanticGraph:
 
     @cached_property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(node.id for node in self.nodes)
+        return self.nodes.ids
 
     @cached_property
     def by_id(self) -> dict[str, EmbeddingVector]:
-        return {node.id: node for node in self.nodes}
-
-    @cached_property
-    def positions(self) -> dict[str, int]:
-        """Position of each node id in ``nodes``."""
-        return {node_id: i for i, node_id in enumerate(self.node_ids)}
+        return self.nodes.by_id
 
     @cached_property
     def edges(self) -> tuple[GraphEdge, ...]:
@@ -220,22 +220,7 @@ class SemanticGraph:
         indptr, indices, weights = self.csr
         rows = _entry_rows(indptr)
         sums = np.bincount(rows, weights=weights, minlength=len(self.nodes))
-        dangling = frozenset(self.node_ids[i] for i in np.flatnonzero(sums == 0.0))
-        return NormalizedAdjacency(self.node_ids, indptr, indices, weights / sums[rows], dangling)
-
-    @cached_property
-    def unit_rows(self) -> np.ndarray:
-        """Node vectors scaled to unit norm, one read-only row per node in
-        node order; a zero-norm node keeps an all-zero row."""
-        if not self.nodes:
-            return np.zeros((0, 0))
-        rows = np.array(self.nodes.matrix)
-        norms = self.nodes.norms
-        nonzero = norms > 0.0
-        rows[nonzero] /= norms[nonzero, None]
-        rows[~nonzero] = 0.0
-        rows.setflags(write=False)
-        return rows
+        return NormalizedAdjacency(self.node_ids, indptr, indices, weights / sums[rows])
 
     def vector(self, node_id: str) -> EmbeddingVector:
         try:
@@ -247,7 +232,7 @@ class SemanticGraph:
     def out_neighbors(self, node_id: str) -> set[str]:
         self.vector(node_id)
         indptr, indices, _ = self.csr
-        row = self.positions[node_id]
+        row = self.nodes.positions[node_id]
         return {self.node_ids[j] for j in indices[indptr[row] : indptr[row + 1]]}
 
 
@@ -271,19 +256,19 @@ def _entry_rows(indptr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
-    """Row-stochastic adjacency in CSR form; dangling rows stay empty.
+    """Row-stochastic adjacency in CSR form.
 
     Row ``i`` of the matrix holds ``weights[indptr[i]:indptr[i + 1]]`` at
-    columns ``indices[indptr[i]:indptr[i + 1]]``.  Every row sums to 1,
-    except the rows of ``dangling`` nodes, which sum to 0.  The ids in
-    ``order`` are unique, and every ``dangling`` id is one of them.
+    columns ``indices[indptr[i]:indptr[i + 1]]``.  The ids in ``order`` are
+    unique and every weight is ``>= 0``.  A row whose weights sum to at most
+    ``1e-9`` is dangling, and ``dangling_index`` holds the positions of
+    those rows, ascending; every other row sums to 1 within ``1e-9``.
     """
 
     order: tuple[str, ...]
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    dangling: frozenset[str]
 
     def __post_init__(self) -> None:
         n = len(self.order)
@@ -293,10 +278,6 @@ class NormalizedAdjacency:
                 msg = f"adjacency order repeats id {node_id!r}"
                 raise ValueError(msg)
             known.add(node_id)
-        unknown = set(self.dangling) - known
-        if unknown:
-            msg = f"dangling id {min(unknown)!r} is not in the adjacency order"
-            raise ValueError(msg)
         indptr = np.array(self.indptr, dtype=np.intp)
         indices = np.array(self.indices, dtype=np.intp)
         weights = np.array(self.weights, dtype=np.float64)
@@ -318,21 +299,21 @@ class NormalizedAdjacency:
             msg = f"row for {self.order[rows[i]]!r} has weight {weights[i]}, expected >= 0"
             raise ValueError(msg)
         sums = np.bincount(rows, weights=weights, minlength=n)
-        expected = np.where(self.dangling_rows, 0.0, 1.0)
-        wrong = np.flatnonzero(np.abs(sums - expected) > 1e-9)
+        dangling = sums <= 1e-9
+        wrong = np.flatnonzero(~dangling & (np.abs(sums - 1.0) > 1e-9))
         if wrong.size:
             i = wrong[0]
-            msg = f"row for {self.order[i]!r} sums to {sums[i]}, expected {float(expected[i])}"
+            msg = f"row for {self.order[i]!r} sums to {sums[i]}, expected 1.0"
             raise ValueError(msg)
-        for name, array in (("indptr", indptr), ("indices", indices), ("weights", weights)):
+        arrays = {"indptr": indptr, "indices": indices, "weights": weights, "dangling_index": np.flatnonzero(dangling)}
+        for name, array in arrays.items():
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
     @classmethod
-    def from_dense(
-        cls, order: Sequence[str], matrix: np.ndarray, dangling: Iterable[str]
-    ) -> "NormalizedAdjacency":
-        """Adjacency from a dense row-stochastic matrix; zero entries are dropped."""
+    def from_dense(cls, order: Sequence[str], matrix: np.ndarray) -> "NormalizedAdjacency":
+        """Adjacency from a dense row-stochastic matrix; zero entries are
+        dropped, so an all-zero row is dangling."""
         order = tuple(order)
         matrix = np.asarray(matrix, dtype=np.float64)
         n = len(order)
@@ -342,12 +323,7 @@ class NormalizedAdjacency:
         rows, columns = np.nonzero(matrix)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return cls(order, indptr, columns, matrix[rows, columns], frozenset(dangling))
-
-    @cached_property
-    def dangling_rows(self) -> np.ndarray:
-        """Boolean mask of the ``dangling`` nodes, in node order."""
-        return np.array([node_id in self.dangling for node_id in self.order], dtype=bool)
+        return cls(order, indptr, columns, matrix[rows, columns])
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -355,13 +331,6 @@ class NormalizedAdjacency:
         degrees = np.diff(self.indptr)
         degrees.setflags(write=False)
         return degrees
-
-    @cached_property
-    def dangling_index(self) -> np.ndarray:
-        """Positions of the ``dangling`` nodes, ascending."""
-        index = np.flatnonzero(self.dangling_rows)
-        index.setflags(write=False)
-        return index
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -466,7 +435,7 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
         msg = f"k={k} needs at least {k + 1} nodes, got {len(nodes)}"
         raise ValueError(msg)
     nodes = Embeddings.of(nodes)
-    _, blocks = similarity_rows(nodes)
+    blocks = similarity_rows(nodes)
     id_ranks = nodes.id_ranks.tolist()
     n = len(nodes)
     targets = np.empty((n, k), dtype=np.intp)
@@ -547,7 +516,7 @@ def add_symbolic_edges_sparse(graph: SemanticGraph, heads: Sequence[str], m: int
     order = ranked(sims, np.broadcast_to(head_vectors.id_ranks, sims.shape))
     rows = np.arange(h).repeat(m)
     columns = order[order != np.arange(h)[:, None]].reshape(h, h - 1)[:, :m].ravel()
-    positions = np.array([graph.positions[head] for head in heads])
+    positions = np.array([graph.nodes.positions[head] for head in heads])
     return _with_symbolic(graph, heads, positions[np.stack([rows, columns], axis=1)], sims[rows, columns])
 
 
@@ -579,7 +548,7 @@ def add_symbolic_edges_dense(
     sims: list[float] = []
     for head in heads:
         head_vector = graph.vector(head)
-        head_position = graph.positions[head]
+        head_position = graph.nodes.positions[head]
         head_norm = norms[head_position]
         if not head_norm > 0.0:
             msg = f"cosine similarity undefined for zero-norm vector {head!r}"
@@ -601,7 +570,7 @@ def normalize_adjacency(graph: SemanticGraph) -> NormalizedAdjacency:
     """Sum parallel edge weights, then normalise each row to sum to 1.
 
     Nodes without out-edges keep an empty row and are reported in
-    ``dangling``.  Built once per graph and cached on it, like
+    ``dangling_index``.  Built once per graph and cached on it, like
     :attr:`SemanticGraph.csr`.
     """
     return graph.adjacency

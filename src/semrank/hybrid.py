@@ -92,7 +92,7 @@ def rank_hybrid(
     signal can promote an item the first stage missed.  Items are in
     :func:`ranked` order of blended score.
     """
-    positions = graph.positions
+    positions = graph.nodes.positions
     for item_id in pool.ids:
         if item_id not in positions:
             msg = f"pool item {item_id!r} is missing from the graph"
@@ -118,7 +118,7 @@ def rank_hybrid(
 def _query_cosines(query: EmbeddingVector, graph: SemanticGraph, rows: np.ndarray) -> np.ndarray:
     """Cosine of ``query`` against the graph nodes at positions ``rows``,
     with :func:`cosine_similarity`'s errors and clamping."""
-    unit = graph.unit_rows
+    unit = graph.nodes.unit_rows
     if rows.size and unit.shape[1] != query.dim:
         first = graph.nodes[rows[0]]
         msg = f"dimension mismatch: {first.id!r} has d={first.dim}, {query.id!r} has d={query.dim}"

@@ -193,22 +193,22 @@ class TestUnitRows:
     def test_loaded_graph_reads_its_node_matrix(self, tmp_path, monkeypatch):
         built = _build(experiments.ExperimentConfig(dataset=datagen.SyntheticDatasetSpec(num_points=60, dim=3)))
         loaded = fileio.load_graph(fileio.save_graph(built, tmp_path / "graph.tsv"))
-        expected = SemanticGraph.from_edges(tuple(built.nodes), built.edges).unit_rows
+        expected = SemanticGraph.from_edges(tuple(built.nodes), built.edges).nodes.unit_rows
 
         def no_stack(*args, **kwargs):
             raise AssertionError("unit_rows restacked the node vectors")
 
         monkeypatch.setattr(graph_module.np, "stack", no_stack)
-        assert loaded.unit_rows.tobytes() == expected.tobytes()
-        assert not loaded.unit_rows.flags.writeable
+        assert loaded.nodes.unit_rows.tobytes() == expected.tobytes()
+        assert not loaded.nodes.unit_rows.flags.writeable
 
     def test_tuple_nodes_keep_the_dimension_check(self):
         nodes = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=3, expected 2$"):
-            SemanticGraph.from_edges(nodes, ()).unit_rows
+            SemanticGraph.from_edges(nodes, ()).nodes.unit_rows
 
     def test_empty_graph_has_no_rows(self):
-        assert SemanticGraph.from_edges((), ()).unit_rows.shape == (0, 0)
+        assert SemanticGraph.from_edges((), ()).nodes.unit_rows.shape == (0, 0)
 
 
 @pytest.fixture

@@ -133,6 +133,39 @@ class TestEmbeddingsFromMatrix:
         assert not taken.matrix.flags.writeable
 
 
+class TestCorpusIndex:
+    """The ids, positions, vectors and unit rows the pool, the graph and the
+    dataset all read from their corpus."""
+
+    def test_index_is_worked_out_once(self):
+        points = Embeddings([EmbeddingVector("b", [3.0, 4.0]), EmbeddingVector("a", [0.0, 1.0])])
+        for name in ("ids", "positions", "by_id", "unit_rows"):
+            assert getattr(points, name) is getattr(points, name)
+        assert points.ids == ("b", "a")
+        assert points.positions == {"b": 0, "a": 1}
+        assert points.by_id["b"] is points[0] and points.by_id["a"] is points[1]
+        assert list(points.by_id) == ["b", "a"]
+
+    def test_unit_rows_are_the_scaled_rows_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        matrix = rng.normal(size=(40, 5)) * rng.uniform(1e-3, 1e3, size=(40, 1))
+        matrix[[4, 31]] = 0.0
+        points = Embeddings.from_matrix([f"v{i}" for i in range(40)], matrix)
+        unit = points.unit_rows
+        assert not unit.flags.writeable
+        nonzero = points.norms > 0.0
+        assert nonzero.sum() == 38
+        with np.errstate(invalid="ignore"):
+            expected = points.matrix / points.norms[:, None]
+        assert unit[nonzero].tobytes() == expected[nonzero].tobytes()
+        assert unit[~nonzero].tobytes() == np.zeros((2, 5)).tobytes()
+
+    def test_empty_corpus_has_no_unit_rows(self):
+        for points in (Embeddings(()), Embeddings.from_matrix([], np.empty((0, 3)))):
+            assert points.unit_rows.shape == (0, 0)
+            assert not points.unit_rows.flags.writeable
+
+
 # Few distinct scores, so that exact ties are common; -0.0 ties with 0.0.
 _TIED_SCORES = (-math.inf, -0.0, 0.0, 0.5, 1.0)
 # Code-point order puts "B" before "a", "p10" before "p9" and "é" last.
@@ -417,7 +450,7 @@ class TestSimilarityRows:
     @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
     def test_rows_are_the_matrix_rows_in_blocks(self, n):
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=5, num_clusters=1, rng_seed=n)).points
-        order, blocks = similarity_rows(points)
+        order, blocks = points.ids, similarity_rows(points)
         starts, rows = _collect(blocks)
         assert order == tuple(p.id for p in points)
         sizes = [len(block) for block in rows]
@@ -438,7 +471,7 @@ class TestSimilarityRows:
         5,026 cells here with ``S[i, j] != S[j, i]``; the tile-pair kernel
         computes each pair once, and ``_adopt`` relies on that."""
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=dim, rng_seed=0)).points
-        stacked = np.concatenate(_collect(similarity_rows(points)[1])[1])
+        stacked = np.concatenate(_collect(similarity_rows(points))[1])
         np.testing.assert_array_equal(_bits(stacked), _bits(stacked.T))
         np.testing.assert_array_equal(_bits(stacked), _bits(similarity_matrix(points).entries))
 
@@ -451,7 +484,7 @@ class TestSimilarityRows:
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=7, num_clusters=3, rng_seed=n)).points
         stacked = np.stack([p.values for p in points])
         unit = stacked / np.linalg.norm(stacked, axis=1)[:, None]
-        starts, rows = _collect(similarity_rows(points)[1])
+        starts, rows = _collect(similarity_rows(points))
         spans = [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
         for a, (span, block) in enumerate(zip(spans, rows)):
             tiles = [unit[span] @ unit[other].T if b >= a else (unit[other] @ unit[span].T).T for b, other in enumerate(spans)]
@@ -481,7 +514,7 @@ class TestSimilarityRows:
         rows = np.array([[1.0, 0.0], [np.inf, 1.0], [0.0, 1.0]])
         corpus = Embeddings._over([_row_view(f"v{i}", row) for i, row in enumerate(rows)], rows)
         with np.errstate(invalid="ignore"):
-            _, blocks = similarity_rows(corpus)
+            blocks = similarity_rows(corpus)
         with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
             next(blocks)
 

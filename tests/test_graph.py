@@ -96,7 +96,7 @@ def _reference_sparse(graph, heads, m):
     """The sparse pass as a loop over heads and pairs."""
     head_vectors = Embeddings(graph.vector(head) for head in heads)
     sims = similarity_matrix(head_vectors)
-    positions = [graph.positions[head] for head in heads]
+    positions = [graph.nodes.positions[head] for head in heads]
     added = ([], [], [])
     for i in range(len(heads)):
         others = [j for j in ranked(sims.entries[i], head_vectors.id_ranks) if j != i]
@@ -117,7 +117,7 @@ def _reference_dense(graph, heads, threshold, labels):
                 continue
             sim = float(np.dot(head_vector.values, node.values) / (head_norm * node.norm()))
             if sim > threshold:
-                _reference_pair(added, graph.positions[head], position, sim)
+                _reference_pair(added, graph.nodes.positions[head], position, sim)
     return _reference_merge(graph, added)
 
 
@@ -581,7 +581,7 @@ class TestNormalizeAdjacency:
         np.testing.assert_allclose(adjacency.matrix[0], [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
         np.testing.assert_allclose(adjacency.matrix[1], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(adjacency.matrix[2], [0.0, 0.0, 0.0], rtol=0, atol=0)
-        assert adjacency.dangling == frozenset({"z"})
+        assert {adjacency.order[i] for i in adjacency.dangling_index} == frozenset({"z"})
 
     def test_built_once_per_graph(self):
         graph = build_knn_graph(_nodes(count=10), 3)
@@ -594,12 +594,12 @@ class TestNormalizeAdjacency:
         assert not np.array_equal(rebuilt.matrix, adjacency.matrix)
         for name in ("indptr", "indices", "weights"):
             np.testing.assert_array_equal(getattr(cached, name), getattr(rebuilt, name))
-        assert cached.dangling == rebuilt.dangling
+        np.testing.assert_array_equal(cached.dangling_index, rebuilt.dangling_index)
 
     def test_validation_checks_row_sums(self):
         matrix = np.array([[0.0, 0.7], [0.0, 0.0]])
         with pytest.raises(ValueError, match="row for 'a' sums to"):
-            NormalizedAdjacency.from_dense(("a", "b"), matrix, frozenset({"b"}))
+            NormalizedAdjacency.from_dense(("a", "b"), matrix)
 
     @pytest.mark.parametrize("row, bad", [([np.nan, 1.0], "nan"), ([1.5, -0.5], "-0.5"), ([-0.5, 0.2], "-0.5")])
     def test_validation_rejects_nan_and_negative_weights(self, row, bad):
@@ -607,33 +607,40 @@ class TestNormalizeAdjacency:
         -0.3, which the sum check would report instead."""
         matrix = np.array([[0.0, 0.0], row])
         with pytest.raises(ValueError, match=f"^row for 'b' has weight {bad}, expected >= 0$"):
-            NormalizedAdjacency.from_dense(("a", "b"), matrix, frozenset({"a"}))
+            NormalizedAdjacency.from_dense(("a", "b"), matrix)
 
     def test_validation_checks_shape(self):
         with pytest.raises(ValueError, match="does not match"):
-            NormalizedAdjacency.from_dense(("a",), np.eye(2), frozenset())
+            NormalizedAdjacency.from_dense(("a",), np.eye(2))
 
     def test_validation_checks_csr_arrays(self):
         with pytest.raises(ValueError, match="do not describe a 2-node adjacency"):
-            NormalizedAdjacency(("a", "b"), [0, 1, 1], [5], [1.0], frozenset({"b"}))
+            NormalizedAdjacency(("a", "b"), [0, 1, 1], [5], [1.0])
 
-    def test_validation_rejects_unknown_dangling_ids(self):
-        """A frozenset has no order, so the smallest unknown id is named."""
-        message = "^dangling id 'ghost' is not in the adjacency order$"
-        with pytest.raises(ValueError, match=message):
-            NormalizedAdjacency(("a", "b"), [0, 1, 1], [1], [1.0], frozenset({"b", "zz", "ghost"}))
-        with pytest.raises(ValueError, match=message):
-            NormalizedAdjacency.from_dense(("a", "b"), np.array([[0.0, 1.0], [0.0, 0.0]]), ["zz", "b", "ghost"])
+    def test_a_row_of_explicit_zeros_is_dangling(self):
+        """Row 'c' holds two stored 0.0 entries: it sums to 0, so it is
+        dangling like an empty row, and its mass restarts through the seed."""
+        order = ("a", "b", "c")
+        adjacency = NormalizedAdjacency(order, [0, 2, 3, 5], [1, 2, 0, 0, 1], [0.25, 0.75, 1.0, 0.0, 0.0])
+        assert adjacency.dangling_index.tolist() == [2]
+        assert not adjacency.dangling_index.flags.writeable
+        seed = SeedVector.uniform(order, ["a"])
+        alpha = 0.15
+        mass = ppr_mass(adjacency, seed, PprConfig(alpha=alpha, tolerance=1e-13))
+        dangling = np.array([0.0, 0.0, 1.0])
+        system = np.eye(3) - (1.0 - alpha) * (adjacency.matrix.T + np.outer(seed.weights, dangling))
+        expected = np.linalg.solve(system, alpha * seed.weights)
+        np.testing.assert_allclose(mass, expected, rtol=0, atol=1e-9)
 
     def test_validation_rejects_repeated_ids(self):
         with pytest.raises(ValueError, match="^adjacency order repeats id 'a'$"):
-            NormalizedAdjacency(("a", "a"), [0, 1, 2], [1, 0], [1.0, 1.0], frozenset())
+            NormalizedAdjacency(("a", "a"), [0, 1, 2], [1, 0], [1.0, 1.0])
         with pytest.raises(ValueError, match="^adjacency order repeats id 'b'$"):
-            NormalizedAdjacency.from_dense(("b", "a", "b", "a"), np.zeros((4, 4)), {"a", "b"})
+            NormalizedAdjacency.from_dense(("b", "a", "b", "a"), np.zeros((4, 4)))
 
     def test_dense_view_round_trips_through_csr(self):
         matrix = np.array([[0.0, 0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        adjacency = NormalizedAdjacency.from_dense(("a", "b", "c"), matrix, {"c"})
+        adjacency = NormalizedAdjacency.from_dense(("a", "b", "c"), matrix)
         assert adjacency.indptr.tolist() == [0, 2, 3, 3]
         assert adjacency.indices.tolist() == [1, 2, 0]
         np.testing.assert_array_equal(adjacency.matrix, matrix)
@@ -730,7 +737,7 @@ class TestPersonalizedPagerank:
             np.fill_diagonal(matrix, 0.0)
             matrix /= matrix.sum(axis=1, keepdims=True)
             order = tuple(f"n{i}" for i in range(n))
-            adjacency = NormalizedAdjacency.from_dense(order, matrix, frozenset())
+            adjacency = NormalizedAdjacency.from_dense(order, matrix)
             weights = rng.uniform(0.1, 1.0, size=n)
             seed = SeedVector(order=order, weights=weights / weights.sum())
             alpha = float(rng.uniform(0.1, 0.9))

@@ -71,7 +71,7 @@ def _allocating_ppr(adjacency, seed, config):
     n = len(adjacency.order)
     sources = np.repeat(np.arange(n), np.diff(adjacency.indptr))
     targets = adjacency.indices
-    dangling_idx = np.flatnonzero(adjacency.dangling_rows)
+    dangling_idx = adjacency.dangling_index
     r = s.copy()
     residual = np.inf
     for _ in range(config.max_iterations):
@@ -123,7 +123,7 @@ class TestReadPathProperties:
         adjacency = normalize_adjacency(graph)
         matrix, dangling = _dense_adjacency(graph)
         np.testing.assert_allclose(adjacency.matrix, matrix, rtol=0, atol=1e-15)
-        assert adjacency.dangling == {
+        assert {adjacency.order[i] for i in adjacency.dangling_index} == {
             node_id for node_id, flag in zip(graph.node_ids, dangling) if flag
         }
 

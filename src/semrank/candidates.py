@@ -1,8 +1,13 @@
-"""First-stage candidate generation: exact top-N scan over a corpus."""
+"""First-stage candidate generation: exact top-N scan over a corpus.
+
+A :class:`CandidatePool` checks its query similarities and works out its
+own pairwise matrix from its candidates; its ids, positions and vectors are
+its candidates' :class:`~semrank.geometry.Embeddings` index.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -11,7 +16,6 @@ from .geometry import (
     MATRIX_TOL,
     EmbeddingVector,
     Embeddings,
-    SimilarityMatrix,
     query_similarities,
     ranked,
     similarity_matrix,
@@ -25,23 +29,22 @@ class CandidatePool:
     ``candidates`` (kept as an :class:`Embeddings`) are in :func:`ranked`
     order of their query similarities ``query_sims``, which are finite and
     in ``[-1, 1]`` within ``MATRIX_TOL``.  ``query_sims[i]`` belongs to
-    ``candidates[i]`` and ``pairwise`` covers the pool in the same order.
+    ``candidates[i]``, and ``pairwise`` is the read-only
+    :func:`~semrank.geometry.similarity_matrix` of the candidates in the same
+    order, computed with the pool and raising that function's errors.
     """
 
     query: EmbeddingVector
     candidates: tuple[EmbeddingVector, ...]
     query_sims: np.ndarray
-    pairwise: SimilarityMatrix
+    pairwise: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         candidates = Embeddings.of(self.candidates)
         object.__setattr__(self, "candidates", candidates)
         sims = np.asarray(self.query_sims, dtype=np.float64)
-        if len(candidates) != sims.size or len(candidates) != len(self.pairwise):
-            msg = "pool candidates, similarities and pairwise matrix disagree in size"
-            raise ValueError(msg)
-        if candidates.ids != self.pairwise.order:
-            msg = "pool candidate order does not match pairwise matrix order"
+        if len(candidates) != sims.size:
+            msg = "pool candidates and query similarities disagree in size"
             raise ValueError(msg)
         # Written so that a NaN, which fails every comparison, fails it too.
         bad = np.flatnonzero(~(np.abs(sims) <= 1.0 + MATRIX_TOL))
@@ -55,13 +58,14 @@ class CandidatePool:
         sims = sims.copy()
         sims.setflags(write=False)
         object.__setattr__(self, "query_sims", sims)
+        object.__setattr__(self, "pairwise", similarity_matrix(candidates))
 
     def __len__(self) -> int:
         return len(self.candidates)
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return self.pairwise.order
+        return self.candidates.ids
 
     def vector(self, item_id: str) -> EmbeddingVector:
         try:
@@ -95,10 +99,4 @@ def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], 
     cutoff = np.partition(sims, sims.size - n)[sims.size - n]
     contenders = np.flatnonzero(sims >= cutoff)
     order = contenders[ranked(sims[contenders], corpus.id_ranks[contenders])[:n]]
-    chosen = corpus.take(order)
-    return CandidatePool(
-        query=query,
-        candidates=chosen,
-        query_sims=sims[order],
-        pairwise=similarity_matrix(chosen),
-    )
+    return CandidatePool(query=query, candidates=corpus.take(order), query_sims=sims[order])

@@ -194,9 +194,10 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     bundle = run_experiment_bundle(_config(args, _dataset_spec(args)))
-    _write_report(args, bundle.report)
+    # Plotted first, so a dataset that cannot be plotted leaves no report.
     if args.plot:
         emit_bundle_plot(bundle, args.plot)
+    _write_report(args, bundle.report)
     return 0
 
 

@@ -40,8 +40,9 @@ scoring every candidate at every step:
 * A coverage gain is a column sum, ``sum_v max(sims[v, c] - cover[v], 0)``,
   taken row by row from ``v = 0``, as the dense loop's n x n pass takes it.
   A batch of m candidates is gathered as m pool rows into a C-contiguous
-  (m, n) view of the work buffer: row ``c`` of ``pairwise.transposed`` is
-  column ``c`` (the matrix itself for every exactly symmetric pool).
+  (m, n) view of the work buffer: the pool's matrix comes from the
+  pairwise kernel, whose cell ``(c, v)`` is the very product cell
+  ``(v, c)`` is, so row ``c`` is column ``c`` bit for bit.
   ``cover`` is subtracted along the rows, and only the positive residuals
   are summed: ``np.bincount`` adds each candidate's terms in ascending
   ``v``, starting from ``0.0``, which is the row-by-row sum bit for bit.
@@ -49,9 +50,6 @@ scoring every candidate at every step:
   nothing.  A skipped ``-0.0`` never decides the sign of a zero sum either,
   because each candidate's own diagonal row gives ``+0.0`` or a positive
   term (``x - x`` is ``+0.0``, and a negative residual clips to ``+0.0``).
-  A row may also differ from its column in the sign of a zero, which
-  ``np.array_equal`` does not see: either zero leaves the same residual,
-  ``-cover[v]``, or a zero that is skipped.
 
 All per-step arithmetic runs in one work buffer of ``_WIDTH`` pool rows,
 allocated per call.  Step 1's pass over every column scores ``_WIDTH``
@@ -133,7 +131,7 @@ class SelectionTrace:
 
 
 def _selected_indices(pool: CandidatePool, selected: Iterable[str]) -> list[int]:
-    positions = pool.pairwise.positions
+    positions = pool.candidates.positions
     indices = []
     for item_id in selected:
         if item_id not in positions:
@@ -152,7 +150,7 @@ def coverage_term(pool: CandidatePool, selected: Iterable[str]) -> float:
     if not indices:
         msg = "coverage is undefined for an empty selection"
         raise ValueError(msg)
-    return float(pool.pairwise.entries[:, indices].max(axis=1).sum())
+    return float(pool.pairwise[:, indices].max(axis=1).sum())
 
 
 def diversity_term(pool: CandidatePool, selected: Iterable[str]) -> float:
@@ -161,7 +159,7 @@ def diversity_term(pool: CandidatePool, selected: Iterable[str]) -> float:
     m = len(indices)
     if m <= 1:
         return 0.0
-    sub = pool.pairwise.entries[np.ix_(indices, indices)]
+    sub = pool.pairwise[np.ix_(indices, indices)]
     off_diagonal = float(sub.sum()) - float(np.trace(sub))
     return float(m * (m - 1) - off_diagonal)
 
@@ -199,8 +197,7 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
     pools are immutable."""
     opening = vars(pool).get("_greedy_opening")
     if opening is None:
-        sims = pool.pairwise.entries
-        rows = pool.pairwise.transposed
+        sims = pool.pairwise
         # Step 0 is the raw singleton objective (coverage only; a singleton
         # has no pairs).  Its column sums keep negative similarities, so
         # they bound nothing and step 1 scores every column.
@@ -209,7 +206,7 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
         columns = np.arange(len(pool))
         bound = np.concatenate(
             [
-                _coverage_gains(rows, sims[:, first], columns[start : start + _WIDTH], buffer)
+                _coverage_gains(sims, sims[:, first], columns[start : start + _WIDTH], buffer)
                 for start in range(0, len(columns), _WIDTH)
             ]
         )
@@ -219,8 +216,7 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
 
 
 def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
-    sims = pool.pairwise.entries
-    rows = pool.pairwise.transposed
+    sims = pool.pairwise
     ids = pool.ids
     id_ranks = pool.candidates.id_ranks
     n = len(pool)
@@ -249,7 +245,7 @@ def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
                 best = int(ranked(step_gain, id_ranks)[0])
                 gain = float(step_gain[best])
             else:
-                columns, step_gain = _lazy_gains(rows, cover, diversity, bound, selected, n - step, buffer)
+                columns, step_gain = _lazy_gains(sims, cover, diversity, bound, selected, n - step, buffer)
                 at = ranked(step_gain, id_ranks[columns])[0]
                 best, gain = int(columns[at]), float(step_gain[at])
         selected[best] = True
@@ -331,7 +327,7 @@ def _topk_trace(pool: CandidatePool, config: CompressionConfig) -> SelectionTrac
     diversity term it would add is ``0 * diversity``, a signed zero.
     """
     chosen = select_topk(pool, config.k)
-    sims = pool.pairwise.entries
+    sims = pool.pairwise
     cover = sims[:, 0].copy()
     gains: list[float] = []
     previous = 0.0

@@ -47,12 +47,15 @@ class SyntheticDatasetSpec:
         if not 1 <= self.num_clusters <= self.num_points:
             msg = f"num_clusters must lie in [1, num_points], got {self.num_clusters}"
             raise ValueError(msg)
-        if self.cluster_std <= 0.0:
-            msg = f"cluster_std must be > 0, got {self.cluster_std}"
-            raise ValueError(msg)
-        if self.separation <= 0.0:
-            msg = f"separation must be > 0, got {self.separation}"
-            raise ValueError(msg)
+        for name in ("cluster_std", "separation"):
+            value = getattr(self, name)
+            # Written so that a NaN, which fails every comparison, fails it too.
+            if not abs(value) < np.inf:
+                msg = f"{name} must be finite, got {value}"
+                raise ValueError(msg)
+            if value <= 0.0:
+                msg = f"{name} must be > 0, got {value}"
+                raise ValueError(msg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,7 @@ pass.  :func:`similarity_rows` gives the clipped rows one block at a time,
 so a caller that reads the matrix row by row (the kNN build) never holds
 N x N values; :func:`similarity_matrix`, for pools, which need all of it,
 has the kernel write the same blocks straight into the rows of one N x N
-array, with no row buffer between, and hands that array to
-:class:`SimilarityMatrix` without a copy.  An array any other caller passes
-to :class:`SimilarityMatrix` is copied, so later writes to it never reach
-``entries``, and checked for symmetry too.
+array, with no row buffer between, and returns that array read-only.
 
 A corpus that many queries scan is an :class:`Embeddings`, a tuple of
 vectors over one read-only matrix, so :func:`query_similarities` does not
@@ -41,8 +38,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Slack allowed on symmetry / unit diagonal / value range of a validated
-# similarity matrix.  Double precision keeps us far inside this.
+# Slack allowed on the range [-1, 1] of a similarity: of every block the
+# pairwise kernel yields, and of a pool's query similarities.  Double
+# precision keeps us far inside this.
 MATRIX_TOL = 1e-12
 
 # Side of the square tiles the pairwise kernel computes (one tile of
@@ -223,82 +221,6 @@ def ranked(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
     return np.lexsort((id_ranks, -scores))
 
 
-@dataclass(frozen=True, eq=False)
-class SimilarityMatrix:
-    """Pairwise cosine similarities for an ordered set of items.
-
-    ``entries[i, j]`` is the cosine similarity between the items at
-    positions ``i`` and ``j`` of ``order``.  The matrix is symmetric with a
-    unit diagonal and every entry in ``[-1, 1]`` (all within ``MATRIX_TOL``);
-    NaN and infinite entries are rejected.
-    """
-
-    order: tuple[str, ...]
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", np.array(self.entries, dtype=np.float64))
-        self._validate(check_symmetry=True)
-
-    @classmethod
-    def _adopt(cls, order: tuple[str, ...], entries: np.ndarray) -> "SimilarityMatrix":
-        """Validate and wrap a C-contiguous float64 array nothing else
-        references, without the defensive copy or the symmetry pass:
-        ``entries`` is symmetric bit for bit by construction, so it is its
-        own :attr:`transposed`."""
-        matrix = cls.__new__(cls)
-        object.__setattr__(matrix, "order", order)
-        object.__setattr__(matrix, "entries", entries)
-        matrix._validate(check_symmetry=False)
-        matrix.__dict__["transposed"] = entries
-        return matrix
-
-    def _validate(self, check_symmetry: bool) -> None:
-        """Check the contract on ``entries`` in place, then freeze it."""
-        entries = self.entries
-        n = len(self.order)
-        if len(set(self.order)) != n:
-            msg = "similarity matrix order contains duplicate ids"
-            raise ValueError(msg)
-        if entries.shape != (n, n):
-            msg = f"entries shape {entries.shape} does not match {n} ids"
-            raise ValueError(msg)
-        # An infinite entry gives ``inf - inf``, a NaN, without the
-        # invalid-value warning: the entry fails the range check below.
-        with np.errstate(invalid="ignore"):
-            asymmetric = check_symmetry and n and np.abs(entries - entries.T).max() > MATRIX_TOL
-        if asymmetric:
-            msg = "similarity matrix is not symmetric"
-            raise ValueError(msg)
-        if n and np.abs(np.diagonal(entries) - 1.0).max() > MATRIX_TOL:
-            msg = "similarity matrix diagonal must be 1"
-            raise ValueError(msg)
-        # Written so that a NaN, which fails every comparison, fails it too.
-        if n and not (entries.min() >= -1.0 - MATRIX_TOL and entries.max() <= 1.0 + MATRIX_TOL):
-            msg = "similarity values must lie in [-1, 1]"
-            raise ValueError(msg)
-        entries.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    @cached_property
-    def positions(self) -> dict[str, int]:
-        return {item_id: i for i, item_id in enumerate(self.order)}
-
-    @cached_property
-    def transposed(self) -> np.ndarray:
-        """Read-only, C-contiguous ``entries.T``, whose row ``c`` is column
-        ``c`` of ``entries``: ``entries`` itself when it equals its
-        transpose (up to the signs of zeros), as every
-        :func:`similarity_matrix` does bit for bit, else a transposed copy
-        made once."""
-        entries = self.entries
-        rows = np.ascontiguousarray(entries if np.array_equal(entries, entries.T) else entries.T)
-        rows.setflags(write=False)
-        return rows
-
-
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine of the angle between two embeddings.
 
@@ -338,19 +260,20 @@ def _unit_rows(corpus: Embeddings) -> np.ndarray:
     return corpus.unit_rows
 
 
-def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> SimilarityMatrix:
-    """Dense pairwise cosine matrix over ``vectors``: the blocks of
-    :func:`similarity_rows`, written in place into one array.
+def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
+    """Read-only N x N pairwise cosine matrix over ``vectors``, in their
+    order: the blocks of :func:`similarity_rows`, written in place into one
+    array, so it is exactly symmetric with a unit diagonal.
 
     Ids must be unique and dimensions uniform; zero-norm rows are rejected
     with the offending id, mirroring :func:`cosine_similarity`.
     """
-    corpus = Embeddings.of(vectors)
-    unit = _unit_rows(corpus)
+    unit = _unit_rows(Embeddings.of(vectors))
     entries = np.empty((len(unit), len(unit)))
     for _ in _row_blocks(unit, entries):
         pass
-    return SimilarityMatrix._adopt(corpus.ids, entries)
+    entries.setflags(write=False)
+    return entries
 
 
 def similarity_rows(vectors: Sequence[EmbeddingVector]) -> Iterator[tuple[int, np.ndarray]]:
@@ -362,7 +285,7 @@ def similarity_rows(vectors: Sequence[EmbeddingVector]) -> Iterator[tuple[int, n
     ``start + r`` of the tile kernel's matrix (see the module docstring),
     clipped to ``[-1, 1]`` with a unit diagonal; stacked, the blocks are
     exactly symmetric.  A block whose values leave ``[-1, 1]`` (a NaN does)
-    raises :class:`SimilarityMatrix`'s error.
+    raises ``ValueError``.
 
     ``rows`` lives in one buffer every block overwrites, so the iteration
     holds one block of values and one tile; copy what must outlive a step.

@@ -10,7 +10,7 @@ A :class:`SemanticGraph` keeps its edges as four parallel read-only arrays
 (source and target positions, weights, kind codes), which every builder,
 the file format and the read path work on directly; per-edge
 :class:`GraphEdge` objects exist only in the lazy :attr:`SemanticGraph.edges`
-view and as input to :meth:`SemanticGraph.from_edges`.  The kNN build
+view, and :meth:`SemanticGraph.from_named` takes edges by id.  The kNN build
 fills ``(N, k)`` target and weight arrays row by row, and both symbolic
 passes hand ``(m, 2)`` arrays of node-position pairs to one merge.  Node
 positions, vectors and unit rows come from the graph's
@@ -79,17 +79,6 @@ class SemanticGraph:
 
     def __post_init__(self) -> None:
         self._validate({})
-
-    @classmethod
-    def from_edges(
-        cls,
-        nodes: Sequence[EmbeddingVector],
-        edges: Iterable[GraphEdge],
-        cluster_heads: Sequence[str] | None = None,
-    ) -> "SemanticGraph":
-        """The graph over ``nodes`` with ``edges``, in order."""
-        named = ((edge.source, edge.target, edge.weight, edge.kind) for edge in edges)
-        return cls.from_named(nodes, named, cluster_heads)
 
     @classmethod
     def from_named(
@@ -511,7 +500,7 @@ def add_symbolic_edges_sparse(graph: SemanticGraph, heads: Sequence[str], m: int
         msg = f"m={m} needs at least {m + 1} heads, got {len(heads)}"
         raise ValueError(msg)
     head_vectors = Embeddings(graph.vector(head) for head in heads)
-    sims = similarity_matrix(head_vectors).entries
+    sims = similarity_matrix(head_vectors)
     h = len(heads)
     order = ranked(sims, np.broadcast_to(head_vectors.id_ranks, sims.shape))
     rows = np.arange(h).repeat(m)

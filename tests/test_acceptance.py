@@ -25,7 +25,6 @@ from semrank.compression import (
 from semrank.experiments import ExperimentConfig, run_experiment, sweep_lambda
 from semrank.geometry import EmbeddingVector
 from semrank.graph import (
-    GraphEdge,
     NormalizedAdjacency,
     PprConfig,
     SeedVector,
@@ -118,10 +117,10 @@ class TestAcceptance:
                     [j for j in range(n) if j != i], size=out_degree, replace=False
                 )
                 edges.extend(
-                    GraphEdge(f"n{i}", f"n{j}", float(rng.uniform(0.1, 2.0)), "knn")
+                    (f"n{i}", f"n{j}", float(rng.uniform(0.1, 2.0)), "knn")
                     for j in targets
                 )
-            adjacency = normalize_adjacency(SemanticGraph.from_edges(nodes=nodes, edges=tuple(edges)))
+            adjacency = normalize_adjacency(SemanticGraph.from_named(nodes=nodes, edges=tuple(edges)))
             alpha = float(rng.uniform(0.1, 0.9))
             seed = SeedVector.uniform(adjacency.order, [f"n{int(rng.integers(0, n))}"])
             config = PprConfig(alpha=alpha, tolerance=1e-12)

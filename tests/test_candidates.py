@@ -56,7 +56,7 @@ class TestTopNCandidates:
         pool = top_n_candidates(query, corpus, 6)
         assert len(pool) == 6
         assert pool.query == query
-        assert pool.pairwise.order == pool.ids
+        assert pool.ids == pool.candidates.ids
         for i, item_id in enumerate(pool.ids):
             np.testing.assert_allclose(
                 pool.query_sims[i],
@@ -94,23 +94,18 @@ class TestCandidatePoolValidation:
         query = EmbeddingVector("q", [1.0, 0.0])
         a = EmbeddingVector("a", [1.0, 0.0])
         b = EmbeddingVector("b", [1.0, 1.0])
-        return query, (a, b), np.array([1.0, 1.0 / np.sqrt(2.0)]), similarity_matrix([a, b])
+        return query, (a, b), np.array([1.0, 1.0 / np.sqrt(2.0)])
 
     def test_valid_pool_constructs(self):
-        query, candidates, sims, pairwise = self._parts()
-        pool = CandidatePool(query=query, candidates=candidates, query_sims=sims, pairwise=pairwise)
+        query, candidates, sims = self._parts()
+        pool = CandidatePool(query=query, candidates=candidates, query_sims=sims)
         assert pool.ids == ("a", "b")
 
     def test_unsorted_pool_rejected(self):
-        query, candidates, sims, pairwise = self._parts()
+        query, candidates, sims = self._parts()
         backwards = (candidates[1], candidates[0])
         with pytest.raises(ValueError, match="sorted by descending query similarity"):
-            CandidatePool(
-                query=query,
-                candidates=backwards,
-                query_sims=sims[::-1],
-                pairwise=similarity_matrix(list(backwards)),
-            )
+            CandidatePool(query=query, candidates=backwards, query_sims=sims[::-1])
 
     @pytest.mark.parametrize(
         ("values", "named"),
@@ -124,36 +119,50 @@ class TestCandidatePoolValidation:
         ],
     )
     def test_query_sims_outside_the_cosine_range_rejected(self, values, named):
-        query, candidates, _, pairwise = self._parts()
+        query, candidates, _ = self._parts()
         message = f"query similarity of {named}, expected a value in [-1, 1]"
         with pytest.raises(ValueError, match=re.escape(message)):
-            CandidatePool(query=query, candidates=candidates, query_sims=np.array(values), pairwise=pairwise)
+            CandidatePool(query=query, candidates=candidates, query_sims=np.array(values))
 
     def test_query_sims_within_tolerance_of_the_range_accepted(self):
-        query, candidates, _, pairwise = self._parts()
+        query, candidates, _ = self._parts()
         sims = np.array([1.0 + MATRIX_TOL / 2, -1.0 - MATRIX_TOL / 2])
-        assert CandidatePool(query=query, candidates=candidates, query_sims=sims, pairwise=pairwise).ids == ("a", "b")
+        assert CandidatePool(query=query, candidates=candidates, query_sims=sims).ids == ("a", "b")
 
     def test_size_mismatch_rejected(self):
-        query, candidates, sims, pairwise = self._parts()
+        query, candidates, sims = self._parts()
         with pytest.raises(ValueError, match="disagree in size"):
-            CandidatePool(query=query, candidates=candidates, query_sims=sims[:1], pairwise=pairwise)
-
-    def test_order_mismatch_rejected(self):
-        query, candidates, sims, _ = self._parts()
-        other = similarity_matrix([candidates[1], candidates[0]])
-        with pytest.raises(ValueError, match="does not match pairwise matrix order"):
-            CandidatePool(query=query, candidates=candidates, query_sims=sims, pairwise=other)
+            CandidatePool(query=query, candidates=candidates, query_sims=sims[:1])
 
     def test_unknown_item_lookup_rejected(self):
-        query, candidates, sims, pairwise = self._parts()
-        pool = CandidatePool(query=query, candidates=candidates, query_sims=sims, pairwise=pairwise)
+        query, candidates, sims = self._parts()
+        pool = CandidatePool(query=query, candidates=candidates, query_sims=sims)
         with pytest.raises(ValueError, match="unknown pool item 'zzz'"):
             pool.vector("zzz")
 
+    def test_pairwise_is_the_read_only_matrix_of_the_candidates(self):
+        query, candidates, sims = self._parts()
+        pool = CandidatePool(query=query, candidates=candidates, query_sims=sims)
+        assert pool.pairwise.tobytes() == similarity_matrix(candidates).tobytes()
+        assert not pool.pairwise.flags.writeable
+        with pytest.raises(ValueError):
+            pool.pairwise[0, 1] = 0.0
+
+    @pytest.mark.parametrize(
+        ("second", "message"),
+        [
+            (EmbeddingVector("a", [1.0, 1.0]), "duplicate item id 'a'"),
+            (EmbeddingVector("nil", [0.0, 0.0]), "cosine similarity undefined for zero-norm vector 'nil'"),
+        ],
+    )
+    def test_candidates_are_checked_by_the_pairwise_kernel(self, second, message):
+        query, (first, _), sims = self._parts()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CandidatePool(query=query, candidates=(first, second), query_sims=sims)
+
     def test_query_sims_are_read_only(self):
-        query, candidates, sims, pairwise = self._parts()
-        pool = CandidatePool(query=query, candidates=candidates, query_sims=sims, pairwise=pairwise)
+        query, candidates, sims = self._parts()
+        pool = CandidatePool(query=query, candidates=candidates, query_sims=sims)
         with pytest.raises(ValueError):
             pool.query_sims[0] = 0.0
 
@@ -208,7 +217,7 @@ class TestStackedCorpus:
         stacked = np.stack([v.values for v in pool.candidates])
         assert pool.candidates.matrix.tobytes() == stacked.tobytes()
         plain = similarity_matrix(tuple(pool.candidates))
-        assert pool.pairwise.entries.tobytes() == plain.entries.tobytes()
+        assert pool.pairwise.tobytes() == plain.tobytes()
 
     def test_first_duplicate_id(self):
         a, b = EmbeddingVector("a", [1.0]), EmbeddingVector("b", [1.0])

@@ -300,6 +300,24 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: could not place centroid")
 
+    def test_non_finite_cluster_std_is_a_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "data.tsv"
+        code, _, err = _run(["generate", *_DATA, "--cluster-std", "nan", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == "error: cluster_std must be finite, got nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_a_failed_plot_leaves_no_report(self, tmp_path, capsys, to_file):
+        report = tmp_path / "r.csv"
+        flags = ["--dim", "3", "--num-points", "40", "--pool-size", "10", "--plot", str(tmp_path / "p.svg")]
+        code, out, err = _run(["experiment", *flags, *(["--out", str(report)] if to_file else [])], capsys)
+        assert code == 2
+        assert err == "error: plotting requires a 2-dimensional dataset; regenerate with dim=2\n"
+        assert out == ""
+        assert not report.exists()
+        assert not (tmp_path / "p.svg").exists()
+
     def test_stage_raising_key_error_is_a_runtime_error(self, monkeypatch, capsys):
         import semrank.experiments
 

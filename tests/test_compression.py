@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semrank.candidates import CandidatePool, top_n_candidates
+from semrank.candidates import top_n_candidates
 from semrank.compression import (
     CompressionConfig,
     SelectionTrace,
@@ -24,7 +24,7 @@ from semrank.compression import (
     _coverage_gains,
     _lazy_gains,
 )
-from semrank.geometry import EmbeddingVector, SimilarityMatrix, cosine_similarity, ranked
+from semrank.geometry import EmbeddingVector, cosine_similarity, ranked
 
 
 def _random_pool(count=12, dim=4, seed=42, pool_size=None):
@@ -72,7 +72,7 @@ def _greedy_reference(pool, k, lam):
 def _allocating_greedy(pool, k, lam):
     """The greedy loop as first written, with fresh n x n temporaries at
     every step; the library's buffered loop must match it bit for bit."""
-    sims = pool.pairwise.entries
+    sims = pool.pairwise
     ids = pool.ids
     n = len(pool)
     selected = np.zeros(n, dtype=bool)
@@ -283,13 +283,12 @@ class TestLazyGreedyOnAdversarialPools:
         the last batch holds one column; its gain must still equal the
         row-by-row dense sum."""
         pool = _random_pool(count=3 * _BATCH + 1, dim=3, seed=seed)
-        sims = pool.pairwise.entries
+        sims = pool.pairwise
         n = len(pool)
         cover = sims[:, 0].copy()
         diversity = np.random.default_rng(seed).normal(size=n)
         bound = np.full(n, np.inf)
-        rows = pool.pairwise.transposed
-        columns, scored = _lazy_gains(rows, cover, diversity, bound, np.zeros(n, dtype=bool), n, np.empty(n * n))
+        columns, scored = _lazy_gains(sims, cover, diversity, bound, np.zeros(n, dtype=bool), n, np.empty(n * n))
         gains = np.full(n, -np.inf)
         gains[columns] = scored
         coverage = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
@@ -302,14 +301,13 @@ class TestLazyGreedyOnAdversarialPools:
         """With exact bounds only the first batch can reach the maximum, and
         the pick taken from the columns scored is the full scan's."""
         pool = _random_pool(count=6 * _BATCH, dim=3, seed=seed)
-        sims = pool.pairwise.entries
+        sims = pool.pairwise
         n = len(pool)
         cover = sims[:, 0].copy()
         diversity = np.random.default_rng(seed).normal(size=n)
         coverage = np.maximum(sims - cover[:, None], 0.0).sum(axis=0)
         exact = coverage + diversity
-        rows = pool.pairwise.transposed
-        columns, gains = _lazy_gains(rows, cover, diversity, coverage.copy(), np.zeros(n, dtype=bool), n, np.empty(n * n))
+        columns, gains = _lazy_gains(sims, cover, diversity, coverage.copy(), np.zeros(n, dtype=bool), n, np.empty(n * n))
         assert len(columns) == _BATCH
         assert gains.tobytes() == exact[columns].tobytes()
         id_ranks = pool.candidates.id_ranks
@@ -343,14 +341,14 @@ class TestCoverageGainsKernel:
     @pytest.mark.parametrize("seed", range(2))
     def test_every_batch_width_matches_the_row_by_row_sums(self, seed):
         pool = _random_pool(count=2 * _WIDTH + 1, dim=3, seed=seed)
-        sims = pool.pairwise.entries
+        sims = pool.pairwise
         n = len(pool)
         rng = np.random.default_rng(seed)
         cover = sims[:, rng.choice(n, size=3, replace=False)].max(axis=1)
         buffer = np.empty(n * _WIDTH)
         for width in range(1, _WIDTH + 1):
             columns = rng.choice(n, size=width, replace=False)
-            gains = _coverage_gains(pool.pairwise.transposed, cover, columns, buffer)
+            gains = _coverage_gains(sims, cover, columns, buffer)
             assert gains.tobytes() == _row_by_row_gains(sims, cover, columns).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -380,34 +378,6 @@ class TestCoverageGainsKernel:
         for c in columns:
             one = _coverage_gains(sims, cover, columns[c : c + 1], buffer)
             assert one.tobytes() == gains[c : c + 1].tobytes()
-
-
-class TestCallerBuiltPools:
-    """A caller's :class:`SimilarityMatrix` need only be symmetric within
-    ``MATRIX_TOL``; greedy gains are still defined by its columns."""
-
-    @pytest.mark.parametrize("lam", [0.0, 0.25, 4.0])
-    def test_asymmetric_entries_keep_the_column_definition(self, lam):
-        base = _random_pool(count=2 * _WIDTH + 1, dim=3, seed=11)
-        n = len(base)
-        rng = np.random.default_rng(12)
-        entries = base.pairwise.entries.copy()
-        upper = np.triu_indices(n, 1)
-        entries[upper] += rng.choice([-3e-13, 3e-13], size=len(upper[0]))
-        entries = np.clip(entries, -1.0, 1.0)
-        pool = CandidatePool(
-            query=base.query,
-            candidates=base.candidates,
-            query_sims=base.query_sims,
-            pairwise=SimilarityMatrix(order=base.ids, entries=entries),
-        )
-        assert not np.array_equal(pool.pairwise.entries, pool.pairwise.entries.T)
-        k = 40
-        if lam == 0.0:
-            trace = facility_location_greedy(pool, k)
-        else:
-            trace = greedy_select(pool, CompressionConfig(k=k, lam=lam))
-        assert (trace.chosen, trace.marginal_gains) == _allocating_greedy(pool, k, lam)
 
 
 class TestCompressionConfig:
@@ -506,8 +476,8 @@ class TestGreedySelect:
         """Step one has no pairs, so it maximizes total similarity to the pool."""
         pool = _random_pool(count=15, seed=14)
         trace = greedy_select(pool, CompressionConfig(k=1, lam=0.9))
-        mass = pool.pairwise.entries.sum(axis=0)
-        picked = pool.pairwise.positions[trace.chosen[0]]
+        mass = pool.pairwise.sum(axis=0)
+        picked = pool.candidates.positions[trace.chosen[0]]
         np.testing.assert_allclose(mass[picked], mass.max(), rtol=0, atol=0)
 
     def test_objective_value_equals_gain_sum_and_reevaluation(self):

@@ -35,6 +35,12 @@ class TestSyntheticDatasetSpec:
         with pytest.raises(ValueError, match="separation must be > 0"):
             SyntheticDatasetSpec(separation=-1.0)
 
+    @pytest.mark.parametrize("name", ["cluster_std", "separation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scales_are_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            SyntheticDatasetSpec(**{name: value})
+
 
 class TestGenerateClusters:
     def test_deterministic_for_fixed_seed(self):

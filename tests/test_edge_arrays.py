@@ -100,20 +100,20 @@ def _per_edge_check(nodes, edges, cluster_heads=None):
         msg = "graph nodes contain duplicate ids"
         raise ValueError(msg)
     seen = set()
-    for edge in edges:
-        if edge.kind not in EDGE_KINDS:
-            msg = f"unknown edge kind {edge.kind!r}"
+    for source, target, weight, kind in edges:
+        if kind not in EDGE_KINDS:
+            msg = f"unknown edge kind {kind!r}"
             raise ValueError(msg)
-        if edge.source not in known or edge.target not in known:
-            msg = f"edge {edge.source!r}->{edge.target!r} references unknown node"
+        if source not in known or target not in known:
+            msg = f"edge {source!r}->{target!r} references unknown node"
             raise ValueError(msg)
-        if edge.source == edge.target:
-            msg = f"self-loop on {edge.source!r}"
+        if source == target:
+            msg = f"self-loop on {source!r}"
             raise ValueError(msg)
-        if not (np.isfinite(edge.weight) and edge.weight > 0.0):
-            msg = f"edge {edge.source!r}->{edge.target!r} weight must be finite and > 0"
+        if not (np.isfinite(weight) and weight > 0.0):
+            msg = f"edge {source!r}->{target!r} weight must be finite and > 0"
             raise ValueError(msg)
-        key = (edge.source, edge.target, edge.kind)
+        key = (source, target, kind)
         if key in seen:
             msg = f"duplicate edge {key}"
             raise ValueError(msg)
@@ -146,7 +146,7 @@ _weights = st.one_of(
     st.sampled_from([1.0] * 20 + [0.0, -0.0, -1.5, math.nan, math.inf, -math.inf, 5e-324]),
 )
 _kinds = st.sampled_from([*EDGE_KINDS] * 6 + ["magic"])
-_edges = st.builds(lambda pair, weight, kind: GraphEdge(*pair, weight, kind), _pairs, _weights, _kinds)
+_edges = st.builds(lambda pair, weight, kind: (*pair, weight, kind), _pairs, _weights, _kinds)
 
 
 class TestValidationMessages:
@@ -159,12 +159,12 @@ class TestValidationMessages:
     def test_array_validator_raises_what_the_per_edge_loop_raised(self, node_ids, edges, cluster_heads):
         nodes = tuple(EmbeddingVector(node_id, [float(i + 1), 1.0]) for i, node_id in enumerate(node_ids))
         want = _outcome(lambda: _per_edge_check(nodes, edges, cluster_heads))
-        got = _outcome(lambda: SemanticGraph.from_edges(nodes, edges, cluster_heads))
+        got = _outcome(lambda: SemanticGraph.from_named(nodes, edges, cluster_heads))
         assert got == want
         if want is None:
-            graph = SemanticGraph.from_edges(nodes, edges, cluster_heads)
-            assert graph.edges == tuple(edges)
-            assert [edge.weight.hex() for edge in graph.edges] == [float(edge.weight).hex() for edge in edges]
+            graph = SemanticGraph.from_named(nodes, edges, cluster_heads)
+            assert graph.edges == tuple(GraphEdge(*edge) for edge in edges)
+            assert [edge.weight.hex() for edge in graph.edges] == [float(edge[2]).hex() for edge in edges]
 
     def test_arrays_are_validated_with_positions_and_codes(self):
         nodes = (EmbeddingVector("a", [1.0]), EmbeddingVector("b", [2.0]))
@@ -193,7 +193,7 @@ class TestUnitRows:
     def test_loaded_graph_reads_its_node_matrix(self, tmp_path, monkeypatch):
         built = _build(experiments.ExperimentConfig(dataset=datagen.SyntheticDatasetSpec(num_points=60, dim=3)))
         loaded = fileio.load_graph(fileio.save_graph(built, tmp_path / "graph.tsv"))
-        expected = SemanticGraph.from_edges(tuple(built.nodes), built.edges).nodes.unit_rows
+        expected = SemanticGraph(tuple(built.nodes), built.sources, built.targets, built.weights, built.kind).nodes.unit_rows
 
         def no_stack(*args, **kwargs):
             raise AssertionError("unit_rows restacked the node vectors")
@@ -205,10 +205,10 @@ class TestUnitRows:
     def test_tuple_nodes_keep_the_dimension_check(self):
         nodes = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=3, expected 2$"):
-            SemanticGraph.from_edges(nodes, ()).nodes.unit_rows
+            SemanticGraph.from_named(nodes, ()).nodes.unit_rows
 
     def test_empty_graph_has_no_rows(self):
-        assert SemanticGraph.from_edges((), ()).nodes.unit_rows.shape == (0, 0)
+        assert SemanticGraph.from_named((), ()).nodes.unit_rows.shape == (0, 0)
 
 
 @pytest.fixture

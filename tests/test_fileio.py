@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from semrank.datagen import SyntheticDataset, SyntheticDatasetSpec, generate_clusters
 from semrank.fileio import load_dataset, load_graph, save_dataset, save_graph
 from semrank.geometry import EmbeddingVector, Embeddings
-from semrank.graph import GraphEdge, SemanticGraph, build_knn_graph
+from semrank.graph import SemanticGraph, build_knn_graph
 
 
 def _dataset(seed=42):
@@ -150,11 +150,11 @@ class TestGraphRoundTrip:
             EmbeddingVector("b", [0.9, 0.1]),
         )
         edges = (
-            GraphEdge("a", "b", 0.993, "knn"),
-            GraphEdge("a", "b", 0.993, "symbolic"),
-            GraphEdge("b", "a", 0.993, "symbolic"),
+            ("a", "b", 0.993, "knn"),
+            ("a", "b", 0.993, "symbolic"),
+            ("b", "a", 0.993, "symbolic"),
         )
-        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_named(nodes=nodes, edges=edges)
         loaded = load_graph(save_graph(graph, tmp_path / "graph.tsv"))
         assert sorted(e.kind for e in loaded.edges) == ["knn", "symbolic", "symbolic"]
         assert loaded.edges == graph.edges
@@ -171,7 +171,7 @@ class TestGraphRoundTrip:
 
     def test_empty_graph_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty graph"):
-            save_graph(SemanticGraph.from_edges(nodes=(), edges=()), tmp_path / "nope.tsv")
+            save_graph(SemanticGraph.from_named(nodes=(), edges=()), tmp_path / "nope.tsv")
 
 
 class TestGraphParsing:
@@ -298,7 +298,7 @@ class TestUnwritableIds:
     @pytest.mark.parametrize("bad", _UNWRITABLE_IDS)
     def test_graph_rejects_tab_and_line_breaks(self, bad, tmp_path):
         nodes = (EmbeddingVector("ok", [1.0, 0.0]), EmbeddingVector(bad, [0.0, 1.0]))
-        graph = SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("ok", bad, 0.5, "knn"),))
+        graph = SemanticGraph.from_named(nodes=nodes, edges=(("ok", bad, 0.5, "knn"),))
         path = tmp_path / "graph.tsv"
         with pytest.raises(ValueError, match="contains a tab or line break") as caught:
             save_graph(graph, path)
@@ -345,8 +345,8 @@ class TestRoundTripProperties:
         slots = [(a, b, kind) for a in ids for b in ids if a != b for kind in ("knn", "symbolic")]
         chosen = data.draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
         weights = st.floats(min_value=1e-300, max_value=1e300)
-        edges = tuple(GraphEdge(a, b, data.draw(weights), kind) for a, b, kind in chosen)
-        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
+        edges = tuple((a, b, data.draw(weights), kind) for a, b, kind in chosen)
+        graph = SemanticGraph.from_named(nodes=nodes, edges=edges)
         path = tmp_path_factory.mktemp("graph") / "graph.tsv"
         loaded = load_graph(save_graph(graph, path))
         assert loaded.node_ids == graph.node_ids

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from semrank.datagen import SyntheticDatasetSpec, generate_clusters
 from semrank.geometry import (
@@ -14,7 +15,6 @@ from semrank.geometry import (
     MATRIX_TOL,
     EmbeddingVector,
     Embeddings,
-    SimilarityMatrix,
     _row_view,
     cosine_similarity,
     query_similarities,
@@ -260,7 +260,7 @@ class TestCosineSimilarity:
             cosine_similarity(ok, zero)
 
 
-class TestSimilarityMatrix:
+class TestPairwiseMatrix:
     def _vectors(self, count=5, dim=4, seed=42):
         rng = np.random.default_rng(seed)
         return [EmbeddingVector(f"v{i}", rng.normal(size=dim)) for i in range(count)]
@@ -268,19 +268,19 @@ class TestSimilarityMatrix:
     def test_matches_pairwise_cosine_calls(self):
         vectors = self._vectors()
         sims = similarity_matrix(vectors)
-        assert sims.order == tuple(v.id for v in vectors)
+        assert sims.shape == (len(vectors), len(vectors))
         for i, a in enumerate(vectors):
             for j, b in enumerate(vectors):
                 np.testing.assert_allclose(
-                    sims.entries[i, j], cosine_similarity(a, b), rtol=0, atol=1e-12
+                    sims[i, j], cosine_similarity(a, b), rtol=0, atol=1e-12
                 )
 
     def test_contract_symmetric_unit_diagonal_bounded(self):
         sims = similarity_matrix(self._vectors(count=8))
-        np.testing.assert_allclose(sims.entries, sims.entries.T, rtol=0, atol=MATRIX_TOL)
-        np.testing.assert_allclose(np.diagonal(sims.entries), 1.0, rtol=0, atol=MATRIX_TOL)
-        assert sims.entries.min() >= -1.0
-        assert sims.entries.max() <= 1.0
+        np.testing.assert_allclose(sims, sims.T, rtol=0, atol=MATRIX_TOL)
+        np.testing.assert_allclose(np.diagonal(sims), 1.0, rtol=0, atol=MATRIX_TOL)
+        assert sims.min() >= -1.0
+        assert sims.max() <= 1.0
 
     def test_duplicate_ids_rejected(self):
         twice = [EmbeddingVector("same", [1.0, 0.0]), EmbeddingVector("same", [0.0, 1.0])]
@@ -301,69 +301,10 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="zero-norm vector 'nil'"):
             similarity_matrix(vectors)
 
-    def test_validation_rejects_asymmetry(self):
-        entries = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError, match="not symmetric"):
-            SimilarityMatrix(order=("a", "b"), entries=entries)
-
-    def test_validation_rejects_bad_diagonal(self):
-        entries = np.array([[0.9, 0.5], [0.5, 1.0]])
-        with pytest.raises(ValueError, match="diagonal must be 1"):
-            SimilarityMatrix(order=("a", "b"), entries=entries)
-
-    def test_validation_rejects_out_of_range_values(self):
-        entries = np.array([[1.0, 1.5], [1.5, 1.0]])
-        with pytest.raises(ValueError, match=r"lie in \[-1, 1\]"):
-            SimilarityMatrix(order=("a", "b"), entries=entries)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("cells", [((0, 1), (1, 0)), ((1, 1),), ((2, 0),)], ids=["pair", "diagonal", "one-cell"])
-    @pytest.mark.parametrize("adopt", [False, True], ids=["copy", "adopt"])
-    def test_non_finite_entries_are_rejected(self, bad, cells, adopt):
-        entries = np.eye(3)
-        for cell in cells:
-            entries[cell] = bad
-        build = SimilarityMatrix._adopt if adopt else SimilarityMatrix
-        with pytest.raises(ValueError, match="similarity matrix|similarity values"):
-            build(("a", "b", "c"), entries)
-
-    def test_nan_fails_the_range_check(self):
-        """NaN passes the symmetry and diagonal checks, which are written as
-        ``>`` comparisons, so the range check is the one that rejects it."""
-        entries = np.eye(2)
-        entries[0, 1] = entries[1, 0] = np.nan
-        with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
-            SimilarityMatrix(order=("a", "b"), entries=entries)
-
-    def test_validation_rejects_duplicate_order_ids(self):
-        with pytest.raises(ValueError, match="duplicate ids"):
-            SimilarityMatrix(order=("a", "a"), entries=np.eye(2))
-
-    def test_validation_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            SimilarityMatrix(order=("a", "b"), entries=np.eye(3))
-
     def test_entries_are_read_only(self):
         sims = similarity_matrix(self._vectors(count=3))
         with pytest.raises(ValueError):
-            sims.entries[0, 1] = 0.0
-
-    def test_transposed_rows_are_the_columns(self):
-        """``transposed`` is ``entries`` itself when that is exactly
-        symmetric and C-contiguous, else a C-contiguous transposed copy;
-        either way read-only, with row ``c`` holding column ``c``."""
-        built = similarity_matrix(self._vectors(count=6))
-        assert built.transposed is built.entries
-        symmetric = SimilarityMatrix(order=built.order, entries=built.entries)
-        assert symmetric.transposed is symmetric.entries
-        asymmetric = built.entries.copy()
-        asymmetric[0, 1] += 3e-13
-        for entries in (np.asfortranarray(built.entries), asymmetric):
-            matrix = SimilarityMatrix(order=built.order, entries=entries)
-            rows = matrix.transposed
-            assert rows.flags.c_contiguous and not rows.flags.writeable
-            np.testing.assert_array_equal(_bits(rows), _bits(matrix.entries.T))
-
+            sims[0, 1] = 0.0
 
 def _three_array_similarities(vectors):
     """The pairwise stage written with whole-matrix temporaries:
@@ -389,25 +330,20 @@ class TestOneArraySimilarityStage:
         rng = np.random.default_rng(7)
         vectors = [EmbeddingVector(f"v{i}", rng.normal(size=3)) for i in range(n)]
         sims = similarity_matrix(vectors)
-        np.testing.assert_array_equal(_bits(sims.entries), _bits(_three_array_similarities(vectors)))
+        np.testing.assert_array_equal(_bits(sims), _bits(_three_array_similarities(vectors)))
 
-    @pytest.mark.parametrize("cell", [(-1, -2), (-1, 0), (0, -1)])
-    def test_asymmetry_in_the_last_block_is_rejected(self, cell):
-        n = 2 * _BLOCK + 3
-        order = tuple(f"v{i}" for i in range(n))
-        entries = np.eye(n)
-        entries[cell] = MATRIX_TOL / 2
-        SimilarityMatrix(order=order, entries=entries)
-        entries[cell] = 2 * MATRIX_TOL
-        with pytest.raises(ValueError, match="^similarity matrix is not symmetric$"):
-            SimilarityMatrix(order=order, entries=entries)
-
-    def test_callers_array_is_copied(self):
-        source = np.array([[1.0, 0.5], [0.5, 1.0]])
-        sims = SimilarityMatrix(order=("a", "b"), entries=source)
-        source[0, 1] = source[1, 0] = -0.25
-        np.testing.assert_array_equal(sims.entries, [[1.0, 0.5], [0.5, 1.0]])
-        assert source.flags.writeable
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tied_integer_corpora_are_exactly_symmetric(self, data):
+        """Cell ``(j, i)`` holds the bits of cell ``(i, j)``, signs of zeros
+        included, at every block edge; the greedy reads rows as columns."""
+        n = data.draw(st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 2 * _BLOCK + 2]))
+        dim = data.draw(st.integers(1, 3))
+        rows = data.draw(arrays(np.int64, (n, dim), elements=st.integers(-2, 2))).astype(np.float64)
+        rows[~rows.any(axis=1), 0] = 1.0
+        ids = [f"v{i:03d}" for i in data.draw(st.permutations(range(n)))]
+        sims = similarity_matrix(Embeddings.from_matrix(ids, rows))
+        np.testing.assert_array_equal(_bits(sims), _bits(sims.T))
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_peak_holds_one_matrix(self, n):
@@ -461,7 +397,7 @@ class TestSimilarityRows:
         assert max(sizes) <= _BLOCK + 1
         stacked = np.concatenate(rows)
         np.testing.assert_array_equal(_bits(stacked), _bits(stacked.T))
-        np.testing.assert_array_equal(_bits(stacked), _bits(similarity_matrix(points).entries))
+        np.testing.assert_array_equal(_bits(stacked), _bits(similarity_matrix(points)))
         np.testing.assert_array_equal(np.diagonal(stacked), 1.0)
         assert stacked.min() >= -1.0 and stacked.max() <= 1.0
 
@@ -469,11 +405,11 @@ class TestSimilarityRows:
     def test_rows_are_exactly_symmetric_on_clustered_corpora(self, n, dim):
         """Averaging two full-width products per block left 172, 1,528 and
         5,026 cells here with ``S[i, j] != S[j, i]``; the tile-pair kernel
-        computes each pair once, and ``_adopt`` relies on that."""
+        computes each pair once, and the greedy relies on that."""
         points = generate_clusters(SyntheticDatasetSpec(num_points=n, dim=dim, rng_seed=0)).points
         stacked = np.concatenate(_collect(similarity_rows(points))[1])
         np.testing.assert_array_equal(_bits(stacked), _bits(stacked.T))
-        np.testing.assert_array_equal(_bits(stacked), _bits(similarity_matrix(points).entries))
+        np.testing.assert_array_equal(_bits(stacked), _bits(similarity_matrix(points)))
 
     @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
     def test_each_block_is_bitwise_its_tile_products(self, n):
@@ -517,6 +453,8 @@ class TestSimilarityRows:
             blocks = similarity_rows(corpus)
         with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
             next(blocks)
+        with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
+            similarity_matrix(corpus)
 
 
 class TestQuerySimilarities:

@@ -12,7 +12,6 @@ from semrank.geometry import _BLOCK, EmbeddingVector, Embeddings, cosine_similar
 from semrank.graph import (
     EDGE_WEIGHT_FLOOR,
     ConvergenceError,
-    GraphEdge,
     NormalizedAdjacency,
     PprConfig,
     SeedVector,
@@ -99,9 +98,9 @@ def _reference_sparse(graph, heads, m):
     positions = [graph.nodes.positions[head] for head in heads]
     added = ([], [], [])
     for i in range(len(heads)):
-        others = [j for j in ranked(sims.entries[i], head_vectors.id_ranks) if j != i]
+        others = [j for j in ranked(sims[i], head_vectors.id_ranks) if j != i]
         for j in others[:m]:
-            _reference_pair(added, positions[i], positions[j], sims.entries[i, j])
+            _reference_pair(added, positions[i], positions[j], sims[i, j])
     return _reference_merge(graph, added)
 
 
@@ -152,62 +151,62 @@ def _clustered_corpora(draw):
 def _line_graph():
     """a -> b with b dangling; the smallest graph with re-injected mass."""
     nodes = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [0.0, 1.0]))
-    edges = (GraphEdge(source="a", target="b", weight=1.0, kind="knn"),)
-    return SemanticGraph.from_edges(nodes=nodes, edges=edges)
+    edges = (("a", "b", 1.0, "knn"),)
+    return SemanticGraph.from_named(nodes=nodes, edges=edges)
 
 
 def _cycle_graph():
     nodes = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [0.0, 1.0]))
     edges = (
-        GraphEdge(source="a", target="b", weight=1.0, kind="knn"),
-        GraphEdge(source="b", target="a", weight=1.0, kind="knn"),
+        ("a", "b", 1.0, "knn"),
+        ("b", "a", 1.0, "knn"),
     )
-    return SemanticGraph.from_edges(nodes=nodes, edges=edges)
+    return SemanticGraph.from_named(nodes=nodes, edges=edges)
 
 
 class TestSemanticGraphValidation:
     def test_duplicate_node_ids_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("x", [2.0]))
         with pytest.raises(ValueError, match="duplicate ids"):
-            SemanticGraph.from_edges(nodes=nodes, edges=())
+            SemanticGraph.from_named(nodes=nodes, edges=())
 
     def test_unknown_endpoint_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]),)
         with pytest.raises(ValueError, match="references unknown node"):
-            SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "ghost", 1.0, "knn"),))
+            SemanticGraph.from_named(nodes=nodes, edges=(("x", "ghost", 1.0, "knn"),))
 
     def test_self_loop_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]),)
         with pytest.raises(ValueError, match="self-loop on 'x'"):
-            SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "x", 1.0, "knn"),))
+            SemanticGraph.from_named(nodes=nodes, edges=(("x", "x", 1.0, "knn"),))
 
     def test_non_positive_weight_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
         for weight in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="must be finite and > 0"):
-                SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "y", weight, "knn"),))
+                SemanticGraph.from_named(nodes=nodes, edges=(("x", "y", weight, "knn"),))
 
     def test_unknown_kind_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
         with pytest.raises(ValueError, match="unknown edge kind 'magic'"):
-            SemanticGraph.from_edges(nodes=nodes, edges=(GraphEdge("x", "y", 1.0, "magic"),))
+            SemanticGraph.from_named(nodes=nodes, edges=(("x", "y", 1.0, "magic"),))
 
     def test_duplicate_edge_key_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
-        edges = (GraphEdge("x", "y", 1.0, "knn"), GraphEdge("x", "y", 0.5, "knn"))
+        edges = (("x", "y", 1.0, "knn"), ("x", "y", 0.5, "knn"))
         with pytest.raises(ValueError, match="duplicate edge"):
-            SemanticGraph.from_edges(nodes=nodes, edges=edges)
+            SemanticGraph.from_named(nodes=nodes, edges=edges)
 
     def test_parallel_edges_of_different_kinds_allowed(self):
         nodes = (EmbeddingVector("x", [1.0]), EmbeddingVector("y", [2.0]))
-        edges = (GraphEdge("x", "y", 1.0, "knn"), GraphEdge("x", "y", 0.5, "symbolic"))
-        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
+        edges = (("x", "y", 1.0, "knn"), ("x", "y", 0.5, "symbolic"))
+        graph = SemanticGraph.from_named(nodes=nodes, edges=edges)
         assert graph.out_neighbors("x") == {"y"}
 
     def test_unknown_cluster_head_rejected(self):
         nodes = (EmbeddingVector("x", [1.0]),)
         with pytest.raises(ValueError, match="cluster head 'ghost'"):
-            SemanticGraph.from_edges(nodes=nodes, edges=(), cluster_heads=("ghost",))
+            SemanticGraph.from_named(nodes=nodes, edges=(), cluster_heads=("ghost",))
 
     def test_lookups(self):
         graph = _line_graph()
@@ -516,13 +515,13 @@ class TestSymbolicEdges:
         graph = build_knn_graph(nodes, 1)
         with pytest.raises(ValueError, match="^dense symbolic augmentation needs at least one head$"):
             add_symbolic_edges_dense(graph, [], 0.5, labels)
-        zero = SemanticGraph.from_edges([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
+        zero = SemanticGraph.from_named([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
         with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
             add_symbolic_edges_dense(zero, ["z"], 0.5, {**labels, "z": 3})
 
     def test_dense_zero_norm_node_fails_only_outside_the_head_cluster(self):
         nodes, labels = self._clustered()
-        graph = SemanticGraph.from_edges([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
+        graph = SemanticGraph.from_named([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
         with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
             add_symbolic_edges_dense(graph, ["a0"], 0.5, {**labels, "z": 1})
         same_cluster = add_symbolic_edges_dense(graph, ["a0"], 0.5, {**labels, "z": 0})
@@ -571,12 +570,12 @@ class TestNormalizeAdjacency:
             EmbeddingVector("z", [1.0, 1.0]),
         )
         edges = (
-            GraphEdge("x", "y", 0.4, "knn"),
-            GraphEdge("x", "y", 0.6, "symbolic"),  # parallel, summed to 1.0
-            GraphEdge("x", "z", 1.0, "knn"),
-            GraphEdge("y", "x", 2.0, "knn"),
+            ("x", "y", 0.4, "knn"),
+            ("x", "y", 0.6, "symbolic"),  # parallel, summed to 1.0
+            ("x", "z", 1.0, "knn"),
+            ("y", "x", 2.0, "knn"),
         )
-        adjacency = normalize_adjacency(SemanticGraph.from_edges(nodes=nodes, edges=edges))
+        adjacency = normalize_adjacency(SemanticGraph.from_named(nodes=nodes, edges=edges))
         assert adjacency.order == ("x", "y", "z")
         np.testing.assert_allclose(adjacency.matrix[0], [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
         np.testing.assert_allclose(adjacency.matrix[1], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
@@ -590,7 +589,7 @@ class TestNormalizeAdjacency:
         augmented = add_symbolic_edges_sparse(graph, ["n00", "n04", "n08"], 2)
         cached = normalize_adjacency(augmented)
         assert cached is not adjacency
-        rebuilt = normalize_adjacency(SemanticGraph.from_edges(nodes=augmented.nodes, edges=augmented.edges))
+        rebuilt = normalize_adjacency(SemanticGraph(augmented.nodes, augmented.sources, augmented.targets, augmented.weights, augmented.kind))
         assert not np.array_equal(rebuilt.matrix, adjacency.matrix)
         for name in ("indptr", "indices", "weights"):
             np.testing.assert_array_equal(getattr(cached, name), getattr(rebuilt, name))

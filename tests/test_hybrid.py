@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from semrank import hybrid
 from semrank.candidates import CandidatePool, top_n_candidates
-from semrank.geometry import EmbeddingVector, cosine_similarity, similarity_matrix
+from semrank.geometry import EmbeddingVector, cosine_similarity
 from semrank.graph import (
-    GraphEdge,
     PprConfig,
     SeedVector,
     SemanticGraph,
@@ -134,10 +133,10 @@ class TestRankHybrid:
             EmbeddingVector("far", [0.0, 1.0]),
         )
         edges = (
-            GraphEdge("a", "far", 1.0, "knn"),
-            GraphEdge("b", "far", 1.0, "knn"),
+            ("a", "far", 1.0, "knn"),
+            ("b", "far", 1.0, "knn"),
         )
-        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_named(nodes=nodes, edges=edges)
         query = EmbeddingVector("q", [1.0, 0.0])
         pool = top_n_candidates(query, [nodes[0], nodes[1]], 2)
         seeds = SeedVector.uniform(graph.node_ids, ["a", "b"])
@@ -163,8 +162,8 @@ class TestRankHybrid:
             EmbeddingVector("b", [0.0, 1.0]),
             EmbeddingVector("z", [0.0, 0.0]),
         )
-        edges = (GraphEdge("a", "z", 1.0, "knn"), GraphEdge("b", "a", 1.0, "knn"))
-        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
+        edges = (("a", "z", 1.0, "knn"), ("b", "a", 1.0, "knn"))
+        graph = SemanticGraph.from_named(nodes=nodes, edges=edges)
         seeds = SeedVector.uniform(graph.node_ids, ["a"])
         query = EmbeddingVector("q", [1.0, 1.0])
         pool = top_n_candidates(query, list(nodes[:2]), 2)
@@ -178,9 +177,9 @@ class TestRankHybrid:
     def test_zero_norm_query_rejected(self):
         """No scan builds a pool for a zero-norm query, so this one is built by hand."""
         nodes = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [0.0, 1.0]))
-        graph = SemanticGraph.from_edges(nodes, (GraphEdge("a", "b", 1.0, "knn"),))
+        graph = SemanticGraph.from_named(nodes, (("a", "b", 1.0, "knn"),))
         query = EmbeddingVector("q0", [0.0, 0.0])
-        pool = CandidatePool(query, nodes, np.zeros(2), similarity_matrix(nodes))
+        pool = CandidatePool(query, nodes, np.zeros(2))
         seeds = SeedVector.uniform(graph.node_ids, ["a"])
         with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'q0'$"):
             rank_hybrid(pool, graph, seeds, PprConfig(), HybridConfig(beta=0.5, k=2))
@@ -192,12 +191,12 @@ class TestRankHybrid:
             EmbeddingVector("c", [0.0, 1.0]),
         )
         edges = (
-            GraphEdge("a", "c", 1.0, "knn"),
-            GraphEdge("b", "c", 1.0, "knn"),
-            GraphEdge("c", "a", 0.5, "knn"),
-            GraphEdge("c", "b", 0.5, "knn"),
+            ("a", "c", 1.0, "knn"),
+            ("b", "c", 1.0, "knn"),
+            ("c", "a", 0.5, "knn"),
+            ("c", "b", 0.5, "knn"),
         )
-        graph = SemanticGraph.from_edges(nodes=nodes, edges=edges)
+        graph = SemanticGraph.from_named(nodes=nodes, edges=edges)
         query = EmbeddingVector("q", [1.0, 0.0])
         pool = top_n_candidates(query, list(nodes), 3)
         seeds = SeedVector.uniform(graph.node_ids, ["c"])

@@ -11,7 +11,6 @@ from semrank.candidates import top_n_candidates
 from semrank.geometry import EmbeddingVector, cosine_similarity
 from semrank.graph import (
     ConvergenceError,
-    GraphEdge,
     PprConfig,
     SeedVector,
     SemanticGraph,
@@ -47,8 +46,8 @@ def multigraphs(draw) -> SemanticGraph:
             if i == j:
                 continue
             for kind in draw(st.sampled_from([(), ("knn",), ("symbolic",), ("knn", "symbolic")])):
-                edges.append(GraphEdge(f"n{i}", f"n{j}", draw(weights), kind))
-    return SemanticGraph.from_edges(nodes=nodes, edges=tuple(edges))
+                edges.append((f"n{i}", f"n{j}", draw(weights), kind))
+    return SemanticGraph.from_named(nodes=nodes, edges=tuple(edges))
 
 
 def _dense_adjacency(graph: SemanticGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +189,7 @@ class TestPprKernelIsBitwiseTheAllocatingLoop:
     def test_adjacency_without_entries(self, alpha):
         """Every node dangling: ``np.bincount`` over no entries returns int64."""
         nodes = tuple(EmbeddingVector(f"n{i}", [1.0, float(i)]) for i in range(4))
-        adjacency = normalize_adjacency(SemanticGraph.from_edges(nodes=nodes, edges=()))
+        adjacency = normalize_adjacency(SemanticGraph.from_named(nodes=nodes, edges=()))
         assert adjacency.indices.size == 0
         seed = SeedVector.uniform(adjacency.order, ["n1", "n3", "n3"])
         for config in (PprConfig(alpha=alpha), PprConfig(alpha=alpha, tolerance=1e-300, max_iterations=2)):
@@ -199,7 +198,7 @@ class TestPprKernelIsBitwiseTheAllocatingLoop:
 
     @pytest.mark.parametrize("alpha", _ALPHAS)
     def test_one_node_graph(self, alpha):
-        graph = SemanticGraph.from_edges(nodes=(EmbeddingVector("only", [0.5, 2.0]),), edges=())
+        graph = SemanticGraph.from_named(nodes=(EmbeddingVector("only", [0.5, 2.0]),), edges=())
         adjacency = normalize_adjacency(graph)
         seed = SeedVector.uniform(adjacency.order, ["only"])
         outcome = _outcome(adjacency, seed, PprConfig(alpha=alpha))
@@ -210,8 +209,8 @@ class TestPprKernelIsBitwiseTheAllocatingLoop:
     def test_repeated_calls_on_one_adjacency_agree(self):
         """The cached degrees and dangling index are only read."""
         nodes = tuple(EmbeddingVector(f"n{i}", [1.0, float(i)]) for i in range(3))
-        edges = (GraphEdge("n0", "n1", 1.0, "knn"), GraphEdge("n1", "n0", 0.5, "knn"))
-        adjacency = normalize_adjacency(SemanticGraph.from_edges(nodes=nodes, edges=edges))
+        edges = (("n0", "n1", 1.0, "knn"), ("n1", "n0", 0.5, "knn"))
+        adjacency = normalize_adjacency(SemanticGraph.from_named(nodes=nodes, edges=edges))
         seed = SeedVector.uniform(adjacency.order, ["n0"])
         first = _outcome(adjacency, seed, PprConfig())
         assert _outcome(adjacency, seed, PprConfig()) == first == _reference_outcome(adjacency, seed, PprConfig())

@@ -260,7 +260,7 @@ class TestCosineSimilarity:
             cosine_similarity(ok, zero)
 
 
-class TestPairwiseMatrix:
+class TestSimilarityMatrix:
     def _vectors(self, count=5, dim=4, seed=42):
         rng = np.random.default_rng(seed)
         return [EmbeddingVector(f"v{i}", rng.normal(size=dim)) for i in range(count)]
@@ -305,6 +305,36 @@ class TestPairwiseMatrix:
         sims = similarity_matrix(self._vectors(count=3))
         with pytest.raises(ValueError):
             sims[0, 1] = 0.0
+
+    @pytest.mark.parametrize("n", [3, 2 * _BLOCK + 1])
+    def test_diagonal_is_exactly_one(self, n):
+        """A unit row's product with itself can round away from 1; the
+        kernel writes the diagonal as 1 exactly."""
+        vectors = self._vectors(count=n)
+        unit = Embeddings.of(vectors).unit_rows
+        assert (np.einsum("ij,ij->i", unit, unit) != 1.0).any()
+        np.testing.assert_array_equal(np.diagonal(similarity_matrix(vectors)), 1.0)
+
+    def test_values_are_clipped_to_the_unit_interval(self):
+        """Scaled copies of one vector give products just outside
+        ``[-1, 1]``; each of those cells is exactly 1 or -1."""
+        base = np.random.default_rng(1).normal(size=3)
+        scales = [1.0, 3.0, 7.0, -1.0, -5.0, 0.1, 11.0, -13.0]
+        corpus = Embeddings.from_matrix([f"v{i}" for i in range(len(scales))], [s * base for s in scales])
+        raw = corpus.unit_rows @ corpus.unit_rows.T
+        above, below = raw > 1.0, raw < -1.0
+        assert above.any() and below.any()
+        sims = similarity_matrix(corpus)
+        assert sims.min() >= -1.0 and sims.max() <= 1.0
+        np.testing.assert_array_equal(sims[above], 1.0)
+        np.testing.assert_array_equal(sims[below], -1.0)
+
+    def test_rows_and_columns_follow_the_input_order(self):
+        vectors = self._vectors(count=6)
+        sims = similarity_matrix(vectors)
+        backwards = similarity_matrix(vectors[::-1])
+        np.testing.assert_allclose(backwards, sims[::-1, ::-1], rtol=0, atol=1e-15)
+
 
 def _three_array_similarities(vectors):
     """The pairwise stage written with whole-matrix temporaries:
@@ -455,6 +485,39 @@ class TestSimilarityRows:
             next(blocks)
         with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
             similarity_matrix(corpus)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, _BLOCK - 1, _BLOCK + 1], ids=["first", "end-of-block", "tail-block"])
+    @pytest.mark.parametrize("path", ["rows", "matrix"])
+    def test_non_finite_entries_are_rejected(self, bad, row, path):
+        """A non-finite coordinate in a corpus that skipped validation never
+        yields a similarity: a NaN gives a NaN norm, which fails the
+        zero-norm check, and an infinity gives a NaN unit row, which fails
+        the range check of the first block, wherever the row lies."""
+        rows = np.random.default_rng(row).normal(size=(_BLOCK + 2, 2))
+        rows[row, 0] = bad
+        corpus = Embeddings._over([_row_view(f"v{i}", values) for i, values in enumerate(rows)], rows)
+        if np.isnan(bad):
+            message = f"^cosine similarity undefined for zero-norm vector 'v{row}'$"
+        else:
+            message = r"^similarity values must lie in \[-1, 1\]$"
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            if path == "rows":
+                next(similarity_rows(corpus))
+            else:
+                similarity_matrix(corpus)
+
+    @pytest.mark.parametrize("cell", [(-1, -2), (-1, 0), (0, -1)])
+    def test_the_last_block_is_exactly_symmetric(self, cell):
+        """The last row block is written from the tiles above it, so its
+        cells hold the bits of their mirror images in earlier blocks."""
+        n = 2 * _BLOCK + 3
+        rng = np.random.default_rng(n)
+        vectors = [EmbeddingVector(f"v{i}", rng.normal(size=5)) for i in range(n)]
+        stacked = np.concatenate(_collect(similarity_rows(vectors))[1])
+        i, j = cell
+        assert _bits(stacked[i, j]) == _bits(stacked[j, i])
+        assert _bits(stacked[i, j]) == _bits(similarity_matrix(vectors)[j, i])
 
 
 class TestQuerySimilarities:

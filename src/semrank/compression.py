@@ -29,14 +29,15 @@ scoring every candidate at every step:
   it was scored exactly bounds its gain now.  The bound holds in floating
   point too: ``cover`` only grows, and rounded subtraction, ``max`` and
   row-by-row addition are all monotone.  Step 0's gains are raw column
-  sums with negative similarities in them, which bound nothing, so step 1
-  scores every column.
+  sums with negative similarities in them, which bound nothing, so the
+  opening scores every column once after step 0's pick: step 1 starts
+  from exact bounds and is a lazy step like every later one.
 * The diversity gain ``2 * lam * (step - sim_to_chosen)`` is exact and
-  cheap, so from step 2 on only candidates whose bound plus diversity gain
-  is ``>=`` the best exact gain so far are scored, in batches by descending
-  bound, and the pick is taken from the columns scored.  Exact ties are
-  therefore all scored, and the smallest-id tie-break sees every one of
-  them.
+  cheap, so each step after the first scores only the candidates whose
+  bound plus diversity gain is ``>=`` the best exact gain so far, in
+  batches by descending bound, and takes the pick from the columns scored.
+  Exact ties are therefore all scored, and the smallest-id tie-break sees
+  every one of them.
 * A coverage gain is a column sum, ``sum_v max(sims[v, c] - cover[v], 0)``,
   taken row by row from ``v = 0``, as the dense loop's n x n pass takes it.
   A batch of m candidates is gathered as m pool rows into a C-contiguous
@@ -52,21 +53,22 @@ scoring every candidate at every step:
   term (``x - x`` is ``+0.0``, and a negative residual clips to ``+0.0``).
 
 All per-step arithmetic runs in one work buffer of ``_WIDTH`` pool rows,
-allocated per call.  Step 1's pass over every column scores ``_WIDTH``
-candidates at a time and the lazy steps ``_BATCH`` at a time, so a call
-holds no n x n array but the pool's own; a batch's positive residuals and
-their positions add at most 17 bytes per buffer cell.  A candidate's sum
-does not depend on the batch it is scored in, so picks and gains keep their
-bits at any width.  The width trades time against memory: a small pool's
-first greedy call is mostly the fixed cost of each batch's numpy calls, so
-wider batches make it faster (64 rows beat 32 by about 8% at 100 items),
-while each row adds up to 25 bytes per pool item to a call's peak memory.
+allocated per call.  The opening's pass over every column scores
+``_WIDTH`` candidates at a time and the lazy steps ``_BATCH`` at a time,
+so a call holds no n x n array but the pool's own; a batch's positive
+residuals and their positions add at most 17 bytes per buffer cell.  A
+candidate's sum does not depend on the batch it is scored in, so picks and
+gains keep their bits at any width.  The width trades time against memory:
+a small pool's first greedy call is mostly the fixed cost of each batch's
+numpy calls, so wider batches make it faster (64 rows beat 32 by about 8%
+at 100 items), while each row adds up to 25 bytes per pool item to a
+call's peak memory.
 
-Step 0 (the column sums and their pick) and step 1's full coverage pass do
-not depend on the diversity weight.  The first greedy call on a pool works
-them out in its own buffer and keeps them for that pool, and every later
-call on it, at any weight, starts from a copy; a sweep over weights pays
-for one opening, not one per weight.
+The opening, step 0 (the column sums and their pick) and the full
+coverage pass after it, does not depend on the diversity weight.  The
+first greedy call on a pool works it out in its own buffer and keeps it
+for that pool, and every later call on it, at any weight, starts from a
+copy; a sweep over weights pays for one opening, not one per weight.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ from .geometry import ranked
 # Candidates scored exactly per batch by the lazy greedy steps.
 _BATCH = 16
 
-# Candidates per batch of step 1's pass over every column, at least
+# Candidates per batch of the opening's pass over every column, at least
 # ``_BATCH``; the greedy work buffer holds this many pool rows.
 _WIDTH = 32
 
@@ -184,7 +186,8 @@ def select_topk(pool: CandidatePool, k: int) -> list[str]:
 @dataclass(frozen=True)
 class _Opening:
     """The part of a greedy run that no diversity weight changes: step 0's
-    pick and gain, and step 1's coverage gains after that pick."""
+    pick and gain, and every candidate's exact coverage gain after that
+    pick."""
 
     first: int
     first_gain: float
@@ -200,7 +203,7 @@ def _opening(pool: CandidatePool, buffer: np.ndarray) -> _Opening:
         sims = pool.pairwise
         # Step 0 is the raw singleton objective (coverage only; a singleton
         # has no pairs).  Its column sums keep negative similarities, so
-        # they bound nothing and step 1 scores every column.
+        # they bound nothing and every column is scored after its pick.
         column_sums = sims.sum(axis=0)
         first = int(ranked(column_sums, pool.candidates.id_ranks)[0])
         columns = np.arange(len(pool))
@@ -222,40 +225,32 @@ def _greedy(pool: CandidatePool, k: int, lam: float) -> SelectionTrace:
     n = len(pool)
     selected = np.zeros(n, dtype=bool)
     # Incremental state: best similarity of every pool item into the chosen
-    # set, and each candidate's similarity mass towards the chosen set.
-    cover = np.zeros(n, dtype=np.float64)
+    # set (-inf before the first pick), and each candidate's similarity
+    # mass towards the chosen set.
+    cover = np.full(n, -np.inf)
     sim_to_chosen = np.zeros(n, dtype=np.float64)
     # One work buffer reused by every step for a batch of up to ``_WIDTH``
     # pool rows, flat so that each (m, n) view of its head is C-contiguous.
     buffer = np.empty(n * min(n, _WIDTH), dtype=np.float64)
     opening = _opening(pool, buffer)
+    # Each candidate's coverage gain when it was last scored exactly: by
+    # the opening, then by every step that scores it.
+    bound = opening.bound.copy()
+    best, gain = opening.first, opening.first_gain
     chosen: list[str] = []
     gains: list[float] = []
-    for step in range(k):
-        if step == 0:
-            best, gain = opening.first, opening.first_gain
-        else:
-            diversity = 2.0 * lam * (step - sim_to_chosen)
-            if step == 1:
-                # Coverage gain of each candidate when it was last scored
-                # exactly; tightened by every later step that scores it.
-                bound = opening.bound.copy()
-                step_gain = bound + diversity
-                step_gain[selected] = -np.inf
-                best = int(ranked(step_gain, id_ranks)[0])
-                gain = float(step_gain[best])
-            else:
-                columns, step_gain = _lazy_gains(sims, cover, diversity, bound, selected, n - step, buffer)
-                at = ranked(step_gain, id_ranks[columns])[0]
-                best, gain = int(columns[at]), float(step_gain[at])
+    for step in range(1, k + 1):
         selected[best] = True
         chosen.append(ids[best])
         gains.append(gain)
-        if step == 0:
-            cover[:] = sims[:, best]
-        else:
-            np.maximum(cover, sims[:, best], out=cover)
+        if step == k:
+            break
+        np.maximum(cover, sims[:, best], out=cover)
         sim_to_chosen += sims[best, :]
+        diversity = 2.0 * lam * (step - sim_to_chosen)
+        columns, step_gain = _lazy_gains(sims, cover, diversity, bound, selected, n - step, buffer)
+        at = ranked(step_gain, id_ranks[columns])[0]
+        best, gain = int(columns[at]), float(step_gain[at])
     return SelectionTrace(
         chosen=tuple(chosen),
         marginal_gains=tuple(gains),

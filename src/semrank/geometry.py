@@ -211,6 +211,30 @@ class Embeddings(tuple):
         return None
 
 
+def positive_norm(vector: EmbeddingVector) -> float:
+    """``vector.norm()``; raises ``ValueError`` naming the vector unless
+    it is > 0, since no cosine can be taken of a zero vector."""
+    norm = vector.norm()
+    if not norm > 0.0:
+        raise _zero_norm(vector.id)
+    return norm
+
+
+def reject_zero_norms(ids: Sequence[str], norms: np.ndarray, positions: np.ndarray | None = None) -> None:
+    """Raise :func:`positive_norm`'s error naming ``ids[i]`` for the first
+    ``i`` of ``positions`` (by default every position, ascending) whose
+    ``norms[i]`` is not > 0, as a NaN is not."""
+    if positions is None:
+        positions = np.arange(len(norms))
+    zero = positions[~(norms[positions] > 0.0)]
+    if zero.size:
+        raise _zero_norm(ids[zero[0]])
+
+
+def _zero_norm(item_id: str) -> ValueError:
+    return ValueError(f"cosine similarity undefined for zero-norm vector {item_id!r}")
+
+
 def ranked(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
     """Positions of ``scores`` by descending score, exact ties by ascending
     ``id_ranks`` (the ranks of the positions' ids in id order).
@@ -230,14 +254,8 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dim != b.dim:
         msg = f"dimension mismatch: {a.id!r} has d={a.dim}, {b.id!r} has d={b.dim}"
         raise ValueError(msg)
-    norm_a = a.norm()
-    norm_b = b.norm()
-    if not norm_a > 0.0:
-        msg = f"cosine similarity undefined for zero-norm vector {a.id!r}"
-        raise ValueError(msg)
-    if not norm_b > 0.0:
-        msg = f"cosine similarity undefined for zero-norm vector {b.id!r}"
-        raise ValueError(msg)
+    norm_a = positive_norm(a)
+    norm_b = positive_norm(b)
     value = float(np.dot(a.values, b.values) / (norm_a * norm_b))
     # Clamp floating-point spill so the contract value stays in [-1, 1].
     return float(min(1.0, max(-1.0, value)))
@@ -253,10 +271,7 @@ def _unit_rows(corpus: Embeddings) -> np.ndarray:
         msg = f"duplicate item id {corpus.first_duplicate!r}"
         raise ValueError(msg)
     # Stacks the matrix, so mixed dimensions raise here.
-    zero = np.flatnonzero(~(corpus.norms > 0.0))
-    if zero.size:
-        msg = f"cosine similarity undefined for zero-norm vector {corpus[zero[0]].id!r}"
-        raise ValueError(msg)
+    reject_zero_norms(corpus.ids, corpus.norms)
     return corpus.unit_rows
 
 
@@ -348,12 +363,6 @@ def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector
         v = next(v for v in vectors if v.dim != query.dim)
         msg = f"dimension mismatch: {query.id!r} has d={query.dim}, {v.id!r} has d={v.dim}"
         raise ValueError(msg)
-    query_norm = query.norm()
-    if not query_norm > 0.0:
-        msg = f"cosine similarity undefined for zero-norm vector {query.id!r}"
-        raise ValueError(msg)
-    zero = np.flatnonzero(~(corpus.norms > 0.0))
-    if zero.size:
-        msg = f"cosine similarity undefined for zero-norm vector {vectors[zero[0]].id!r}"
-        raise ValueError(msg)
+    query_norm = positive_norm(query)
+    reject_zero_norms(corpus.ids, corpus.norms)
     return np.clip(corpus.matrix @ query.values / (query_norm * corpus.norms), -1.0, 1.0)

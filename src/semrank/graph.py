@@ -29,13 +29,21 @@ every step, which keeps ``r`` a probability distribution.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import EmbeddingVector, Embeddings, ranked, similarity_matrix, similarity_rows
+from .geometry import (
+    EmbeddingVector,
+    Embeddings,
+    positive_norm,
+    ranked,
+    reject_zero_norms,
+    similarity_matrix,
+    similarity_rows,
+)
 
 EDGE_KINDS = ("knn", "symbolic")
 
@@ -78,47 +86,6 @@ class SemanticGraph:
     cluster_heads: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        self._validate({})
-
-    @classmethod
-    def from_named(
-        cls,
-        nodes: Sequence[EmbeddingVector],
-        edges: Iterable[tuple[str, str, float, str]],
-        cluster_heads: Sequence[str] | None = None,
-    ) -> "SemanticGraph":
-        """The graph over ``nodes`` whose edges, in order, are ``(source id,
-        target id, weight, kind name)`` tuples.
-
-        Validated like the constructor, except that an unknown id or kind is
-        reported as it was given.
-        """
-        nodes = Embeddings.of(nodes)
-        positions = nodes.positions
-        sources: list[int] = []
-        targets: list[int] = []
-        weights: list[float] = []
-        kind: list[int] = []
-        unknown: dict[int, tuple[str, str, str]] = {}
-        for i, (source, target, weight, kind_name) in enumerate(edges):
-            codes = (positions.get(source, -1), positions.get(target, -1), _KIND_CODES.get(kind_name, -1))
-            if min(codes) < 0:
-                unknown[i] = (source, target, kind_name)
-            sources.append(codes[0])
-            targets.append(codes[1])
-            kind.append(codes[2])
-            weights.append(weight)
-        graph = cls.__new__(cls)
-        values = (nodes, sources, targets, weights, kind, None if cluster_heads is None else tuple(cluster_heads))
-        for field, value in zip(fields(cls), values):
-            object.__setattr__(graph, field.name, value)
-        graph._validate(unknown)
-        return graph
-
-    def _validate(self, unknown: Mapping[int, tuple[str, str, str]]) -> None:
-        """Check the invariants, then store the edge arrays as read-only
-        copies.  ``unknown`` names the edges whose ids or kind have no
-        position or code."""
         object.__setattr__(self, "nodes", Embeddings.of(self.nodes))
         n = len(self.nodes)
         if self.nodes.first_duplicate is not None:
@@ -142,14 +109,11 @@ class SemanticGraph:
         bad = np.flatnonzero(bad_kind | outside | loop | bad_weight | repeat)
         if bad.size:
             i = int(bad[0])
-            source, target, kind_name = unknown.get(i) or (
-                _name(self.node_ids, sources[i]), _name(self.node_ids, targets[i]), _name(EDGE_KINDS, codes[i])
-            )
-            if bad_kind[i]:
-                msg = f"unknown edge kind {kind_name!r}"
-            elif outside[i]:
-                msg = f"edge {source!r}->{target!r} references unknown node"
-            elif loop[i]:
+            source, target = _name(self.node_ids, sources[i]), _name(self.node_ids, targets[i])
+            kind_name = _name(EDGE_KINDS, codes[i])
+            if bad_kind[i] or outside[i]:
+                raise _unknown_name(source, target, kind_name, bool(bad_kind[i]))
+            if loop[i]:
                 msg = f"self-loop on {source!r}"
             elif bad_weight[i]:
                 msg = f"edge {source!r}->{target!r} weight must be finite and > 0"
@@ -165,6 +129,42 @@ class SemanticGraph:
         for name, array in (("sources", sources), ("targets", targets), ("weights", weights), ("kind", kind)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_named(
+        cls,
+        nodes: Sequence[EmbeddingVector],
+        edges: Iterable[tuple[str, str, float, str]],
+        cluster_heads: Sequence[str] | None = None,
+    ) -> "SemanticGraph":
+        """The graph over ``nodes`` whose edges, in order, are ``(source id,
+        target id, weight, kind name)`` tuples.
+
+        Validated like the constructor, except that an unknown id or kind is
+        reported as it was given.
+        """
+        nodes = Embeddings.of(nodes)
+        positions = nodes.positions
+        sources: list[int] = []
+        targets: list[int] = []
+        weights: list[float] = []
+        kind: list[int] = []
+        unknown = None
+        for i, (source, target, weight, kind_name) in enumerate(edges):
+            codes = (positions.get(source, -1), positions.get(target, -1), _KIND_CODES.get(kind_name, -1))
+            if unknown is None and min(codes) < 0:
+                unknown = (i, source, target, kind_name)
+            sources.append(codes[0])
+            targets.append(codes[1])
+            kind.append(codes[2])
+            weights.append(weight)
+        heads = None if cluster_heads is None else tuple(cluster_heads)
+        if unknown is None:
+            return cls(nodes, sources, targets, weights, kind, heads)
+        # Raises for a fault in an earlier edge, if there is one.
+        i, source, target, kind_name = unknown
+        cls(nodes, sources[:i], targets[:i], weights[:i], kind[:i])
+        raise _unknown_name(source, target, kind_name, kind_name not in _KIND_CODES)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -231,6 +231,14 @@ _KIND_CODES = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 def _name(names: Sequence[str], code: int) -> str | int:
     """``names[code]``, or ``code`` itself when it indexes no name."""
     return names[code] if 0 <= code < len(names) else int(code)
+
+
+def _unknown_name(source: object, target: object, kind_name: object, bad_kind: bool) -> ValueError:
+    """The error for an edge whose kind (if ``bad_kind``) or an endpoint
+    is unknown."""
+    if bad_kind:
+        return ValueError(f"unknown edge kind {kind_name!r}")
+    return ValueError(f"edge {source!r}->{target!r} references unknown node")
 
 
 def _edge_keys(sources: np.ndarray, targets: np.ndarray, kind: np.ndarray, n: int) -> np.ndarray:
@@ -448,10 +456,7 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
     carry a label.  A zero-norm cluster mean scores every member 0, which
     picks the lowest-id member.
     """
-    for node in nodes:
-        if node.id not in labels:
-            msg = f"node {node.id!r} has no cluster label"
-            raise ValueError(msg)
+    _require_labels(nodes, labels)
     members: dict[int, list[EmbeddingVector]] = {}
     for node in nodes:
         members.setdefault(int(labels[node.id]), []).append(node)
@@ -463,13 +468,16 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
         cosines = np.zeros(len(cluster))
         if mean_norm > 0.0:
             for i, node in enumerate(cluster):
-                norm = node.norm()
-                if not norm > 0.0:
-                    msg = f"cosine similarity undefined for zero-norm vector {node.id!r}"
-                    raise ValueError(msg)
-                cosines[i] = np.dot(node.values, mean) / (norm * mean_norm)
+                cosines[i] = np.dot(node.values, mean) / (positive_norm(node) * mean_norm)
         heads.append(cluster[ranked(cosines, cluster.id_ranks)[0]].id)
     return heads
+
+
+def _require_labels(nodes: Sequence[EmbeddingVector], labels: Mapping[str, int]) -> None:
+    for node in nodes:
+        if node.id not in labels:
+            msg = f"node {node.id!r} has no cluster label"
+            raise ValueError(msg)
 
 
 def _with_symbolic(graph: SemanticGraph, heads: Sequence[str], pairs: np.ndarray, sims: np.ndarray) -> SemanticGraph:
@@ -527,28 +535,19 @@ def add_symbolic_edges_dense(
     if not -1.0 < threshold < 1.0:
         msg = f"threshold must lie strictly inside (-1, 1), got {threshold}"
         raise ValueError(msg)
-    for node in graph.nodes:
-        if node.id not in labels:
-            msg = f"node {node.id!r} has no cluster label"
-            raise ValueError(msg)
+    _require_labels(graph.nodes, labels)
     node_labels = np.array([int(labels[node.id]) for node in graph.nodes])
-    norms = [node.norm() for node in graph.nodes]
+    norms = np.array([node.norm() for node in graph.nodes])
     pairs: list[tuple[int, int]] = []
     sims: list[float] = []
     for head in heads:
         head_vector = graph.vector(head)
         head_position = graph.nodes.positions[head]
-        head_norm = norms[head_position]
-        if not head_norm > 0.0:
-            msg = f"cosine similarity undefined for zero-norm vector {head!r}"
-            raise ValueError(msg)
-        for position in np.flatnonzero(node_labels != node_labels[head_position]).tolist():
-            node = graph.nodes[position]
-            norm = norms[position]
-            if not norm > 0.0:
-                msg = f"cosine similarity undefined for zero-norm vector {node.id!r}"
-                raise ValueError(msg)
-            sim = float(np.dot(head_vector.values, node.values) / (head_norm * norm))
+        head_norm = positive_norm(head_vector)
+        others = np.flatnonzero(node_labels != node_labels[head_position])
+        reject_zero_norms(graph.node_ids, norms, others)
+        for position in others.tolist():
+            sim = float(np.dot(head_vector.values, graph.nodes[position].values) / (head_norm * norms[position]))
             if sim > threshold:
                 pairs.append((head_position, position))
                 sims.append(sim)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .candidates import CandidatePool
-from .geometry import EmbeddingVector, cosine_similarity, ranked
+from .geometry import EmbeddingVector, cosine_similarity, positive_norm, ranked, reject_zero_norms
 from .graph import PprConfig, SeedVector, SemanticGraph, normalize_adjacency, ppr_mass
 
 METHOD_TAGS = ("topk_ann", "semantic_compression", "graph_ppr", "hybrid")
@@ -123,16 +123,9 @@ def _query_cosines(query: EmbeddingVector, graph: SemanticGraph, rows: np.ndarra
         first = graph.nodes[rows[0]]
         msg = f"dimension mismatch: {first.id!r} has d={first.dim}, {query.id!r} has d={query.dim}"
         raise ValueError(msg)
-    chosen = unit[rows]
-    zero = np.flatnonzero(~chosen.any(axis=1))
-    if zero.size:
-        msg = f"cosine similarity undefined for zero-norm vector {graph.node_ids[rows[zero[0]]]!r}"
-        raise ValueError(msg)
-    query_norm = query.norm()
-    if not query_norm > 0.0:
-        msg = f"cosine similarity undefined for zero-norm vector {query.id!r}"
-        raise ValueError(msg)
-    return np.clip(chosen @ (query.values / query_norm), -1.0, 1.0)
+    reject_zero_norms(graph.node_ids, graph.nodes.norms, rows)
+    query_norm = positive_norm(query)
+    return np.clip(unit[rows] @ (query.values / query_norm), -1.0, 1.0)
 
 
 def _stacked(vectors: Sequence[EmbeddingVector | None], dim: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -15,6 +15,12 @@ _RESAMPLE_ATTEMPTS = 100
 
 _ZERO_NORM = 1e-9
 
+# Largest accepted ``cluster_std`` and ``separation``.  Coordinates reach a
+# few times these scales, and squared coordinates must stay finite, or
+# vector norms overflow and no cosine can be taken; at this bound a square
+# is near 1e202, far below the float64 limit of about 1.8e308.
+_MAX_SCALE = 1e100
+
 # Centroids occupy a 60-degree sector of an annulus (in the plane of the
 # first two coordinates).  Cosine similarity responds to direction only, so
 # the angular spacing is what makes clusters distinct to the retrieval
@@ -56,6 +62,12 @@ class SyntheticDatasetSpec:
             if value <= 0.0:
                 msg = f"{name} must be > 0, got {value}"
                 raise ValueError(msg)
+            if value > _MAX_SCALE:
+                msg = f"{name} must be <= {_MAX_SCALE:g}, got {value}"
+                raise ValueError(msg)
+        if self.rng_seed < 0:
+            msg = f"rng_seed must be >= 0, got {self.rng_seed}"
+            raise ValueError(msg)
 
 
 @dataclass(frozen=True, eq=False)

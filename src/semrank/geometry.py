@@ -64,6 +64,10 @@ class EmbeddingVector:
         if not np.all(np.isfinite(values)):
             msg = f"vector {self.id!r} has non-finite coordinates"
             raise ValueError(msg)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(values)
+        if not np.isfinite(norm):
+            raise _infinite_norm(self.id)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -73,6 +77,12 @@ class EmbeddingVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
+
+
+def _infinite_norm(item_id: str) -> ValueError:
+    """The error for a vector whose coordinates are finite but whose
+    squares overflow, so that no cosine can be taken of it."""
+    return ValueError(f"vector {item_id!r} has a non-finite norm")
 
 
 def _row_view(item_id: str, row: np.ndarray) -> EmbeddingVector:
@@ -105,7 +115,8 @@ class Embeddings(tuple):
 
         The copy is validated once, with the messages of
         :class:`EmbeddingVector` naming the first offending id, then frozen;
-        each vector is a read-only view of its row.
+        each vector is a read-only view of its row.  The row norms that the
+        check takes are kept as :attr:`norms`.
         """
         ids = tuple(ids)
         matrix = np.array(matrix, dtype=np.float64)
@@ -122,7 +133,14 @@ class Embeddings(tuple):
         if not finite.all():
             msg = f"vector {ids[int(finite.argmin())]!r} has non-finite coordinates"
             raise ValueError(msg)
-        return cls._over(map(_row_view, ids, matrix), matrix)
+        with np.errstate(over="ignore"):
+            norms = _row_norms(matrix)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            raise _infinite_norm(ids[int(finite.argmin())])
+        corpus = cls._over(map(_row_view, ids, matrix), matrix)
+        corpus.__dict__["norms"] = norms
+        return corpus
 
     @classmethod
     def _over(cls, vectors: Iterable[EmbeddingVector], matrix: np.ndarray) -> "Embeddings":
@@ -159,10 +177,14 @@ class Embeddings(tuple):
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Read-only Euclidean norm of every row of :attr:`matrix`."""
-        norms = np.linalg.norm(self.matrix, axis=1)
-        norms.setflags(write=False)
-        return norms
+        """Read-only Euclidean norm of every row of :attr:`matrix`.
+
+        These batched norms and :meth:`EmbeddingVector.norm`, a dot product,
+        sum the squares in different orders, so the two can differ in the
+        last bit.  Outputs pinned with one (the symbolic edge weights use
+        the per-vector norm) change if their code switches to the other.
+        """
+        return _row_norms(self.matrix)
 
     @cached_property
     def unit_rows(self) -> np.ndarray:
@@ -209,6 +231,13 @@ class Embeddings(tuple):
                 return v.id
             seen.add(v.id)
         return None
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Read-only Euclidean norm of every row of ``matrix``."""
+    norms = np.linalg.norm(matrix, axis=1)
+    norms.setflags(write=False)
+    return norms
 
 
 def positive_norm(vector: EmbeddingVector) -> float:

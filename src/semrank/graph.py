@@ -467,6 +467,8 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
         mean_norm = float(np.linalg.norm(mean))
         cosines = np.zeros(len(cluster))
         if mean_norm > 0.0:
+            # Per-vector norms, not the corpus's batched ``norms``, which
+            # can differ in the last bit and so elect another head.
             for i, node in enumerate(cluster):
                 cosines[i] = np.dot(node.values, mean) / (positive_norm(node) * mean_norm)
         heads.append(cluster[ranked(cosines, cluster.id_ranks)[0]].id)
@@ -537,6 +539,8 @@ def add_symbolic_edges_dense(
         raise ValueError(msg)
     _require_labels(graph.nodes, labels)
     node_labels = np.array([int(labels[node.id]) for node in graph.nodes])
+    # Per-vector norms, not the corpus's batched ``norms``: the two can
+    # differ in the last bit, and the pinned symbolic weights use these.
     norms = np.array([node.norm() for node in graph.nodes])
     pairs: list[tuple[int, int]] = []
     sims: list[float] = []

@@ -90,6 +90,7 @@ _ERRORS = {
     ("generate", "--num-points", "40", "--clusters", "40", "--out", _OUT):
         (2, "error: could not place centroid 9 at separation 5.0 after 1000 attempts\n"),
     ("generate", "--num-points", "0", "--out", _OUT): (2, "error: num_points must be >= 1, got 0\n"),
+    ("generate", "--seed", "-1", "--out", _OUT): (2, "error: rng_seed must be >= 0, got -1\n"),
     ("compress", *_DATA, "--pool-size", "10", "--k", "3", "--lambda", "-1"):
         (2, "error: diversity weight must be finite and >= 0, got -1.0\n"),
     ("compress", "--data", "{tmp}/missing.tsv"):

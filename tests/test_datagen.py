@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ class TestSyntheticDatasetSpec:
     def test_non_finite_scales_are_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             SyntheticDatasetSpec(**{name: value})
+
+    @pytest.mark.parametrize("name", ["cluster_std", "separation"])
+    @pytest.mark.parametrize("value", [1.5e100, 1e200, 1e308])
+    def test_scales_too_large_to_generate_are_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be <= 1e+100, got {value}')}$"):
+            SyntheticDatasetSpec(**{name: value})
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^rng_seed must be >= 0, got -1$"):
+            SyntheticDatasetSpec(rng_seed=-1)
+        assert SyntheticDatasetSpec(rng_seed=0).rng_seed == 0
 
 
 class TestGenerateClusters:
@@ -260,6 +272,13 @@ class TestBulkDraw:
         assert [point.id for point in dataset.points] == [item_id for item_id, _, _ in want]
         assert [point.values.tobytes() for point in dataset.points] == [values.tobytes() for _, values, _ in want]
         assert dataset.labels == {item_id: label for item_id, _, label in want}
+
+    def test_the_largest_accepted_scales_match_the_per_point_loop(self):
+        spec = SyntheticDatasetSpec(num_points=60, dim=4, cluster_std=1e100, separation=1e100, rng_seed=5)
+        dataset = generate_clusters(spec)
+        want = _per_point_generate(spec)
+        assert [point.values.tobytes() for point in dataset.points] == [values.tobytes() for _, values, _ in want]
+        assert np.isfinite(dataset.points.norms).all()
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("at_origin", [0, 1])

@@ -1,5 +1,8 @@
 """Round-trip persistence for datasets and graphs, and parse-error surfaces."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,7 +317,11 @@ _ids = st.text(
     ),
     max_size=6,
 )
-_coordinates = st.floats(allow_nan=False, allow_infinity=False)
+# Any coordinate of a vector with up to three of them whose norm is finite,
+# as every vector's must be: no square may reach a quarter of the largest
+# float.
+_LIMIT = math.sqrt(sys.float_info.max / 4)
+_coordinates = st.floats(min_value=-_LIMIT, max_value=_LIMIT)
 
 
 class TestRoundTripProperties:

@@ -102,6 +102,33 @@ class TestEmbeddingsFromMatrix:
             assert message == "vector 'c' has non-finite coordinates"
             assert message == _message(lambda: EmbeddingVector("c", matrix[2]))
 
+    def test_a_norm_that_overflows_names_the_first_bad_id(self):
+        """Finite coordinates whose squares overflow are rejected when the
+        vector is built, without a RuntimeWarning (an error here)."""
+        matrix = np.ones((3, 2))
+        matrix[1] = 1e200
+        matrix[2] = [1e300, 0.0]
+        message = _message(lambda: Embeddings.from_matrix(["a", "big", "c"], matrix))
+        assert message == "vector 'big' has a non-finite norm"
+        assert message == _message(lambda: EmbeddingVector("big", matrix[1]))
+        with pytest.raises(ValueError, match="^vector 'big' has a non-finite norm$"):
+            similarity_matrix([EmbeddingVector("big", [1e200, 1e200]), EmbeddingVector("b", [1.0, 1.0])])
+
+    def test_norms_whose_squares_stay_finite_are_kept(self):
+        points = Embeddings.from_matrix(["a", "b"], [[1e153, 1e153], [1e154, 0.0]])
+        assert np.isfinite(points.norms).all()
+        assert similarity_matrix(points)[0, 1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+    def test_the_norms_of_the_check_are_kept(self, monkeypatch):
+        points = Embeddings.from_matrix(["a", "b"], [[3.0, 4.0], [0.0, 2.0]])
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("the row norms were computed again")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        assert points.norms.tolist() == [5.0, 2.0]
+        assert not points.norms.flags.writeable
+
     def test_rows_must_be_one_dimensional_and_non_empty(self):
         expected = "vector 'a' must be one-dimensional and non-empty"
         assert _message(lambda: Embeddings.from_matrix(["a", "b"], np.ones(2))) == expected

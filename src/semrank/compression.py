@@ -90,6 +90,13 @@ _BATCH = 16
 # ``_BATCH``; the greedy work buffer holds this many pool rows.
 _WIDTH = 32
 
+# Largest accepted diversity weight.  Each step's diversity gain is
+# ``2 * lam * (step - sim_to_chosen)``, up to ``4 * k * lam`` since
+# similarities lie in [-1, 1], and the k gains and their sum must stay
+# finite; at this bound they stay far below the float64 limit of about
+# 1.8e308 for any pool that fits in memory.
+_MAX_LAM = 1e100
+
 
 @dataclass(frozen=True)
 class CompressionConfig:
@@ -104,6 +111,9 @@ class CompressionConfig:
             raise ValueError(msg)
         if not math.isfinite(self.lam) or self.lam < 0.0:
             msg = f"diversity weight must be finite and >= 0, got {self.lam}"
+            raise ValueError(msg)
+        if self.lam > _MAX_LAM:
+            msg = f"diversity weight must be <= {_MAX_LAM:g}, got {self.lam}"
             raise ValueError(msg)
 
 

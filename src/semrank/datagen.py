@@ -130,7 +130,7 @@ def generate_clusters(spec: SyntheticDatasetSpec) -> SyntheticDataset:
     centroids = _place_centroids(rng, spec)
     base, extra = divmod(spec.num_points, spec.num_clusters)
     sizes = [base + (1 if label < extra else 0) for label in range(spec.num_clusters)]
-    samples = _draw_samples(rng, np.repeat(centroids, sizes, axis=0), spec.cluster_std)
+    samples = _draw_samples(rng, np.repeat(centroids, sizes, axis=0), spec)
     width = len(str(spec.num_points - 1))
     ids = [f"p{index:0{width}d}" for index in range(spec.num_points)]
     points = Embeddings.from_matrix(ids, samples)
@@ -138,8 +138,8 @@ def generate_clusters(spec: SyntheticDatasetSpec) -> SyntheticDataset:
     return SyntheticDataset(points=points, labels=labels, spec=spec)
 
 
-def _draw_samples(rng: np.random.Generator, centers: np.ndarray, std: float) -> np.ndarray:
-    """``centers`` plus Gaussian noise, drawn in bulk.
+def _draw_samples(rng: np.random.Generator, centers: np.ndarray, spec: SyntheticDatasetSpec) -> np.ndarray:
+    """``centers`` plus Gaussian noise of ``spec.cluster_std``, drawn in bulk.
 
     The generator is consumed exactly as by one ``rng.normal`` call per row
     in which a zero-norm row is redrawn on its own, up to
@@ -148,6 +148,7 @@ def _draw_samples(rng: np.random.Generator, centers: np.ndarray, std: float) -> 
     before the next bulk draw.
     """
     count, dim = centers.shape
+    std = spec.cluster_std
     samples = np.empty_like(centers)
     start = 0
     while start < count:
@@ -165,7 +166,10 @@ def _draw_samples(rng: np.random.Generator, centers: np.ndarray, std: float) -> 
             if np.linalg.norm(sample) > _ZERO_NORM:
                 break
         else:
-            msg = "could not sample a non-zero point"
+            msg = (
+                f"could not sample a non-zero point: cluster_std {spec.cluster_std} and separation "
+                f"{spec.separation} are too small against the zero-norm floor {_ZERO_NORM:g}"
+            )
             raise ValueError(msg)
         samples[start + bad] = sample
         start += bad + 1

@@ -186,8 +186,8 @@ class SemanticGraph:
         return tuple(GraphEdge(ids[s], ids[t], w, EDGE_KINDS[k]) for s, t, w, k in zip(*columns))
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Out-edges as read-only CSR arrays ``(indptr, indices, weights)``.
+    def adjacency(self) -> "NormalizedAdjacency":
+        """Row-stochastic CSR adjacency; see :func:`normalize_adjacency`.
 
         Row ``i`` lists the targets of ``nodes[i]`` by ascending position;
         parallel edges of different kinds share one entry with their
@@ -195,21 +195,12 @@ class SemanticGraph:
         """
         n = len(self.nodes)
         keys, slots = np.unique(self.sources * n + self.targets, return_inverse=True)
-        summed = np.bincount(slots, weights=self.weights, minlength=keys.size).astype(np.float64)
+        summed = np.bincount(slots, weights=self.weights, minlength=keys.size)
+        rows = keys // n
         indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        arrays = (indptr, keys % n, summed)
-        for array in arrays:
-            array.setflags(write=False)
-        return arrays
-
-    @cached_property
-    def adjacency(self) -> "NormalizedAdjacency":
-        """Row-stochastic CSR adjacency; see :func:`normalize_adjacency`."""
-        indptr, indices, weights = self.csr
-        rows = _entry_rows(indptr)
-        sums = np.bincount(rows, weights=weights, minlength=len(self.nodes))
-        return NormalizedAdjacency(self.node_ids, indptr, indices, weights / sums[rows])
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        sums = np.bincount(rows, weights=summed, minlength=n)
+        return NormalizedAdjacency(self.node_ids, indptr, keys % n, summed / sums[rows])
 
     def vector(self, node_id: str) -> EmbeddingVector:
         try:
@@ -220,9 +211,10 @@ class SemanticGraph:
 
     def out_neighbors(self, node_id: str) -> set[str]:
         self.vector(node_id)
-        indptr, indices, _ = self.csr
+        adjacency = self.adjacency
         row = self.nodes.positions[node_id]
-        return {self.node_ids[j] for j in indices[indptr[row] : indptr[row + 1]]}
+        start, stop = adjacency.indptr[row : row + 2]
+        return {self.node_ids[j] for j in adjacency.indices[start:stop]}
 
 
 _KIND_CODES = {kind: code for code, kind in enumerate(EDGE_KINDS)}
@@ -562,8 +554,8 @@ def normalize_adjacency(graph: SemanticGraph) -> NormalizedAdjacency:
     """Sum parallel edge weights, then normalise each row to sum to 1.
 
     Nodes without out-edges keep an empty row and are reported in
-    ``dangling_index``.  Built once per graph and cached on it, like
-    :attr:`SemanticGraph.csr`.
+    ``dangling_index``.  Built once per graph and cached on it as
+    :attr:`SemanticGraph.adjacency`.
     """
     return graph.adjacency
 

@@ -97,17 +97,17 @@ def rank_hybrid(
         if item_id not in positions:
             msg = f"pool item {item_id!r} is missing from the graph"
             raise ValueError(msg)
-    indptr, indices, _ = graph.csr
+    adjacency = normalize_adjacency(graph)
     in_pool = np.zeros(len(graph), dtype=bool)
     in_pool[[positions[item_id] for item_id in pool.ids]] = True
     in_scope = in_pool.copy()
-    in_scope[indices[np.repeat(in_pool, np.diff(indptr))]] = True
+    in_scope[adjacency.indices[np.repeat(in_pool, adjacency.degrees)]] = True
     scope = np.flatnonzero(in_scope)
     if config.k > scope.size:
         msg = f"result size {config.k} exceeds scored scope of {scope.size} items"
         raise ValueError(msg)
 
-    graph_raw = ppr_mass(normalize_adjacency(graph), seed, ppr_config)[scope]
+    graph_raw = ppr_mass(adjacency, seed, ppr_config)[scope]
     direct = _query_cosines(pool.query, graph, scope)
     blended = (1.0 - config.beta) * direct + config.beta * graph_raw
     top = ranked(blended, graph.nodes.id_ranks[scope])[: config.k]

@@ -3,7 +3,9 @@
 ``bench/workloads.py`` checks every benchmark op against the digests in
 ``bench/references.json``.  Running op 0 at seed 0 of ``cli_experiment``
 (in process) and of ``lambda_sweep`` here shows a byte change in their CSV
-or SVG without running the benchmark.  Both files are only read.
+or SVG without running the benchmark, and running ``query_stream``'s op 0
+through its own check shows a change on the graph read path, whose set-up
+saves and reloads the dataset and the graph.  Both files are only read.
 """
 
 import importlib.util
@@ -49,3 +51,10 @@ def test_cli_experiment_op_zero_matches_its_reference(workloads, tmp_path):
 def test_lambda_sweep_op_zero_matches_its_reference(workloads, tmp_path):
     out = _op_zero(workloads, "lambda_sweep", tmp_path)
     assert workloads.sha256(out.csv.encode("utf-8")) == workloads.load_references()["lambda_sweep"]["0"]
+
+
+def test_query_stream_op_zero_passes_its_check(workloads, tmp_path):
+    workload = workloads.WORKLOADS["query_stream"]
+    state = workload.setup(0, tmp_path)
+    out = workload.op(state, 0)
+    assert workload.check(state, [(0, out)], workloads.load_references()) == {}

@@ -91,8 +91,13 @@ _ERRORS = {
         (2, "error: could not place centroid 9 at separation 5.0 after 1000 attempts\n"),
     ("generate", "--num-points", "0", "--out", _OUT): (2, "error: num_points must be >= 1, got 0\n"),
     ("generate", "--seed", "-1", "--out", _OUT): (2, "error: rng_seed must be >= 0, got -1\n"),
+    ("generate", "--cluster-std", "1e-10", "--separation", "1e-10", "--out", _OUT):
+        (2, "error: could not sample a non-zero point: cluster_std 1e-10 and separation 1e-10 are too small "
+         "against the zero-norm floor 1e-09\n"),
     ("compress", *_DATA, "--pool-size", "10", "--k", "3", "--lambda", "-1"):
         (2, "error: diversity weight must be finite and >= 0, got -1.0\n"),
+    ("compress", *_DATA, "--pool-size", "12", "--k", "12", "--lambda", "1e308"):
+        (2, "error: diversity weight must be <= 1e+100, got 1e+308\n"),
     ("compress", "--data", "{tmp}/missing.tsv"):
         (2, "error: [Errno 2] No such file or directory: '{tmp}/missing.tsv'\n"),
     ("compress", "--num-points", "x"): (1, "semrank compress: error: argument --num-points: invalid int value: 'x'\n"),
@@ -117,12 +122,16 @@ _ERRORS = {
     ("experiment", *_SMALL, "--lambda", "-1"):
         (2, "error: experiment stage 'semantic_compression' failed: diversity weight must be finite "
          "and >= 0, got -1.0\n"),
+    ("experiment", *_SMALL, "--lambda", "1e308"):
+        (2, "error: experiment stage 'semantic_compression' failed: diversity weight must be <= 1e+100, "
+         "got 1e+308\n"),
     ("experiment", *_SMALL, "--alpha", "0"): (2, "error: alpha must lie strictly between 0 and 1, got 0.0\n"),
     ("sweep-lambda", *_SWEEP, "--lambdas", ","): (2, "error: sweep needs at least one diversity weight\n"),
     ("sweep-lambda", *_SWEEP, "--runs", "0"): (2, "error: runs must be >= 1, got 0\n"),
     ("sweep-lambda", *_SWEEP, "--lambdas", "0,x"): (2, "error: could not convert string to float: 'x'\n"),
     ("sweep-lambda", *_DATA, "--pool-size", "5", "--k", "10"): (2, "error: k must lie in [1, pool_size], got 10\n"),
     ("sweep-lambda", *_SWEEP, "--lambdas", "-1"): (2, "error: diversity weight must be finite and >= 0, got -1.0\n"),
+    ("sweep-lambda", *_SWEEP, "--lambdas", "0,1e308"): (2, "error: diversity weight must be <= 1e+100, got 1e+308\n"),
     ("sweep-lambda", *_SWEEP, "--graph-k", "3"): (1, "semrank: error: unrecognized arguments: --graph-k 3\n"),
     ("sweep-lambda", *_SWEEP, "--beta", "5"): (1, "semrank: error: unrecognized arguments: --beta 5\n"),
 }

@@ -2,12 +2,14 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semrank import experiments
 from semrank.datagen import SyntheticDataset, SyntheticDatasetSpec, generate_clusters
 from semrank.fileio import load_dataset, load_graph, save_dataset, save_graph
 from semrank.geometry import EmbeddingVector, Embeddings
@@ -307,6 +309,76 @@ class TestUnwritableIds:
             save_graph(graph, path)
         assert repr(bad) in str(caught.value)
         assert not path.exists()
+
+
+class TestFailedSaves:
+    """Every check runs before the file is opened: a failed save creates
+    no file and leaves an existing one byte-identical."""
+
+    _MIXED = (EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [1.0]))
+
+    def _check_writes_nothing(self, save, value, path, message):
+        with pytest.raises(ValueError, match=message):
+            save(value, path)
+        assert not path.exists()
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match=message):
+            save(value, path)
+        assert path.read_bytes() == b"kept\n"
+
+    def test_unlabelled_point(self, tmp_path):
+        dataset = SyntheticDataset(points=(EmbeddingVector("a", [1.0]), EmbeddingVector("b", [2.0])), labels={"a": 0})
+        self._check_writes_nothing(save_dataset, dataset, tmp_path / "data.tsv", "^point 'b' has no cluster label$")
+
+    def test_mixed_dimension_dataset(self, tmp_path):
+        dataset = SyntheticDataset(points=self._MIXED, labels={"a": 0, "b": 1})
+        message = "^dimension mismatch: 'b' has d=1, expected 2$"
+        self._check_writes_nothing(save_dataset, dataset, tmp_path / "data.tsv", message)
+
+    def test_mixed_dimension_graph(self, tmp_path):
+        graph = SemanticGraph.from_named(nodes=self._MIXED, edges=(("a", "b", 0.5, "knn"),))
+        message = "^dimension mismatch: 'b' has d=1, expected 2$"
+        self._check_writes_nothing(save_graph, graph, tmp_path / "graph.tsv", message)
+
+    def test_unwritable_id(self, tmp_path):
+        graph = SemanticGraph.from_named(nodes=(EmbeddingVector("a\tb", [1.0]),), edges=())
+        self._check_writes_nothing(save_graph, graph, tmp_path / "graph.tsv", "contains a tab or line break")
+
+
+@pytest.fixture(scope="module")
+def dense_500():
+    """A dataset of 500 points in 32 dimensions and its dense symbolic graph."""
+    config = experiments.ExperimentConfig(
+        dataset=SyntheticDatasetSpec(num_points=500, dim=32, rng_seed=0),
+        graph_k=5,
+        symbolic_mode="dense",
+        symbolic_threshold=0.85,
+    )
+    dataset = generate_clusters(config.dataset)
+    return dataset, experiments.build_experiment_graph(config, dataset)
+
+
+def _save_peak(save, value, path):
+    tracemalloc.start()
+    try:
+        save(value, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestStreamedSaves:
+    """Rows are written one at a time, not gathered into the file's text
+    first: that held 0.95 MiB for the dataset (321 KB on disk) and 2.15 MiB
+    for the graph (493 KB); streamed they peak at about 0.02 and 0.48 MiB,
+    the latter mostly the edge columns as lists."""
+
+    def test_save_dataset_peak(self, dense_500, tmp_path):
+        assert _save_peak(save_dataset, dense_500[0], tmp_path / "data.tsv") < 0.25 * 2**20
+
+    def test_save_graph_peak(self, dense_500, tmp_path):
+        assert _save_peak(save_graph, dense_500[1], tmp_path / "graph.tsv") < 1 * 2**20
 
 
 # Any id the formats can hold: no tab, no line boundary, no lone surrogate.

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import EmbeddingVector, Embeddings
+from .geometry import EmbeddingVector, Embeddings, vector_norms
 
 # Rejection-sampling budgets; generation fails loudly instead of looping.
 _PLACEMENT_ATTEMPTS = 1_000
@@ -154,16 +154,17 @@ def _draw_samples(rng: np.random.Generator, centers: np.ndarray, spec: Synthetic
     while start < count:
         state = rng.bit_generator.state
         block = centers[start:] + rng.normal(0.0, std, size=(count - start, dim))
-        bad = _first_zero_norm(block)
-        if bad is None:
+        kept = vector_norms(block) > _ZERO_NORM
+        if kept.all():
             samples[start:] = block
             break
+        bad = int(kept.argmin())
         samples[start : start + bad] = block[:bad]
         rng.bit_generator.state = state
         rng.normal(0.0, std, size=(bad, dim))
         for _ in range(_RESAMPLE_ATTEMPTS):
             sample = centers[start + bad] + rng.normal(0.0, std, size=dim)
-            if np.linalg.norm(sample) > _ZERO_NORM:
+            if vector_norms(sample) > _ZERO_NORM:
                 break
         else:
             msg = (
@@ -174,15 +175,6 @@ def _draw_samples(rng: np.random.Generator, centers: np.ndarray, spec: Synthetic
         samples[start + bad] = sample
         start += bad + 1
     return samples
-
-
-def _first_zero_norm(rows: np.ndarray) -> int | None:
-    """Index of the first row whose norm is not above ``_ZERO_NORM``."""
-    # A row norm taken over the whole block may differ in its last bits
-    # from the norm of the row alone, so rows near the floor are decided
-    # by the latter.
-    near = np.flatnonzero(np.linalg.norm(rows, axis=1) <= 2.0 * _ZERO_NORM)
-    return next((int(i) for i in near if not np.linalg.norm(rows[i]) > _ZERO_NORM), None)
 
 
 def composite_query(dataset: SyntheticDataset, rng_seed: int) -> EmbeddingVector:

@@ -25,6 +25,15 @@ built from separate vectors stacks them on first use.  The corpus also
 keeps its index (ids, positions, vectors by id, unit rows), which the pool,
 the graph and the dataset read rather than rebuild.
 
+A vector's norm has two definitions, each implemented once, and both stay
+because pinned outputs use both.  :attr:`Embeddings.norms` takes every
+row's norm in one batch; the pairwise kernel and the query scans divide by
+it.  :func:`vector_norms` takes each vector's norm as the dot product of
+the vector with itself, the same bits alone or as a matrix row; the
+cosines taken one vector at a time divide by it
+(:meth:`EmbeddingVector.norm`, the head election, the dense symbolic
+pass).  The two can differ in the last bit.
+
 Every ranking in the package follows one rule: descending score, exact
 ties to the smaller id.  :func:`ranked` applies it to positions of a
 corpus, given their ranks in id order (:attr:`Embeddings.id_ranks`).
@@ -65,7 +74,7 @@ class EmbeddingVector:
             msg = f"vector {self.id!r} has non-finite coordinates"
             raise ValueError(msg)
         with np.errstate(over="ignore"):
-            norm = np.linalg.norm(values)
+            norm = vector_norms(values)
         if not np.isfinite(norm):
             raise _infinite_norm(self.id)
         values.setflags(write=False)
@@ -76,7 +85,7 @@ class EmbeddingVector:
         return int(self.values.size)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return float(vector_norms(self.values))
 
 
 def _infinite_norm(item_id: str) -> ValueError:
@@ -110,8 +119,8 @@ class Embeddings(tuple):
 
     @classmethod
     def from_matrix(cls, ids: Sequence[str], matrix: np.ndarray) -> "Embeddings":
-        """The corpus whose vector ``ids[i]`` is row ``i`` of a float64 copy
-        of ``matrix``.
+        """The corpus whose vector ``ids[i]`` is row ``i`` of a C-ordered
+        float64 copy of ``matrix``.
 
         The copy is validated once, with the messages of
         :class:`EmbeddingVector` naming the first offending id, then frozen;
@@ -119,7 +128,9 @@ class Embeddings(tuple):
         check takes are kept as :attr:`norms`.
         """
         ids = tuple(ids)
-        matrix = np.array(matrix, dtype=np.float64)
+        # C order, so that every row has the unit stride of
+        # :func:`vector_norms`, and a layout never changes a result.
+        matrix = np.array(matrix, dtype=np.float64, order="C")
         if matrix.ndim < 1 or len(matrix) != len(ids):
             msg = f"{len(ids)} ids do not match a matrix of shape {matrix.shape}"
             raise ValueError(msg)
@@ -177,12 +188,15 @@ class Embeddings(tuple):
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Read-only Euclidean norm of every row of :attr:`matrix`.
+        """Read-only Euclidean norm of every row of :attr:`matrix`, taken in
+        one batch: the norm of the pairwise kernel (through
+        :attr:`unit_rows`) and of the query scans.
 
-        These batched norms and :meth:`EmbeddingVector.norm`, a dot product,
-        sum the squares in different orders, so the two can differ in the
-        last bit.  Outputs pinned with one (the symbolic edge weights use
-        the per-vector norm) change if their code switches to the other.
+        These batched norms and :func:`vector_norms`, one dot product per
+        row, sum the squares in different orders, so the two can differ in
+        the last bit.  Outputs pinned with one (the head election and the
+        dense symbolic weights use the per-vector norm) change if their
+        code switches to the other.
         """
         return _row_norms(self.matrix)
 
@@ -238,6 +252,14 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
     norms.setflags(write=False)
     return norms
+
+
+def vector_norms(rows: np.ndarray) -> np.ndarray:
+    """Norm of each vector along the last axis of ``rows``, one ``ddot`` of
+    the vector with itself, so alone or as a matrix row it gives one value.
+    Each vector needs unit stride (a C-ordered row): a strided vector is
+    summed in another order, which can change the last bit."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def positive_norm(vector: EmbeddingVector) -> float:

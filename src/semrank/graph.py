@@ -43,6 +43,7 @@ from .geometry import (
     reject_zero_norms,
     similarity_matrix,
     similarity_rows,
+    vector_norms,
 )
 
 EDGE_KINDS = ("knn", "symbolic")
@@ -74,8 +75,9 @@ class SemanticGraph:
     Invariants: unique node ids, edge endpoints known, weights finite and
     positive, no self-loops, and at most one edge per (source, target, kind).
     A violation raises for the first offending edge in edge order, with its
-    checks in that order.  Augmentation helpers return new graphs rather
-    than mutating.
+    checks in that order.  Then every node's out-edge weights must sum to a
+    finite value, or the first node whose sum overflows is named.
+    Augmentation helpers return new graphs rather than mutating.
     """
 
     nodes: tuple[EmbeddingVector, ...]
@@ -119,6 +121,11 @@ class SemanticGraph:
                 msg = f"edge {source!r}->{target!r} weight must be finite and > 0"
             else:
                 msg = f"duplicate edge {(source, target, kind_name)}"
+            raise ValueError(msg)
+        # Each weight is finite, but a row's sum can still overflow.
+        finite = np.isfinite(np.bincount(sources, weights=weights))
+        if not finite.all():
+            msg = f"out-edge weights of {self.node_ids[int(finite.argmin())]!r} do not sum to a finite value"
             raise ValueError(msg)
         if self.cluster_heads is not None:
             known = self.nodes.positions
@@ -448,30 +455,32 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
     carry a label.  A zero-norm cluster mean scores every member 0, which
     picks the lowest-id member.
     """
-    _require_labels(nodes, labels)
-    members: dict[int, list[EmbeddingVector]] = {}
-    for node in nodes:
-        members.setdefault(int(labels[node.id]), []).append(node)
+    corpus = Embeddings.of(nodes)
+    codes = _label_codes(corpus, labels)
+    # Per-vector norms: the batched ``corpus.norms`` could elect another head.
+    norms = vector_norms(corpus.matrix) if corpus else None
+    by_id = np.argsort(corpus.id_ranks)
     heads: list[str] = []
-    for label in sorted(members):
-        cluster = Embeddings(sorted(members[label], key=lambda node: node.id))
-        mean = np.mean([node.values for node in cluster], axis=0)
-        mean_norm = float(np.linalg.norm(mean))
-        cosines = np.zeros(len(cluster))
+    for label in sorted(set(codes.tolist())):  # not np.unique, whose first call imports numpy.ma
+        members = by_id[codes[by_id] == label]
+        rows = corpus.matrix[members]
+        mean = rows.mean(axis=0)
+        mean_norm = vector_norms(mean)
+        cosines = np.zeros(len(members))
         if mean_norm > 0.0:
-            # Per-vector norms, not the corpus's batched ``norms``, which
-            # can differ in the last bit and so elect another head.
-            for i, node in enumerate(cluster):
-                cosines[i] = np.dot(node.values, mean) / (positive_norm(node) * mean_norm)
-        heads.append(cluster[ranked(cosines, cluster.id_ranks)[0]].id)
+            reject_zero_norms(corpus.ids, norms, members)
+            cosines = np.vecdot(rows, mean) / (norms[members] * mean_norm)
+        heads.append(corpus.ids[members[ranked(cosines, corpus.id_ranks[members])[0]]])
     return heads
 
 
-def _require_labels(nodes: Sequence[EmbeddingVector], labels: Mapping[str, int]) -> None:
-    for node in nodes:
-        if node.id not in labels:
-            msg = f"node {node.id!r} has no cluster label"
-            raise ValueError(msg)
+def _label_codes(nodes: Embeddings, labels: Mapping[str, int]) -> np.ndarray:
+    """Every node's cluster label, by position; raises naming the first without one."""
+    missing = next((node_id for node_id in nodes.ids if node_id not in labels), None)
+    if missing is not None:
+        msg = f"node {missing!r} has no cluster label"
+        raise ValueError(msg)
+    return np.array([int(labels[node_id]) for node_id in nodes.ids])
 
 
 def _with_symbolic(graph: SemanticGraph, heads: Sequence[str], pairs: np.ndarray, sims: np.ndarray) -> SemanticGraph:
@@ -529,25 +538,22 @@ def add_symbolic_edges_dense(
     if not -1.0 < threshold < 1.0:
         msg = f"threshold must lie strictly inside (-1, 1), got {threshold}"
         raise ValueError(msg)
-    _require_labels(graph.nodes, labels)
-    node_labels = np.array([int(labels[node.id]) for node in graph.nodes])
-    # Per-vector norms, not the corpus's batched ``norms``: the two can
-    # differ in the last bit, and the pinned symbolic weights use these.
-    norms = np.array([node.norm() for node in graph.nodes])
-    pairs: list[tuple[int, int]] = []
-    sims: list[float] = []
+    codes = _label_codes(graph.nodes, labels)
+    # Per-vector norms: the pinned symbolic weights use these, not ``norms`` of the corpus.
+    norms = vector_norms(graph.nodes.matrix) if graph.nodes else None
+    pairs: list[np.ndarray] = []
+    sims: list[np.ndarray] = []
     for head in heads:
         head_vector = graph.vector(head)
         head_position = graph.nodes.positions[head]
         head_norm = positive_norm(head_vector)
-        others = np.flatnonzero(node_labels != node_labels[head_position])
+        others = np.flatnonzero(codes != codes[head_position])
         reject_zero_norms(graph.node_ids, norms, others)
-        for position in others.tolist():
-            sim = float(np.dot(head_vector.values, graph.nodes[position].values) / (head_norm * norms[position]))
-            if sim > threshold:
-                pairs.append((head_position, position))
-                sims.append(sim)
-    return _with_symbolic(graph, heads, np.array(pairs, dtype=np.intp).reshape(-1, 2), np.array(sims))
+        cosines = np.vecdot(graph.nodes.matrix, head_vector.values)[others] / (head_norm * norms[others])
+        above = cosines > threshold
+        pairs.append(np.stack([np.full(above.sum(), head_position), others[above]], axis=1))
+        sims.append(cosines[above])
+    return _with_symbolic(graph, heads, np.concatenate(pairs), np.concatenate(sims))
 
 
 def normalize_adjacency(graph: SemanticGraph) -> NormalizedAdjacency:

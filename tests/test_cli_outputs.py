@@ -23,8 +23,9 @@ _SMALL = [*_DATA, "--pool-size", "10", "--k", "3", "--graph-k", "3"]
 # sweep-lambda never builds a graph, so it takes no graph flags.
 _SWEEP = [*_DATA, "--pool-size", "10", "--k", "3"]
 # Placeholders for the files the ``files`` fixture writes: a 30-point and a
-# 250-point dataset, a graph over the 30 points, and an output path.
-_D30, _D250, _GRAPH, _OUT = "{d30}", "{d250}", "{graph}", "{out}"
+# 250-point dataset, a graph over the 30 points, a graph whose row for "a"
+# sums past the float range, and an output path.
+_D30, _D250, _GRAPH, _OVERFLOW, _OUT = "{d30}", "{d250}", "{graph}", "{overflow}", "{out}"
 
 # Command line -> SHA-256 of its output (``--out`` file, else stdout).
 _OUTPUT_DIGESTS = {
@@ -108,6 +109,8 @@ _ERRORS = {
     ("ppr", "--graph", "{tmp}/missing.tsv", "--seeds", "p00"):
         (2, "error: [Errno 2] No such file or directory: '{tmp}/missing.tsv'\n"),
     ("ppr", "--graph", _GRAPH, "--seeds", "zz"): (2, "error: seed node 'zz' is not in the graph\n"),
+    ("ppr", "--graph", _OVERFLOW, "--seeds", "a"):
+        (2, "error: out-edge weights of 'a' do not sum to a finite value\n"),
     ("ppr", "--graph", _GRAPH, "--seeds", ","): (2, "error: uniform seed needs at least one node\n"),
     ("ppr", "--graph", _GRAPH, "--seeds", "p00", "--alpha", "1.5"):
         (2, "error: alpha must lie strictly between 0 and 1, got 1.5\n"),
@@ -185,6 +188,9 @@ def files(tmp_path_factory):
         assert main(["generate", *flags, "--out", paths[name]]) == 0
     paths["graph"] = str(tmp / "graph.tsv")
     assert main(["build-graph", *_DATA, "--graph-k", "3", "--out", paths["graph"]]) == 0
+    paths["overflow"] = str(tmp / "overflow.tsv")
+    edges = "a\tb\t1e308\tknn\na\tc\t1e308\tknn\nb\ta\t1.0\tknn\n"
+    (tmp / "overflow.tsv").write_text(f"#nodes 3 #dim 1\na\t1.0\nb\t2.0\nc\t3.0\n{edges}", encoding="utf-8")
     return paths
 
 

@@ -177,6 +177,18 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match="one-dimensional and of one length"):
             SemanticGraph(nodes, [0, 1], [1], [1.0], [0])
 
+    def test_a_row_whose_weights_overflow_is_rejected(self):
+        nodes = tuple(EmbeddingVector(node_id, [1.0]) for node_id in "abc")
+        for edges in (
+            (("b", "a", 1.0, "knn"), ("a", "b", 1e308, "knn"), ("a", "c", 1e308, "knn")),
+            (("b", "a", 1.0, "knn"), ("a", "b", 1e308, "knn"), ("a", "b", 1e308, "symbolic")),
+        ):
+            with pytest.raises(ValueError, match="^out-edge weights of 'a' do not sum to a finite value$"):
+                SemanticGraph.from_named(nodes, edges)
+        # Each weight may be as large as the row's sum allows.
+        graph = SemanticGraph.from_named(nodes, (("a", "b", 8e307, "knn"), ("a", "c", 8e307, "knn")))
+        assert graph.adjacency.weights.tolist() == [0.5, 0.5]
+
     def test_arrays_are_read_only_copies(self):
         nodes = (EmbeddingVector("a", [1.0]), EmbeddingVector("b", [2.0]))
         sources = np.array([0, 1])

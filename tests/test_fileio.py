@@ -279,6 +279,12 @@ class TestGraphParsing:
             load_graph(path)
         assert str(caught.value).removeprefix(f"{path}: ") == message
 
+    def test_a_row_whose_weights_overflow_is_rejected(self, tmp_path):
+        edges = "b\ta\t1.0\tknn\na\tb\t1e308\tknn\na\tc\t1e308\tknn\n"
+        path = self._write(tmp_path, "#nodes 3 #dim 1\na\t1.0\nb\t2.0\nc\t3.0\n" + edges)
+        with pytest.raises(ValueError, match="^out-edge weights of 'a' do not sum to a finite value$"):
+            load_graph(path)
+
     def test_vector_rows_are_read_before_edge_rows(self, tmp_path):
         with pytest.raises(ValueError, match="malformed vector row"):
             load_graph(self._write(tmp_path, "#nodes 2 #dim 1\na\t1.0\textra\nb\t2.0\na\tb\t0.5\n"))

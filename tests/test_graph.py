@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semrank.datagen import SyntheticDatasetSpec, generate_clusters
-from semrank.geometry import _BLOCK, EmbeddingVector, Embeddings, cosine_similarity, ranked, similarity_matrix
+from semrank.geometry import (
+    _BLOCK,
+    EmbeddingVector,
+    Embeddings,
+    cosine_similarity,
+    query_similarities,
+    ranked,
+    similarity_matrix,
+    vector_norms,
+)
 from semrank.graph import (
     EDGE_WEIGHT_FLOOR,
     ConvergenceError,
@@ -104,17 +113,59 @@ def _reference_sparse(graph, heads, m):
     return _reference_merge(graph, added)
 
 
+def _zero_norm(item_id):
+    return ValueError(f"cosine similarity undefined for zero-norm vector {item_id!r}")
+
+
+def _reference_norm(vector):
+    """The per-vector norm as it was first written, one vector at a time."""
+    return float(np.linalg.norm(vector.values))
+
+
+def _require_labels(nodes, labels):
+    for node in nodes:
+        if node.id not in labels:
+            raise ValueError(f"node {node.id!r} has no cluster label")
+
+
+def _reference_heads(nodes, labels):
+    """Head election as a loop over clusters and their members."""
+    _require_labels(nodes, labels)
+    members = {}
+    for node in nodes:
+        members.setdefault(int(labels[node.id]), []).append(node)
+    heads = []
+    for label in sorted(members):
+        cluster = sorted(members[label], key=lambda node: node.id)
+        mean = np.mean([node.values for node in cluster], axis=0)
+        mean_norm = float(np.linalg.norm(mean))
+        cosines = [0.0] * len(cluster)
+        if mean_norm > 0.0:
+            for i, node in enumerate(cluster):
+                if not _reference_norm(node) > 0.0:
+                    raise _zero_norm(node.id)
+                cosines[i] = float(np.dot(node.values, mean) / (_reference_norm(node) * mean_norm))
+        heads.append(cluster[min(range(len(cluster)), key=lambda i: (-cosines[i], i))].id)
+    return heads
+
+
 def _reference_dense(graph, heads, threshold, labels):
     """The dense pass as a loop over heads and nodes."""
+    _require_labels(graph.nodes, labels)
     added = ([], [], [])
     for head in heads:
         head_vector = graph.vector(head)
         head_label = int(labels[head])
-        head_norm = head_vector.norm()
-        for position, node in enumerate(graph.nodes):
-            if int(labels[node.id]) == head_label:
-                continue
-            sim = float(np.dot(head_vector.values, node.values) / (head_norm * node.norm()))
+        head_norm = _reference_norm(head_vector)
+        if not head_norm > 0.0:
+            raise _zero_norm(head)
+        others = [position for position, node in enumerate(graph.nodes) if int(labels[node.id]) != head_label]
+        for position in others:
+            if not _reference_norm(graph.nodes[position]) > 0.0:
+                raise _zero_norm(graph.nodes[position].id)
+        for position in others:
+            node = graph.nodes[position]
+            sim = float(np.dot(head_vector.values, node.values) / (head_norm * _reference_norm(node)))
             if sim > threshold:
                 _reference_pair(added, graph.nodes.positions[head], position, sim)
     return _reference_merge(graph, added)
@@ -519,6 +570,12 @@ class TestSymbolicEdges:
         with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
             add_symbolic_edges_dense(zero, ["z"], 0.5, {**labels, "z": 3})
 
+    def test_dense_names_a_node_of_another_dimension(self):
+        nodes, labels = self._clustered()
+        graph = SemanticGraph.from_named([*nodes, EmbeddingVector("w", [1.0, 0.0, 0.0])], ())
+        with pytest.raises(ValueError, match="^dimension mismatch: 'w' has d=3, expected 2$"):
+            add_symbolic_edges_dense(graph, ["a0"], 0.5, {**labels, "w": 1})
+
     def test_dense_zero_norm_node_fails_only_outside_the_head_cluster(self):
         nodes, labels = self._clustered()
         graph = SemanticGraph.from_named([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
@@ -560,6 +617,96 @@ class TestSymbolicReference:
             _assert_edges_equal(twice, _reference_dense(once, heads, threshold, labels))
         if top < 1.0:
             assert not (add_symbolic_edges_dense(graph, heads, top, labels).kind == 1).any()
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        return run()
+    except ValueError as error:
+        return str(error)
+
+
+def _bytes_of(arrays):
+    return [(array.dtype, array.tobytes()) for array in arrays]
+
+
+@st.composite
+def _tied_corpora(draw):
+    """Small corpora, from a matrix or vector by vector, under shuffled ids,
+    with some zero rows; 1 to 4 labels, so a corpus can be one cluster; and
+    a few heads, any node.  Coordinates are whole numbers in [-2, 2], so
+    equal vectors and exact ties are common, or Gaussian, or whole
+    multiples of one Gaussian vector, whose cosines tie up to rounding, so
+    that a norm off in the last bit elects another head."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.sampled_from([1, 2, 3, 8, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["whole", "gaussian", "multiples"]))
+    if kind == "whole":
+        values = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    elif kind == "gaussian":
+        values = rng.normal(size=(n, dim))
+    else:
+        values = rng.integers(1, 10, size=(n, 1)) * rng.normal(size=dim)
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))] = 0.0
+    ids = [f"n{i}" for i in rng.permutation(n)]
+    labels = dict(zip(ids, rng.integers(0, draw(st.integers(1, 4)), size=n).tolist()))
+    if draw(st.booleans()):
+        nodes = Embeddings.from_matrix(ids, values)
+    else:
+        nodes = Embeddings(EmbeddingVector(item_id, row) for item_id, row in zip(ids, values))
+    heads = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4))
+    threshold = draw(st.sampled_from([-0.5, 0.0, 0.5]) | st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    return nodes, labels, heads, threshold
+
+
+class TestVectorNorms:
+    """The per-vector norm in array form: one ``ddot`` per row, bit for bit
+    the per-vector loops it replaced."""
+
+    def test_array_form_matches_the_per_vector_norm(self):
+        points = generate_clusters(SyntheticDatasetSpec(num_points=2000, dim=32, rng_seed=0)).points
+        rows = points.matrix
+        per_vector = np.array([np.linalg.norm(row) for row in rows])
+        # The batched norm differs, so the comparisons below can fail.
+        assert (points.norms != per_vector).any()
+        assert vector_norms(rows).tobytes() == per_vector.tobytes()
+        # Every row against one head, gathered in shuffled order.
+        head = rows[7]
+        order = np.random.default_rng(0).permutation(len(rows))
+        dots = np.array([np.dot(head, rows[i]) for i in order])
+        assert np.vecdot(rows[order], head).tobytes() == dots.tobytes()
+
+    def test_matrix_layout_changes_no_bit(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(600, 32))
+        ids = [f"v{i:03d}" for i in range(600)]
+        labels = {item_id: i % 4 for i, item_id in enumerate(ids)}
+        query = EmbeddingVector("q", rng.normal(size=32))
+        outputs = []
+        for matrix in (np.ascontiguousarray(values), np.asfortranarray(values)):
+            points = Embeddings.from_matrix(ids, matrix)
+            graph = build_knn_graph(points, 5)
+            # Its weights are the kNN weights, then the symbolic ones.
+            dense = add_symbolic_edges_dense(graph, elect_cluster_heads(points, labels), 0.2, labels)
+            arrays = (points.norms, query_similarities(query, points), similarity_matrix(points), dense.weights)
+            outputs.append([array.tobytes() for array in arrays])
+        assert outputs[0] == outputs[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=_tied_corpora())
+    def test_election_and_dense_pass_match_the_per_item_loops(self, corpus):
+        nodes, labels, heads, threshold = corpus
+        elected = _outcome(lambda: elect_cluster_heads(nodes, labels))
+        assert elected == _outcome(lambda: _reference_heads(nodes, labels))
+        graph = SemanticGraph.from_named(nodes, ())
+
+        def dense():
+            augmented = add_symbolic_edges_dense(graph, heads, threshold, labels)
+            return _bytes_of((augmented.sources, augmented.targets, augmented.weights, augmented.kind))
+
+        assert _outcome(dense) == _outcome(lambda: _bytes_of(_reference_dense(graph, heads, threshold, labels)))
 
 
 class TestNormalizeAdjacency:

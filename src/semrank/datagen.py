@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -87,11 +88,21 @@ class SyntheticDataset:
 
     @cached_property
     def clusters(self) -> dict[int, tuple[EmbeddingVector, ...]]:
-        """Members of each cluster label, sorted by id."""
+        """Members of each cluster label, sorted by id; every point must
+        carry a label (see :func:`require_labels`)."""
+        require_labels(self.points.ids, self.labels)
         grouped: dict[int, list[EmbeddingVector]] = {}
         for point in sorted(self.points, key=lambda point: point.id):
             grouped.setdefault(self.labels[point.id], []).append(point)
         return {label: tuple(members) for label, members in grouped.items()}
+
+
+def require_labels(ids: Iterable[str], labels: Mapping[str, int]) -> None:
+    """Raise ``ValueError`` naming the first of ``ids`` that has no label."""
+    missing = next((item_id for item_id in ids if item_id not in labels), None)
+    if missing is not None:
+        msg = f"point {missing!r} has no cluster label"
+        raise ValueError(msg)
 
 
 def _place_centroids(rng: np.random.Generator, spec: SyntheticDatasetSpec) -> np.ndarray:

@@ -18,9 +18,9 @@ Graph files::
 The header's fields are separated by single spaces.  Floats are written
 with ``repr`` so values round-trip exactly in double precision.  Ids are
 written as they are, so saving rejects an id that holds a tab or a line
-break.  A save checks everything it can reject (ids, labels, one
-dimension) before it opens the file, so a failed save writes nothing, and
-then streams the rows into the file one line at a time.
+break.  A save checks everything it can reject (ids, labels) before it
+opens the file, so a failed save writes nothing, and then streams the rows
+into the file one line at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .datagen import SyntheticDataset
+from .datagen import SyntheticDataset, require_labels
 from .geometry import Embeddings
 from .graph import EDGE_KINDS, SemanticGraph
 
@@ -58,10 +58,7 @@ def _write(
             msg = f"id {item_id!r} contains a tab or line break, which the file format cannot hold"
             raise ValueError(msg)
     if labels is not None:
-        missing = next((item_id for item_id in corpus.ids if item_id not in labels), None)
-        if missing is not None:
-            msg = f"point {missing!r} has no cluster label"
-            raise ValueError(msg)
+        require_labels(corpus.ids, labels)
     matrix = corpus.matrix
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"#nodes {len(matrix)} #dim {matrix.shape[1]}\n")

@@ -20,10 +20,11 @@ array, with no row buffer between, and returns that array read-only.
 A corpus that many queries scan is an :class:`Embeddings`, a tuple of
 vectors over one read-only matrix, so :func:`query_similarities` does not
 restack N vectors per query.  :meth:`Embeddings.from_matrix` validates a
-whole matrix at once and makes each vector a view of its row; a corpus
-built from separate vectors stacks them on first use.  The corpus also
-keeps its index (ids, positions, vectors by id, unit rows), which the pool,
-the graph and the dataset read rather than rebuild.
+whole matrix at once; a corpus built from separate vectors checks that they
+share one dimension and stacks them as it is built.  Either way each vector
+is a read-only view of its row.  The corpus also keeps its index (ids,
+positions, vectors by id, unit rows), which the pool, the graph and the
+dataset read rather than rebuild.
 
 A vector's norm has two definitions, each implemented once, and both stay
 because pinned outputs use both.  :attr:`Embeddings.norms` takes every
@@ -103,18 +104,33 @@ def _row_view(item_id: str, row: np.ndarray) -> EmbeddingVector:
 
 class Embeddings(tuple):
     """An immutable corpus: a tuple of :class:`EmbeddingVector` over one
-    read-only matrix.
+    read-only, C-ordered float64 ``matrix`` that holds their values row by
+    row, each vector a read-only view of a matrix row (for a corpus from
+    :meth:`take`, a row of the corpus it was taken from).
 
-    It reads as a plain tuple.  The stacked matrix, its row norms and unit
-    rows, the ids with their positions, vectors and ranks, and the first
-    duplicate id are worked out on first use and kept, so repeated scans of
-    the same corpus do not restack or re-check its vectors.
+    It reads as a plain tuple.  The row norms and unit rows, the ids with
+    their positions, vectors and ranks, and the first duplicate id are
+    worked out on first use and kept, so repeated scans of the same corpus
+    do not restack or re-check its vectors.
     """
+
+    def __new__(cls, vectors: Iterable[EmbeddingVector] = ()) -> "Embeddings":
+        """``vectors`` stacked into ``matrix`` (shape ``(0, 0)`` when empty);
+        raises ``ValueError`` naming the first vector whose dimension
+        differs from the first vector's."""
+        vectors = tuple(vectors)
+        dim = vectors[0].dim if vectors else 0
+        for v in vectors:
+            if v.dim != dim:
+                msg = f"dimension mismatch: {v.id!r} has d={v.dim}, expected {dim}"
+                raise ValueError(msg)
+        matrix = np.array([v.values for v in vectors]).reshape(len(vectors), dim)
+        return cls._over(map(_row_view, [v.id for v in vectors], matrix), matrix)
 
     @classmethod
     def of(cls, vectors: Sequence[EmbeddingVector]) -> "Embeddings":
         """``vectors`` itself if it already is an :class:`Embeddings`,
-        else a new one over the same vectors."""
+        else a new one over their values."""
         return vectors if isinstance(vectors, cls) else cls(vectors)
 
     @classmethod
@@ -160,31 +176,14 @@ class Embeddings(tuple):
         # Frozen before ``vectors`` is consumed: a view taken of a writable
         # array stays writable.
         matrix.setflags(write=False)
-        corpus = cls(vectors)
-        corpus.__dict__["matrix"] = matrix
+        corpus = tuple.__new__(cls, vectors)
+        corpus.matrix = matrix
         return corpus
 
     def take(self, positions: Sequence[int]) -> "Embeddings":
         """The vectors at ``positions``, in that order, over the matching
         rows of :attr:`matrix` gathered once."""
         return Embeddings._over((self[i] for i in positions), self.matrix[positions])
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The values stacked into a read-only ``len x d`` array; raises
-        ``ValueError`` naming the first vector whose dimension differs from
-        the first vector's."""
-        try:
-            matrix = np.stack([v.values for v in self])
-        except ValueError:
-            if not self:
-                raise
-            dim = self[0].dim
-            v = next(v for v in self if v.dim != dim)
-            msg = f"dimension mismatch: {v.id!r} has d={v.dim}, expected {dim}"
-            raise ValueError(msg) from None
-        matrix.setflags(write=False)
-        return matrix
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -321,7 +320,6 @@ def _unit_rows(corpus: Embeddings) -> np.ndarray:
     if corpus.first_duplicate is not None:
         msg = f"duplicate item id {corpus.first_duplicate!r}"
         raise ValueError(msg)
-    # Stacks the matrix, so mixed dimensions raise here.
     reject_zero_norms(corpus.ids, corpus.norms)
     return corpus.unit_rows
 
@@ -406,13 +404,8 @@ def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector
     if not vectors:
         return np.zeros(0)
     corpus = Embeddings.of(vectors)
-    try:
-        uniform = corpus.matrix.shape[1] == query.dim
-    except ValueError:  # rows of different lengths
-        uniform = False
-    if not uniform:
-        v = next(v for v in vectors if v.dim != query.dim)
-        msg = f"dimension mismatch: {query.id!r} has d={query.dim}, {v.id!r} has d={v.dim}"
+    if corpus.matrix.shape[1] != query.dim:
+        msg = f"dimension mismatch: {query.id!r} has d={query.dim}, {corpus[0].id!r} has d={corpus[0].dim}"
         raise ValueError(msg)
     query_norm = positive_norm(query)
     reject_zero_norms(corpus.ids, corpus.norms)

@@ -458,7 +458,7 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
     corpus = Embeddings.of(nodes)
     codes = _label_codes(corpus, labels)
     # Per-vector norms: the batched ``corpus.norms`` could elect another head.
-    norms = vector_norms(corpus.matrix) if corpus else None
+    norms = vector_norms(corpus.matrix)
     by_id = np.argsort(corpus.id_ranks)
     heads: list[str] = []
     for label in sorted(set(codes.tolist())):  # not np.unique, whose first call imports numpy.ma
@@ -540,7 +540,7 @@ def add_symbolic_edges_dense(
         raise ValueError(msg)
     codes = _label_codes(graph.nodes, labels)
     # Per-vector norms: the pinned symbolic weights use these, not ``norms`` of the corpus.
-    norms = vector_norms(graph.nodes.matrix) if graph.nodes else None
+    norms = vector_norms(graph.nodes.matrix)
     pairs: list[np.ndarray] = []
     sims: list[np.ndarray] = []
     for head in heads:

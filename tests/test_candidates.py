@@ -234,25 +234,26 @@ class TestStackedCorpus:
         wide = EmbeddingVector("wide", [1.0, 0.0, 0.0])
         wide2 = EmbeddingVector("wide2", [0.0, 1.0, 0.0])
         cases = [
-            # (query, corpus, expected message); earlier checks win.
-            (q, [ok, wide, nil], "dimension mismatch: 'q' has d=2, 'wide' has d=3"),
+            # (query, corpus, expected message); earlier checks win, and a
+            # ragged corpus is rejected as it is built, before the query.
+            (q, [ok, wide, nil], "dimension mismatch: 'wide' has d=3, expected 2"),
             (q, [wide, wide2], "dimension mismatch: 'q' has d=2, 'wide' has d=3"),
-            (q, [nil, ok, wide], "dimension mismatch: 'q' has d=2, 'wide' has d=3"),
+            (q, [nil, ok, wide], "dimension mismatch: 'wide' has d=3, expected 2"),
             (zero_q, [ok, nil], "cosine similarity undefined for zero-norm vector 'q0'"),
             (q, [ok, nil, nil2], "cosine similarity undefined for zero-norm vector 'nil'"),
         ]
         for query, vectors, message in cases:
-            for corpus in _both(vectors):
+            # A ragged corpus cannot be built, so it can only be a plain list.
+            for corpus in _both(vectors) if len({v.dim for v in vectors}) == 1 else (vectors,):
                 assert _message(lambda: query_similarities(query, corpus)) == message
                 assert _message(lambda: top_n_candidates(query, corpus, 1)) == message
-        for corpus in _both([ok, nil, ok, wide]):
-            assert _message(lambda: top_n_candidates(q, corpus, 1)) == "duplicate item id 'ok'"
-            assert _message(lambda: top_n_candidates(q, corpus, 5)) == "pool size 5 exceeds corpus size 4"
+        ragged = [ok, nil, ok, wide]
+        assert _message(lambda: top_n_candidates(q, ragged, 1)) == "dimension mismatch: 'wide' has d=3, expected 2"
+        assert _message(lambda: top_n_candidates(q, ragged, 5)) == "pool size 5 exceeds corpus size 4"
 
     def test_mixed_dimensions_are_not_stacked(self):
-        corpus = Embeddings([EmbeddingVector("a", [1.0]), EmbeddingVector("b", [1.0, 0.0])])
-        with pytest.raises(ValueError):
-            corpus.matrix
+        with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=2, expected 1$"):
+            Embeddings([EmbeddingVector("a", [1.0]), EmbeddingVector("b", [1.0, 0.0])])
 
     def test_repeat_scan_of_a_loaded_corpus_does_not_restack(self, tmp_path):
         spec = SyntheticDatasetSpec(num_points=2000, dim=32, rng_seed=0)

@@ -356,9 +356,21 @@ class TestExitCodes:
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         # A fresh interpreter: this test process may have scipy loaded already.
+        # It runs two commands after the import, since a module can also be
+        # loaded on first use (the first np.unique of some inputs loads
+        # numpy.ma); numpy.matrixlib is always loaded, so match whole names.
         src = str(Path(semrank.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = "import sys, semrank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        runs = [
+            ["experiment", "--num-points", "60", "--out", os.devnull],
+            ["retrieve", "--num-points", "60", "--symbolic-mode", "dense", "--threshold", "0.5", "--out", os.devnull],
+        ]
+        probe = (
+            "import sys, semrank.cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert semrank.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.') for p in ('scipy', 'numpy.ma'))))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60
         )

@@ -16,6 +16,7 @@ from semrank.datagen import (
     composite_query,
     generate_clusters,
 )
+from semrank.geometry import EmbeddingVector
 
 
 class TestSyntheticDatasetSpec:
@@ -193,6 +194,26 @@ class TestCompositeQuery:
         dataset = SyntheticDataset(points=points, labels=labels, spec=None)
         query = composite_query(dataset, rng_seed=2)
         assert query.dim == points[0].dim
+
+    def test_unlabelled_point_is_named(self):
+        """The first unlabelled point in position order is named, with the
+        message of a save of the same dataset."""
+        points = [EmbeddingVector(item_id, [1.0, 0.0]) for item_id in ("a", "c", "b")]
+        dataset = SyntheticDataset(points=points, labels={"a": 0})
+        with pytest.raises(ValueError, match="^point 'c' has no cluster label$"):
+            composite_query(dataset, rng_seed=0)
+
+    def test_label_without_members_is_named(self):
+        points = [EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [0.0, 1.0])]
+        dataset = SyntheticDataset(points=points, labels={"a": 0, "b": 0, "ghost": 1})
+        with pytest.raises(ValueError, match="^cluster 1 has no members$"):
+            composite_query(dataset, rng_seed=0)
+
+    def test_a_mean_that_always_cancels_fails_loudly(self):
+        points = [EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [-1.0, 0.0])]
+        dataset = SyntheticDataset(points=points, labels={"a": 0, "b": 1})
+        with pytest.raises(ValueError, match="^composite query kept collapsing to a zero-norm mean$"):
+            composite_query(dataset, rng_seed=0)
 
 
 def _scanning_composite_query(dataset, rng_seed):

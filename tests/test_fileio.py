@@ -336,15 +336,15 @@ class TestFailedSaves:
         dataset = SyntheticDataset(points=(EmbeddingVector("a", [1.0]), EmbeddingVector("b", [2.0])), labels={"a": 0})
         self._check_writes_nothing(save_dataset, dataset, tmp_path / "data.tsv", "^point 'b' has no cluster label$")
 
-    def test_mixed_dimension_dataset(self, tmp_path):
-        dataset = SyntheticDataset(points=self._MIXED, labels={"a": 0, "b": 1})
-        message = "^dimension mismatch: 'b' has d=1, expected 2$"
-        self._check_writes_nothing(save_dataset, dataset, tmp_path / "data.tsv", message)
+    # Mixed dimensions are rejected as the dataset or graph is built, so
+    # there is nothing to save.
+    def test_mixed_dimension_dataset(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=1, expected 2$"):
+            SyntheticDataset(points=self._MIXED, labels={"a": 0, "b": 1})
 
-    def test_mixed_dimension_graph(self, tmp_path):
-        graph = SemanticGraph.from_named(nodes=self._MIXED, edges=(("a", "b", 0.5, "knn"),))
-        message = "^dimension mismatch: 'b' has d=1, expected 2$"
-        self._check_writes_nothing(save_graph, graph, tmp_path / "graph.tsv", message)
+    def test_mixed_dimension_graph(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=1, expected 2$"):
+            SemanticGraph.from_named(nodes=self._MIXED, edges=(("a", "b", 0.5, "knn"),))
 
     def test_unwritable_id(self, tmp_path):
         graph = SemanticGraph.from_named(nodes=(EmbeddingVector("a\tb", [1.0]),), edges=())

@@ -160,6 +160,38 @@ class TestEmbeddingsFromMatrix:
         assert not taken.matrix.flags.writeable
 
 
+class TestOneCorpusForm:
+    """A corpus built from vectors is the corpus :meth:`Embeddings.from_matrix`
+    builds from the same rows, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 32])
+    @pytest.mark.parametrize("count", [1, 7, _BLOCK + 1])
+    def test_vectors_and_rows_build_the_same_corpus(self, dim, count):
+        rng = np.random.default_rng(1000 * dim + count)
+        rows = rng.normal(size=(count, dim))
+        ids = [f"v{i:03d}" for i in range(count)]
+        from_vectors = Embeddings(EmbeddingVector(item_id, row) for item_id, row in zip(ids, rows))
+        from_rows = Embeddings.from_matrix(ids, rows)
+        query = EmbeddingVector("q", rng.normal(size=dim))
+        for name in ("matrix", "norms", "unit_rows"):
+            a, b = getattr(from_vectors, name), getattr(from_rows, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+        assert similarity_matrix(from_vectors).tobytes() == similarity_matrix(from_rows).tobytes()
+        assert query_similarities(query, from_vectors).tobytes() == query_similarities(query, from_rows).tobytes()
+        for corpus in (from_vectors, from_rows):
+            assert corpus.ids == tuple(ids)
+            assert corpus.matrix.flags.c_contiguous and not corpus.matrix.flags.writeable
+            for vector in corpus:
+                assert not vector.values.flags.writeable
+                assert np.shares_memory(vector.values, corpus.matrix)
+
+    def test_an_empty_corpus_has_an_empty_matrix(self):
+        corpus = Embeddings(())
+        assert corpus == ()
+        assert corpus.matrix.shape == (0, 0)
+        assert not corpus.matrix.flags.writeable
+
+
 class TestCorpusIndex:
     """The ids, positions, vectors and unit rows the pool, the graph and the
     dataset all read from their corpus."""
@@ -573,9 +605,11 @@ class TestQuerySimilarities:
         query = EmbeddingVector("q", [1.0, 0.0])
         ok = EmbeddingVector("a", [0.0, 1.0])
         wide = EmbeddingVector("b", [1.0, 0.0, 0.0])
-        for corpus in ([ok, wide], [wide]):
-            with pytest.raises(ValueError, match="dimension mismatch: 'q' has d=2, 'b' has d=3"):
-                query_similarities(query, corpus)
+        # A ragged corpus is rejected as it is built, before the query.
+        with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=3, expected 2$"):
+            query_similarities(query, [ok, wide])
+        with pytest.raises(ValueError, match="dimension mismatch: 'q' has d=2, 'b' has d=3"):
+            query_similarities(query, [wide])
         with pytest.raises(ValueError, match="zero-norm vector 'nil'"):
             query_similarities(query, [ok, EmbeddingVector("nil", [0.0, 0.0])])
         with pytest.raises(ValueError, match="zero-norm vector 'q0'"):

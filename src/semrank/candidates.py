@@ -40,7 +40,7 @@ class CandidatePool:
     pairwise: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        candidates = Embeddings.of(self.candidates)
+        candidates = Embeddings(self.candidates)
         object.__setattr__(self, "candidates", candidates)
         sims = np.asarray(self.query_sims, dtype=np.float64)
         if len(candidates) != sims.size:
@@ -90,7 +90,7 @@ def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], 
     if n > len(corpus):
         msg = f"pool size {n} exceeds corpus size {len(corpus)}"
         raise ValueError(msg)
-    corpus = Embeddings.of(corpus)
+    corpus = Embeddings(corpus)
     if corpus.first_duplicate is not None:
         msg = f"duplicate item id {corpus.first_duplicate!r}"
         raise ValueError(msg)

@@ -80,21 +80,21 @@ class SyntheticDataset:
     spec: SyntheticDatasetSpec | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", Embeddings.of(self.points))
+        object.__setattr__(self, "points", Embeddings(self.points))
 
     @cached_property
-    def by_id(self) -> dict[str, EmbeddingVector]:
+    def by_id(self) -> Mapping[str, EmbeddingVector]:
         return self.points.by_id
 
     @cached_property
-    def clusters(self) -> dict[int, tuple[EmbeddingVector, ...]]:
-        """Members of each cluster label, sorted by id; every point must
-        carry a label (see :func:`require_labels`)."""
+    def clusters(self) -> dict[int, Embeddings]:
+        """Members of each cluster label, sorted by id, their rows gathered
+        once; every point must carry a label (see :func:`require_labels`)."""
         require_labels(self.points.ids, self.labels)
-        grouped: dict[int, list[EmbeddingVector]] = {}
-        for point in sorted(self.points, key=lambda point: point.id):
-            grouped.setdefault(self.labels[point.id], []).append(point)
-        return {label: tuple(members) for label, members in grouped.items()}
+        grouped: dict[int, list[int]] = {}
+        for i in sorted(range(len(self.points)), key=self.points.ids.__getitem__):
+            grouped.setdefault(self.labels[self.points.ids[i]], []).append(i)
+        return {label: self.points.take(members) for label, members in grouped.items()}
 
 
 def require_labels(ids: Iterable[str], labels: Mapping[str, int]) -> None:

@@ -17,14 +17,14 @@ N x N values; :func:`similarity_matrix`, for pools, which need all of it,
 has the kernel write the same blocks straight into the rows of one N x N
 array, with no row buffer between, and returns that array read-only.
 
-A corpus that many queries scan is an :class:`Embeddings`, a tuple of
-vectors over one read-only matrix, so :func:`query_similarities` does not
-restack N vectors per query.  :meth:`Embeddings.from_matrix` validates a
-whole matrix at once; a corpus built from separate vectors checks that they
-share one dimension and stacks them as it is built.  Either way each vector
-is a read-only view of its row.  The corpus also keeps its index (ids,
-positions, vectors by id, unit rows), which the pool, the graph and the
-dataset read rather than rebuild.
+A corpus that many queries scan is an :class:`Embeddings`, its ids and one
+read-only matrix, so :func:`query_similarities` does not restack N vectors
+per query; each vector is a read-only view of its row, made when it is
+asked for.  :meth:`Embeddings.from_matrix` holds the vector checks, and an
+:class:`EmbeddingVector` is checked as a one-row corpus; a corpus built
+from separate vectors checks that they share one dimension and stacks them.
+The corpus also keeps its index (positions, ranks, unit rows), which the
+pool, the graph and the dataset read rather than rebuild.
 
 A vector's norm has two definitions, each implemented once, and both stay
 because pinned outputs use both.  :attr:`Embeddings.norms` takes every
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,19 +67,9 @@ class EmbeddingVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            msg = f"vector {self.id!r} must be one-dimensional and non-empty"
-            raise ValueError(msg)
-        if not np.all(np.isfinite(values)):
-            msg = f"vector {self.id!r} has non-finite coordinates"
-            raise ValueError(msg)
-        with np.errstate(over="ignore"):
-            norm = vector_norms(values)
-        if not np.isfinite(norm):
-            raise _infinite_norm(self.id)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        # Checked as a one-row corpus, with the corpus's messages.
+        values = np.asarray(self.values, dtype=np.float64)[None]
+        object.__setattr__(self, "values", Embeddings.from_matrix((self.id,), values).matrix[0])
 
     @property
     def dim(self) -> int:
@@ -89,12 +79,6 @@ class EmbeddingVector:
         return float(vector_norms(self.values))
 
 
-def _infinite_norm(item_id: str) -> ValueError:
-    """The error for a vector whose coordinates are finite but whose
-    squares overflow, so that no cosine can be taken of it."""
-    return ValueError(f"vector {item_id!r} has a non-finite norm")
-
-
 def _row_view(item_id: str, row: np.ndarray) -> EmbeddingVector:
     """An :class:`EmbeddingVector` over ``row`` as it is: no copy, no checks."""
     vector = object.__new__(EmbeddingVector)
@@ -102,22 +86,23 @@ def _row_view(item_id: str, row: np.ndarray) -> EmbeddingVector:
     return vector
 
 
-class Embeddings(tuple):
-    """An immutable corpus: a tuple of :class:`EmbeddingVector` over one
-    read-only, C-ordered float64 ``matrix`` that holds their values row by
-    row, each vector a read-only view of a matrix row (for a corpus from
-    :meth:`take`, a row of the corpus it was taken from).
+class Embeddings(Sequence[EmbeddingVector]):
+    """An immutable corpus: the item ``ids`` and one read-only, C-ordered
+    float64 ``matrix`` whose row ``i`` holds the values of ``ids[i]``.
 
-    It reads as a plain tuple.  The row norms and unit rows, the ids with
-    their positions, vectors and ranks, and the first duplicate id are
-    worked out on first use and kept, so repeated scans of the same corpus
-    do not restack or re-check its vectors.
+    It reads as a sequence of :class:`EmbeddingVector`, each a read-only
+    view of its row made when it is asked for.  The row norms and unit
+    rows, the positions and ranks of the ids, and the first duplicate id
+    are worked out on first use and kept, so repeated scans of the same
+    corpus do not redo them.
     """
 
     def __new__(cls, vectors: Iterable[EmbeddingVector] = ()) -> "Embeddings":
-        """``vectors`` stacked into ``matrix`` (shape ``(0, 0)`` when empty);
-        raises ``ValueError`` naming the first vector whose dimension
-        differs from the first vector's."""
+        """``vectors`` if it is an :class:`Embeddings`, else their values
+        stacked into ``matrix`` (shape ``(0, 0)`` when empty); raises
+        ``ValueError`` naming the first vector whose dimension differs."""
+        if isinstance(vectors, Embeddings):
+            return vectors
         vectors = tuple(vectors)
         dim = vectors[0].dim if vectors else 0
         for v in vectors:
@@ -125,23 +110,16 @@ class Embeddings(tuple):
                 msg = f"dimension mismatch: {v.id!r} has d={v.dim}, expected {dim}"
                 raise ValueError(msg)
         matrix = np.array([v.values for v in vectors]).reshape(len(vectors), dim)
-        return cls._over(map(_row_view, [v.id for v in vectors], matrix), matrix)
-
-    @classmethod
-    def of(cls, vectors: Sequence[EmbeddingVector]) -> "Embeddings":
-        """``vectors`` itself if it already is an :class:`Embeddings`,
-        else a new one over their values."""
-        return vectors if isinstance(vectors, cls) else cls(vectors)
+        return cls._over(tuple(v.id for v in vectors), matrix)
 
     @classmethod
     def from_matrix(cls, ids: Sequence[str], matrix: np.ndarray) -> "Embeddings":
         """The corpus whose vector ``ids[i]`` is row ``i`` of a C-ordered
         float64 copy of ``matrix``.
 
-        The copy is validated once, with the messages of
-        :class:`EmbeddingVector` naming the first offending id, then frozen;
-        each vector is a read-only view of its row.  The row norms that the
-        check takes are kept as :attr:`norms`.
+        The copy is validated once, with messages naming the first
+        offending id, then frozen.  The row norms that the check takes are
+        kept as :attr:`norms`.
         """
         ids = tuple(ids)
         # C order, so that every row has the unit stride of
@@ -164,26 +142,36 @@ class Embeddings(tuple):
             norms = _row_norms(matrix)
         finite = np.isfinite(norms)
         if not finite.all():
-            raise _infinite_norm(ids[int(finite.argmin())])
-        corpus = cls._over(map(_row_view, ids, matrix), matrix)
+            # Finite coordinates whose squares overflow: no cosine exists.
+            raise ValueError(f"vector {ids[int(finite.argmin())]!r} has a non-finite norm")
+        corpus = cls._over(ids, matrix)
         corpus.__dict__["norms"] = norms
         return corpus
 
     @classmethod
-    def _over(cls, vectors: Iterable[EmbeddingVector], matrix: np.ndarray) -> "Embeddings":
-        """``vectors`` with ``matrix``, which holds their values row by row,
-        frozen and kept as :attr:`matrix`."""
-        # Frozen before ``vectors`` is consumed: a view taken of a writable
-        # array stays writable.
+    def _over(cls, ids: tuple[str, ...], matrix: np.ndarray) -> "Embeddings":
+        """The corpus of ``ids`` over ``matrix``, which holds their values
+        row by row, frozen; nothing is checked."""
         matrix.setflags(write=False)
-        corpus = tuple.__new__(cls, vectors)
-        corpus.matrix = matrix
+        corpus = object.__new__(cls)
+        corpus.__dict__.update(ids=ids, matrix=matrix)
         return corpus
 
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[EmbeddingVector]:
+        return map(_row_view, self.ids, self.matrix)
+
+    def __getitem__(self, index: int | slice) -> "EmbeddingVector | Embeddings":
+        if isinstance(index, slice):
+            return self.take(range(len(self))[index])
+        return _row_view(self.ids[index], self.matrix[index])
+
     def take(self, positions: Sequence[int]) -> "Embeddings":
-        """The vectors at ``positions``, in that order, over the matching
-        rows of :attr:`matrix` gathered once."""
-        return Embeddings._over((self[i] for i in positions), self.matrix[positions])
+        """The vectors at ``positions``, in that order, over their rows of
+        :attr:`matrix` gathered into a matrix of their own."""
+        return Embeddings._over(tuple(self.ids[i] for i in positions), self.matrix[positions])
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -212,19 +200,15 @@ class Embeddings(tuple):
         return rows
 
     @cached_property
-    def ids(self) -> tuple[str, ...]:
-        """Every vector's id, in order."""
-        return tuple(v.id for v in self)
-
-    @cached_property
     def positions(self) -> dict[str, int]:
         """Position of each id; a repeated id maps to its last position."""
         return {item_id: i for i, item_id in enumerate(self.ids)}
 
-    @cached_property
-    def by_id(self) -> dict[str, EmbeddingVector]:
-        """Vector of each id; a repeated id maps to its last vector."""
-        return dict(zip(self.ids, self))
+    @property
+    def by_id(self) -> Mapping[str, EmbeddingVector]:
+        """Vector of each id, made on lookup; a repeated id maps to its last
+        row.  Not kept: kept by the corpus it holds, it would be a cycle."""
+        return _VectorsById(self)
 
     @cached_property
     def id_ranks(self) -> np.ndarray:
@@ -239,11 +223,27 @@ class Embeddings(tuple):
     def first_duplicate(self) -> str | None:
         """The first id that repeats an earlier one, or ``None``."""
         seen: set[str] = set()
-        for v in self:
-            if v.id in seen:
-                return v.id
-            seen.add(v.id)
+        for item_id in self.ids:
+            if item_id in seen:
+                return item_id
+            seen.add(item_id)
         return None
+
+
+class _VectorsById(Mapping[str, EmbeddingVector]):
+    """:attr:`Embeddings.by_id` of ``corpus``."""
+
+    def __init__(self, corpus: Embeddings) -> None:
+        self._corpus = corpus
+
+    def __getitem__(self, item_id: str) -> EmbeddingVector:
+        return self._corpus[self._corpus.positions[item_id]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._corpus.positions)
+
+    def __len__(self) -> int:
+        return len(self._corpus.positions)
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -332,7 +332,7 @@ def similarity_matrix(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     Ids must be unique and dimensions uniform; zero-norm rows are rejected
     with the offending id, mirroring :func:`cosine_similarity`.
     """
-    unit = _unit_rows(Embeddings.of(vectors))
+    unit = _unit_rows(Embeddings(vectors))
     entries = np.empty((len(unit), len(unit)))
     for _ in _row_blocks(unit, entries):
         pass
@@ -354,7 +354,7 @@ def similarity_rows(vectors: Sequence[EmbeddingVector]) -> Iterator[tuple[int, n
     ``rows`` lives in one buffer every block overwrites, so the iteration
     holds one block of values and one tile; copy what must outlive a step.
     """
-    return _row_blocks(_unit_rows(Embeddings.of(vectors)))
+    return _row_blocks(_unit_rows(Embeddings(vectors)))
 
 
 def _row_blocks(unit: np.ndarray, out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
@@ -403,7 +403,7 @@ def query_similarities(query: EmbeddingVector, vectors: Sequence[EmbeddingVector
     """
     if not vectors:
         return np.zeros(0)
-    corpus = Embeddings.of(vectors)
+    corpus = Embeddings(vectors)
     if corpus.matrix.shape[1] != query.dim:
         msg = f"dimension mismatch: {query.id!r} has d={query.dim}, {corpus[0].id!r} has d={corpus[0].dim}"
         raise ValueError(msg)

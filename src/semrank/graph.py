@@ -88,7 +88,7 @@ class SemanticGraph:
     cluster_heads: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", Embeddings.of(self.nodes))
+        object.__setattr__(self, "nodes", Embeddings(self.nodes))
         n = len(self.nodes)
         if self.nodes.first_duplicate is not None:
             msg = "graph nodes contain duplicate ids"
@@ -150,7 +150,7 @@ class SemanticGraph:
         Validated like the constructor, except that an unknown id or kind is
         reported as it was given.
         """
-        nodes = Embeddings.of(nodes)
+        nodes = Embeddings(nodes)
         positions = nodes.positions
         sources: list[int] = []
         targets: list[int] = []
@@ -181,7 +181,7 @@ class SemanticGraph:
         return self.nodes.ids
 
     @cached_property
-    def by_id(self) -> dict[str, EmbeddingVector]:
+    def by_id(self) -> Mapping[str, EmbeddingVector]:
         return self.nodes.by_id
 
     @cached_property
@@ -430,7 +430,7 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
     if k >= len(nodes):
         msg = f"k={k} needs at least {k + 1} nodes, got {len(nodes)}"
         raise ValueError(msg)
-    nodes = Embeddings.of(nodes)
+    nodes = Embeddings(nodes)
     blocks = similarity_rows(nodes)
     id_ranks = nodes.id_ranks.tolist()
     n = len(nodes)
@@ -455,7 +455,7 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
     carry a label.  A zero-norm cluster mean scores every member 0, which
     picks the lowest-id member.
     """
-    corpus = Embeddings.of(nodes)
+    corpus = Embeddings(nodes)
     codes = _label_codes(corpus, labels)
     # Per-vector norms: the batched ``corpus.norms`` could elect another head.
     norms = vector_norms(corpus.matrix)

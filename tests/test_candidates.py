@@ -184,7 +184,7 @@ class TestStackedCorpus:
         loaded = load_dataset(save_dataset(dataset, tmp_path / "data.tsv"))
         for points in (dataset.points, loaded.points):
             assert isinstance(points, Embeddings)
-            assert points == tuple(points)
+            assert points.ids == tuple(point.id for point in points)
             assert points.matrix is points.matrix
             assert not points.matrix.flags.writeable
             assert not points.norms.flags.writeable
@@ -269,3 +269,14 @@ class TestStackedCorpus:
         assert second.tobytes() == first.tobytes()
         # Restacking would allocate one N x d float64 array.
         assert peak < 2000 * 32 * 8
+
+    def test_a_pool_does_not_hold_its_corpus_matrix(self):
+        """A pool's vectors view the pool's own gathered rows, so a pool
+        that outlives its corpus keeps n rows alive, not N."""
+        matrix = np.random.default_rng(0).normal(size=(20_000, 32))
+        points = Embeddings.from_matrix([f"v{i:05d}" for i in range(len(matrix))], matrix)
+        pool = top_n_candidates(EmbeddingVector("q", np.ones(32)), points, 100)
+        assert pool.candidates.matrix.shape == (100, 32)
+        for candidate in pool.candidates:
+            assert np.shares_memory(candidate.values, pool.candidates.matrix)
+            assert not np.shares_memory(candidate.values, points.matrix)

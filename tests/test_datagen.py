@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,19 @@ class TestClusterMembersCache:
             members = reordered.clusters[label]
             assert [p.id for p in members] == sorted(p.id for p in dataset.points if dataset.labels[p.id] == label)
         assert sorted(reordered.clusters) == [0, 1, 2, 3]
+
+    def test_clusters_hold_no_per_point_objects(self):
+        """The members of a cluster are its gathered rows, so the first
+        composite query keeps about one more matrix, not an object per point."""
+        dataset = generate_clusters(SyntheticDatasetSpec(num_points=20_000, dim=8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            composite_query(dataset, 0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= dataset.points.matrix.nbytes + 32 * len(dataset.points)
 
 
 def _per_point_generate(spec):

@@ -1,5 +1,6 @@
 """End-to-end benchmark pipeline, sweeps, and report serialisation."""
 
+import gc
 import json
 from dataclasses import asdict
 
@@ -256,6 +257,23 @@ class TestSweepLambda:
             sweep_lambda(_SMALL, (), runs=1)
         with pytest.raises(ValueError, match="runs must be >= 1"):
             sweep_lambda(_SMALL, (0.5,), runs=0)
+
+
+class TestNoCyclicGarbage:
+    def test_pipeline_runs_leave_no_cycles(self):
+        """Every object a run drops is freed by reference counting: a
+        cycle (say, a corpus that keeps a mapping holding itself) would
+        wait for the cyclic collector and raise the peak memory of a
+        long sweep."""
+        config = ExperimentConfig(dataset=SyntheticDatasetSpec(num_points=300))
+        gc.collect()
+        gc.disable()
+        try:
+            run_experiment(config)
+            sweep_lambda(config, (0.0, 0.25, 1.0), runs=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSerialisation:

@@ -127,7 +127,7 @@ class TestDatasetParsing:
 
     def test_header_only_file_loads_an_empty_corpus(self, tmp_path):
         loaded = load_dataset(self._write(tmp_path, "#nodes 0 #dim 3\n"))
-        assert loaded.points == ()
+        assert len(loaded.points) == 0
         assert loaded.labels == {}
         assert loaded.points.matrix.shape == (0, 3)
 
@@ -235,7 +235,7 @@ class TestGraphParsing:
 
     def test_header_only_file_loads_an_empty_graph(self, tmp_path):
         loaded = load_graph(self._write(tmp_path, "#nodes 0 #dim 3\n"))
-        assert loaded.nodes == () and loaded.edges == ()
+        assert len(loaded.nodes) == 0 and loaded.edges == ()
         assert loaded.nodes.matrix.shape == (0, 3)
 
     def test_malformed_edge_row(self, tmp_path):

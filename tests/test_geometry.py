@@ -15,7 +15,6 @@ from semrank.geometry import (
     MATRIX_TOL,
     EmbeddingVector,
     Embeddings,
-    _row_view,
     cosine_similarity,
     query_similarities,
     ranked,
@@ -76,7 +75,7 @@ class TestEmbeddingsFromMatrix:
         source = np.arange(12.0).reshape(4, 3)
         points = Embeddings.from_matrix(["a", "b", "c", "d"], source)
         source[0, 0] = 99.0
-        assert points == tuple(points)
+        assert len(points) == 4 and not isinstance(points, tuple)
         assert [p.id for p in points] == ["a", "b", "c", "d"]
         assert points.matrix.tobytes() == np.arange(12.0).tobytes()
         assert not points.matrix.flags.writeable
@@ -119,6 +118,21 @@ class TestEmbeddingsFromMatrix:
         assert np.isfinite(points.norms).all()
         assert similarity_matrix(points)[0, 1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
+    def test_a_corpus_holds_no_per_vector_memory(self):
+        """Beyond its matrix a corpus keeps a few words per vector (its id
+        tuple and row norms), not a vector object per row."""
+        count = 20_000
+        ids = [f"v{i:05d}" for i in range(count)]
+        matrix = np.random.default_rng(0).normal(size=(count, 8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            points = Embeddings.from_matrix(ids, matrix)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= points.matrix.nbytes + 32 * count
+
     def test_the_norms_of_the_check_are_kept(self, monkeypatch):
         points = Embeddings.from_matrix(["a", "b"], [[3.0, 4.0], [0.0, 2.0]])
 
@@ -146,7 +160,7 @@ class TestEmbeddingsFromMatrix:
 
     def test_an_empty_corpus_keeps_its_width(self):
         points = Embeddings.from_matrix([], np.empty((0, 3)))
-        assert points == ()
+        assert len(points) == 0
         assert points.matrix.shape == (0, 3)
 
     def test_take_gathers_the_rows_once(self):
@@ -154,7 +168,8 @@ class TestEmbeddingsFromMatrix:
         points = Embeddings.from_matrix([f"v{i}" for i in range(10)], rng.normal(size=(10, 4)))
         order = [7, 2, 9, 0]
         taken = points.take(order)
-        assert taken == tuple(points[i] for i in order)
+        assert taken.ids == tuple(points.ids[i] for i in order)
+        assert not any(np.shares_memory(vector.values, points.matrix) for vector in taken)
         assert "matrix" in vars(taken)
         assert taken.matrix.tobytes() == np.stack([points[i].values for i in order]).tobytes()
         assert not taken.matrix.flags.writeable
@@ -187,7 +202,7 @@ class TestOneCorpusForm:
 
     def test_an_empty_corpus_has_an_empty_matrix(self):
         corpus = Embeddings(())
-        assert corpus == ()
+        assert len(corpus) == 0
         assert corpus.matrix.shape == (0, 0)
         assert not corpus.matrix.flags.writeable
 
@@ -198,12 +213,36 @@ class TestCorpusIndex:
 
     def test_index_is_worked_out_once(self):
         points = Embeddings([EmbeddingVector("b", [3.0, 4.0]), EmbeddingVector("a", [0.0, 1.0])])
-        for name in ("ids", "positions", "by_id", "unit_rows"):
+        for name in ("ids", "positions", "unit_rows"):
             assert getattr(points, name) is getattr(points, name)
+        assert points.by_id is not points.by_id
         assert points.ids == ("b", "a")
         assert points.positions == {"b": 0, "a": 1}
-        assert points.by_id["b"] is points[0] and points.by_id["a"] is points[1]
+        for item_id, i in (("b", 0), ("a", 1)):
+            vector = points.by_id[item_id]
+            assert vector.id == item_id and vector.values.tobytes() == points[i].values.tobytes()
         assert list(points.by_id) == ["b", "a"]
+        assert points.by_id.get("ghost") is None
+
+    def test_a_repeated_id_maps_to_its_last_row(self):
+        points = Embeddings.from_matrix(["b", "a", "b", "c"], np.arange(8.0).reshape(4, 2))
+        assert points.by_id["b"].values.tolist() == [4.0, 5.0]
+        assert list(points.by_id) == ["b", "a", "c"]
+        assert len(points.by_id) == len(set(points.ids)) == 3
+
+    def test_the_corpus_reads_as_a_sequence_of_row_views(self):
+        points = Embeddings.from_matrix([f"v{i}" for i in range(4)], np.arange(8.0).reshape(4, 2))
+        assert Embeddings(points) is points
+        assert points[-1].id == "v3" and points[-1].values.tolist() == [6.0, 7.0]
+        with pytest.raises(IndexError):
+            points[len(points)]
+        middle = points[1:3]
+        assert isinstance(middle, Embeddings) and middle.ids == ("v1", "v2")
+        assert middle.matrix.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+        assert not np.shares_memory(middle.matrix, points.matrix)
+        assert points[::-1].ids == ("v3", "v2", "v1", "v0")
+        for vector in [*points, *points.by_id.values(), points[0], middle[0]]:
+            assert not vector.values.flags.writeable
 
     def test_unit_rows_are_the_scaled_rows_bit_for_bit(self):
         rng = np.random.default_rng(7)
@@ -370,7 +409,7 @@ class TestSimilarityMatrix:
         """A unit row's product with itself can round away from 1; the
         kernel writes the diagonal as 1 exactly."""
         vectors = self._vectors(count=n)
-        unit = Embeddings.of(vectors).unit_rows
+        unit = Embeddings(vectors).unit_rows
         assert (np.einsum("ij,ij->i", unit, unit) != 1.0).any()
         np.testing.assert_array_equal(np.diagonal(similarity_matrix(vectors)), 1.0)
 
@@ -537,7 +576,7 @@ class TestSimilarityRows:
         """Only a corpus that skipped validation can reach the range check:
         an infinite coordinate gives an infinite norm and a NaN unit row."""
         rows = np.array([[1.0, 0.0], [np.inf, 1.0], [0.0, 1.0]])
-        corpus = Embeddings._over([_row_view(f"v{i}", row) for i, row in enumerate(rows)], rows)
+        corpus = Embeddings._over(tuple(f"v{i}" for i in range(len(rows))), rows)
         with np.errstate(invalid="ignore"):
             blocks = similarity_rows(corpus)
         with pytest.raises(ValueError, match=r"^similarity values must lie in \[-1, 1\]$"):
@@ -555,7 +594,7 @@ class TestSimilarityRows:
         the range check of the first block, wherever the row lies."""
         rows = np.random.default_rng(row).normal(size=(_BLOCK + 2, 2))
         rows[row, 0] = bad
-        corpus = Embeddings._over([_row_view(f"v{i}", values) for i, values in enumerate(rows)], rows)
+        corpus = Embeddings._over(tuple(f"v{i}" for i in range(len(rows))), rows)
         if np.isnan(bad):
             message = f"^cosine similarity undefined for zero-norm vector 'v{row}'$"
         else:

@@ -87,14 +87,18 @@ class SyntheticDataset:
         return self.points.by_id
 
     @cached_property
-    def clusters(self) -> dict[int, Embeddings]:
-        """Members of each cluster label, sorted by id, their rows gathered
-        once; every point must carry a label (see :func:`require_labels`)."""
+    def clusters(self) -> dict[int, np.ndarray]:
+        """Read-only positions in :attr:`points` of the members of each
+        cluster label, in id order; every point must carry a label (see
+        :func:`require_labels`)."""
         require_labels(self.points.ids, self.labels)
         grouped: dict[int, list[int]] = {}
-        for i in sorted(range(len(self.points)), key=self.points.ids.__getitem__):
+        for i in np.argsort(self.points.id_ranks).tolist():
             grouped.setdefault(self.labels[self.points.ids[i]], []).append(i)
-        return {label: self.points.take(members) for label, members in grouped.items()}
+        clusters = {label: np.array(members, dtype=np.intp) for label, members in grouped.items()}
+        for members in clusters.values():
+            members.setflags(write=False)
+        return clusters
 
 
 def require_labels(ids: Iterable[str], labels: Mapping[str, int]) -> None:
@@ -198,14 +202,14 @@ def composite_query(dataset: SyntheticDataset, rng_seed: int) -> EmbeddingVector
     member_lists = []
     for label in cluster_labels:
         members = dataset.clusters.get(label, ())
-        if not members:
+        if not len(members):
             msg = f"cluster {label} has no members"
             raise ValueError(msg)
         member_lists.append(members)
     rng = np.random.default_rng(rng_seed)
     for _ in range(_RESAMPLE_ATTEMPTS):
         representatives = [members[int(rng.integers(len(members)))] for members in member_lists]
-        mean = np.mean([point.values for point in representatives], axis=0)
+        mean = np.mean(dataset.points.matrix[representatives], axis=0)
         if np.linalg.norm(mean) > _ZERO_NORM:
             return EmbeddingVector("query", mean)
     msg = "composite query kept collapsing to a zero-norm mean"

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class Embeddings(Sequence[EmbeddingVector]):
     float64 ``matrix`` whose row ``i`` holds the values of ``ids[i]``.
 
     It reads as a sequence of :class:`EmbeddingVector`, each a read-only
-    view of its row made when it is asked for.  The row norms and unit
+    view of its row made when it is asked for, with no identity to search
+    for: ``in``, ``index`` and ``count`` raise ``TypeError``, and a vector is
+    found by id in :attr:`positions`.  The row norms and unit
     rows, the positions and ranks of the ids, and the first duplicate id
     are worked out on first use and kept, so repeated scans of the same
     corpus do not redo them.
@@ -167,6 +169,11 @@ class Embeddings(Sequence[EmbeddingVector]):
         if isinstance(index, slice):
             return self.take(range(len(self))[index])
         return _row_view(self.ids[index], self.matrix[index])
+
+    def _no_vector_identity(self, *args: object) -> NoReturn:
+        raise TypeError("a corpus holds rows, not vector objects: find a vector by id in positions")
+
+    __contains__ = index = count = _no_vector_identity
 
     def take(self, positions: Sequence[int]) -> "Embeddings":
         """The vectors at ``positions``, in that order, over their rows of

@@ -101,7 +101,7 @@ class TestGenerateClusters:
         )
         dataset = generate_clusters(spec)
         means = [
-            np.mean([p.values for p in dataset.clusters[label]], axis=0) for label in range(5)
+            np.mean(dataset.points.matrix[dataset.clusters[label]], axis=0) for label in range(5)
         ]
         for i in range(5):
             for j in range(i + 1, 5):
@@ -115,7 +115,7 @@ class TestGenerateClusters:
         )
         dataset = generate_clusters(spec)
         for label in range(5):
-            mean = np.mean([p.values for p in dataset.clusters[label]], axis=0)
+            mean = np.mean(dataset.points.matrix[dataset.clusters[label]], axis=0)
             radius = float(np.linalg.norm(mean))
             angle = math.atan2(mean[1], mean[0])
             assert 2.0 * spec.separation - 0.1 <= radius <= 4.8 * spec.separation + 0.1
@@ -142,7 +142,7 @@ class TestGenerateClusters:
         assert dataset.spec == spec
         seen = set()
         for label in range(4):
-            ids = {p.id for p in dataset.clusters[label]}
+            ids = {dataset.points.ids[i] for i in dataset.clusters[label]}
             assert not ids & seen
             seen |= ids
         assert len(seen) == 20
@@ -179,7 +179,7 @@ class TestCompositeQuery:
         dataset = generate_clusters(SyntheticDatasetSpec(num_points=30, num_clusters=3, rng_seed=12))
         query = composite_query(dataset, rng_seed=1)
         total = query.values * 3.0
-        choices = [[m.values for m in dataset.clusters[label]] for label in range(3)]
+        choices = [dataset.points.matrix[dataset.clusters[label]] for label in range(3)]
         matches = any(
             np.allclose(sum(choice), total, rtol=0, atol=1e-9)
             for choice in itertools.product(*choices)
@@ -252,12 +252,13 @@ class TestClusterMembersCache:
         reordered = SyntheticDataset(points=dataset.points[::-1], labels=dataset.labels)
         for label in range(4):
             members = reordered.clusters[label]
-            assert [p.id for p in members] == sorted(p.id for p in dataset.points if dataset.labels[p.id] == label)
+            assert [reordered.points.ids[i] for i in members] == sorted(p.id for p in dataset.points if dataset.labels[p.id] == label)
         assert sorted(reordered.clusters) == [0, 1, 2, 3]
 
     def test_clusters_hold_no_per_point_objects(self):
-        """The members of a cluster are its gathered rows, so the first
-        composite query keeps about one more matrix, not an object per point."""
+        """The members of a cluster are their positions, so the first
+        composite query keeps them and the corpus's id ranks, two integers
+        per point, not an object or a row per point."""
         dataset = generate_clusters(SyntheticDatasetSpec(num_points=20_000, dim=8))
         tracemalloc.start()
         try:
@@ -266,7 +267,7 @@ class TestClusterMembersCache:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained <= dataset.points.matrix.nbytes + 32 * len(dataset.points)
+        assert retained <= 24 * len(dataset.points)
 
 
 def _per_point_generate(spec):

@@ -244,6 +244,15 @@ class TestCorpusIndex:
         for vector in [*points, *points.by_id.values(), points[0], middle[0]]:
             assert not vector.values.flags.writeable
 
+    def test_vector_membership_is_asked_by_id(self):
+        """A vector is a view made on request, with no identity to find, so
+        the sequence searches by vector refuse rather than miss."""
+        points = Embeddings.from_matrix(["a", "b"], np.eye(2))
+        for search in (lambda: points[0] in points, lambda: points.index(points[1]), lambda: points.count(points[0])):
+            with pytest.raises(TypeError, match="find a vector by id in positions"):
+                search()
+        assert "b" in points.positions and "b" in points.by_id
+
     def test_unit_rows_are_the_scaled_rows_bit_for_bit(self):
         rng = np.random.default_rng(7)
         matrix = rng.normal(size=(40, 5)) * rng.uniform(1e-3, 1e3, size=(40, 1))

@@ -28,7 +28,7 @@ _STAGES = ["generate_clusters", "from_matrix", "corpus_index", "top_n_candidates
 def test_each_run_appends_one_record_with_the_fixed_keys(tmp_path):
     out = tmp_path / "bench.json"
     for label in ("parent", "change"):
-        assert scale.main(["--sizes", "50", "--dims", "2", "3", "--label", label, "--out", str(out)]) == 0
+        assert scale.main(["--label", label, "--out", str(out)], sizes=[50], dims=[2, 3]) == 0
     document = json.loads(out.read_text())
     assert set(document) == {"tool", "records"}
     assert [record["label"] for record in document["records"]] == ["parent", "change"]
@@ -40,6 +40,6 @@ def test_each_run_appends_one_record_with_the_fixed_keys(tmp_path):
         ]
         for entry in record["stages"]:
             assert tuple(entry) == _STAGE_KEYS
-            assert entry["n"] == 50 and len(entry["warm_ms"]) == 5
+            assert entry["n"] == 50 and len(entry["warm_ms"]) == scale.REPEATS
             assert 0 < entry["warm_median_ms"] <= entry["warm_p90_ms"] <= max(entry["warm_ms"])
             assert entry["peak_bytes"] >= entry["retained_bytes"] and entry["ru_maxrss_mib"] > 0

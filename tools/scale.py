@@ -9,7 +9,8 @@ another checkout's ``src`` measures that checkout with the same sweep; the
 record carries the commit of the checkout the library was imported from.
 
 Each size is a ``generate_clusters`` dataset of N points in d dimensions
-(seed 0).  The stages, each timed in-process:
+(seed 0), for every N of ``SIZES`` and d of ``DIMS``.  The stages, each
+timed in-process:
 
 - ``generate_clusters``: the dataset itself;
 - ``from_matrix``: ``Embeddings.from_matrix`` over its ids and a copy of
@@ -21,10 +22,10 @@ Each size is a ``generate_clusters`` dataset of N points in d dimensions
   it;
 - ``save_dataset`` and ``load_dataset``: the dataset file round trip.
 
-Per stage and size the record holds the cold first call, every warm
-repeat with their median and 90th percentile (numpy's linear
-interpolation; with fewer than a hundred repeats it shows spread, not a
-tail), the ``tracemalloc`` peak and retained bytes of one more untimed
+Per stage and size the record holds the cold first call, each of the
+``REPEATS`` warm repeats with their median and 90th percentile (numpy's
+linear interpolation; with fewer than a hundred repeats it shows spread,
+not a tail), the ``tracemalloc`` peak and retained bytes of one more untimed
 repeat whose result is still held, and the process's ``ru_maxrss`` after
 the stage.
 """
@@ -43,7 +44,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +55,9 @@ from semrank.fileio import load_dataset, save_dataset
 from semrank.geometry import Embeddings
 
 POOL = 100
+SIZES = (1_000, 10_000, 100_000)
+DIMS = (2, 32)
+REPEATS = 5
 
 
 def _openblas_core() -> str | None:
@@ -142,10 +146,10 @@ def _traced_bytes(prepare: Callable[[], Any], run: Callable[[Any], Any]) -> tupl
     return peak - before, current - before
 
 
-def measure(stage: Stage, n: int, dim: int, repeats: int) -> dict[str, Any]:
+def measure(stage: Stage, n: int, dim: int) -> dict[str, Any]:
     name, prepare, run = stage
     cold = _timed_ms(prepare, run)
-    warm = [_timed_ms(prepare, run) for _ in range(repeats)]
+    warm = [_timed_ms(prepare, run) for _ in range(REPEATS)]
     peak, retained = _traced_bytes(prepare, run)
     return {
         "stage": name,
@@ -161,32 +165,23 @@ def measure(stage: Stage, n: int, dim: int, repeats: int) -> dict[str, Any]:
     }
 
 
-def sweep(sizes: list[int], dims: list[int], repeats: int) -> list[dict[str, Any]]:
+def sweep(sizes: Sequence[int], dims: Sequence[int]) -> list[dict[str, Any]]:
     entries = []
     with tempfile.TemporaryDirectory() as workdir:
         for n in sizes:
             for dim in dims:
                 for stage in stages(n, dim, Path(workdir)):
-                    entries.append(measure(stage, n, dim, repeats))
+                    entries.append(measure(stage, n, dim))
                     print(json.dumps(entries[-1]), file=sys.stderr)
     return entries
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, sizes: Sequence[int] = SIZES, dims: Sequence[int] = DIMS) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[1_000, 10_000, 100_000])
-    parser.add_argument("--dims", type=int, nargs="+", default=[2, 32])
-    parser.add_argument("--repeats", type=int, default=5, help="warm repeats per stage (at least 5)")
     parser.add_argument("--label", required=True, help="name of the record, such as the tree measured")
     parser.add_argument("--out", type=Path, required=True, help="JSON file whose records the new one joins")
     args = parser.parse_args(argv)
-    if args.repeats < 5:
-        parser.error("--repeats must be at least 5")
-    record = {
-        "label": args.label,
-        "environment": environment(),
-        "stages": sweep(args.sizes, args.dims, args.repeats),
-    }
+    record = {"label": args.label, "environment": environment(), "stages": sweep(sizes, dims)}
     document = json.loads(args.out.read_text()) if args.out.exists() else {"tool": "tools/scale.py", "records": []}
     document["records"].append(record)
     args.out.write_text(json.dumps(document, indent=1) + "\n")

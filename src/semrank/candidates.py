@@ -35,7 +35,7 @@ class CandidatePool:
     """
 
     query: EmbeddingVector
-    candidates: tuple[EmbeddingVector, ...]
+    candidates: Embeddings
     query_sims: np.ndarray
     pairwise: np.ndarray = field(init=False)
 
@@ -68,11 +68,11 @@ class CandidatePool:
         return self.candidates.ids
 
     def vector(self, item_id: str) -> EmbeddingVector:
-        try:
-            return self.candidates.by_id[item_id]
-        except KeyError:
+        position = self.candidates.positions.get(item_id)
+        if position is None:
             msg = f"unknown pool item {item_id!r}"
-            raise ValueError(msg) from None
+            raise ValueError(msg)
+        return self.candidates[position]
 
 
 def top_n_candidates(query: EmbeddingVector, corpus: Sequence[EmbeddingVector], n: int) -> CandidatePool:

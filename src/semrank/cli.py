@@ -114,7 +114,7 @@ def _load_or_generate(args: argparse.Namespace) -> tuple[SyntheticDataset, Synth
         _dataset_spec(args),
         num_points=len(dataset.points),
         dim=dataset.points[0].dim if dataset.points else args.dim,
-        num_clusters=len(set(dataset.labels.values())),
+        num_clusters=len(dataset.clusters),
     )
     return dataset, spec
 

@@ -1,14 +1,19 @@
-"""Synthetic clustered datasets and composite queries for the benchmark runs."""
+"""Synthetic clustered datasets and composite queries for the benchmark runs.
+
+A dataset is its points, one :class:`~semrank.geometry.Embeddings`, and
+their cluster labels, one int64 array with the label of each point at its
+position; the members of each cluster are positions in that corpus.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .geometry import EmbeddingVector, Embeddings, vector_norms
+from .geometry import EmbeddingVector, Embeddings, cluster_labels, label_groups, vector_norms
 
 # Rejection-sampling budgets; generation fails loudly instead of looping.
 _PLACEMENT_ATTEMPTS = 1_000
@@ -73,40 +78,28 @@ class SyntheticDatasetSpec:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
-    """Generated points with their cluster labels."""
+    """Generated points with their cluster labels: ``labels[i]`` is the
+    label of ``points[i]``, kept as a read-only int64 array (see :func:`cluster_labels`)."""
 
-    points: tuple[EmbeddingVector, ...]
-    labels: dict[str, int]
+    points: Embeddings
+    labels: np.ndarray
     spec: SyntheticDatasetSpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", Embeddings(self.points))
+        object.__setattr__(self, "labels", cluster_labels(self.labels, len(self.points)))
 
     @cached_property
     def by_id(self) -> Mapping[str, EmbeddingVector]:
+        """The corpus's id -> vector mapping.  The library finds points by
+        position; this stays only because the benchmark harness reads it."""
         return self.points.by_id
 
     @cached_property
     def clusters(self) -> dict[int, np.ndarray]:
         """Read-only positions in :attr:`points` of the members of each
-        cluster label, in id order; every point must carry a label (see
-        :func:`require_labels`)."""
-        require_labels(self.points.ids, self.labels)
-        grouped: dict[int, list[int]] = {}
-        for i in np.argsort(self.points.id_ranks).tolist():
-            grouped.setdefault(self.labels[self.points.ids[i]], []).append(i)
-        clusters = {label: np.array(members, dtype=np.intp) for label, members in grouped.items()}
-        for members in clusters.values():
-            members.setflags(write=False)
-        return clusters
-
-
-def require_labels(ids: Iterable[str], labels: Mapping[str, int]) -> None:
-    """Raise ``ValueError`` naming the first of ``ids`` that has no label."""
-    missing = next((item_id for item_id in ids if item_id not in labels), None)
-    if missing is not None:
-        msg = f"point {missing!r} has no cluster label"
-        raise ValueError(msg)
+        cluster label, in id order, keyed by ascending label."""
+        return label_groups(self.labels, self.points.id_ranks)
 
 
 def _place_centroids(rng: np.random.Generator, spec: SyntheticDatasetSpec) -> np.ndarray:
@@ -149,8 +142,7 @@ def generate_clusters(spec: SyntheticDatasetSpec) -> SyntheticDataset:
     width = len(str(spec.num_points - 1))
     ids = [f"p{index:0{width}d}" for index in range(spec.num_points)]
     points = Embeddings.from_matrix(ids, samples)
-    labels = dict(zip(ids, (label for label, size in enumerate(sizes) for _ in range(size))))
-    return SyntheticDataset(points=points, labels=labels, spec=spec)
+    return SyntheticDataset(points=points, labels=np.repeat(np.arange(spec.num_clusters), sizes), spec=spec)
 
 
 def _draw_samples(rng: np.random.Generator, centers: np.ndarray, spec: SyntheticDatasetSpec) -> np.ndarray:
@@ -198,14 +190,7 @@ def composite_query(dataset: SyntheticDataset, rng_seed: int) -> EmbeddingVector
     Deterministic for a fixed ``rng_seed``.  On the measure-zero event that
     the representatives cancel to a zero-norm mean, a fresh set is drawn.
     """
-    cluster_labels = sorted(set(dataset.labels.values()))
-    member_lists = []
-    for label in cluster_labels:
-        members = dataset.clusters.get(label, ())
-        if not len(members):
-            msg = f"cluster {label} has no members"
-            raise ValueError(msg)
-        member_lists.append(members)
+    member_lists = list(dataset.clusters.values())
     rng = np.random.default_rng(rng_seed)
     for _ in range(_RESAMPLE_ATTEMPTS):
         representatives = [members[int(rng.integers(len(members)))] for members in member_lists]

@@ -137,7 +137,7 @@ def compress(dataset: SyntheticDataset, pool: CandidatePool, k: int, lam: float)
     of ``k`` pool items at diversity weight ``lam``."""
     trace = greedy_select(pool, CompressionConfig(k=k, lam=lam))
     items = list(zip(trace.chosen, trace.marginal_gains))
-    return build_result("semantic_compression", items, dataset.by_id, pool.query)
+    return build_result("semantic_compression", items, dataset.points, pool.query)
 
 
 def graph_rank(config: ExperimentConfig, pool: CandidatePool, graph: SemanticGraph) -> RetrievalResult:
@@ -157,7 +157,7 @@ def run_experiment_bundle(config: ExperimentConfig) -> ExperimentBundle:
     def _topk() -> RetrievalResult:
         ids = pool.ids[: config.k]
         items = [(item_id, float(pool.query_sims[i])) for i, item_id in enumerate(ids)]
-        return build_result("topk_ann", items, dataset.by_id, query)
+        return build_result("topk_ann", items, dataset.points, query)
 
     topk = _timed(runtimes, "topk_ann", _topk)
     compression = _timed(runtimes, "semantic_compression", lambda: compress(dataset, pool, config.k, config.lam))

@@ -18,19 +18,21 @@ Graph files::
 The header's fields are separated by single spaces.  Floats are written
 with ``repr`` so values round-trip exactly in double precision.  Ids are
 written as they are, so saving rejects an id that holds a tab or a line
-break.  A save checks everything it can reject (ids, labels) before it
-opens the file, so a failed save writes nothing, and then streams the rows
-into the file one line at a time.
+break.  A save checks the ids, all it can reject (a dataset checks its
+labels as it is built), before it opens the file, so a failed save writes
+nothing, and then streams the rows into the file one line at a time.
+A loaded label must fit int64, the dtype a dataset keeps its labels in.
 """
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .datagen import SyntheticDataset, require_labels
+from .datagen import SyntheticDataset
 from .geometry import Embeddings
 from .graph import EDGE_KINDS, SemanticGraph
 
@@ -38,17 +40,20 @@ from .graph import EDGE_KINDS, SemanticGraph
 # The field separator plus every line boundary ``str.splitlines`` honours.
 _UNWRITABLE_ID_CHARS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
+# A dataset keeps its cluster labels as int64.
+_LABEL_RANGE = np.iinfo(np.int64)
+
 
 def _write(
     path: str | Path,
     corpus: Embeddings,
     what: str,
-    labels: Mapping[str, int] | None = None,
+    labels: np.ndarray | None = None,
     edge_rows: Iterable[str] = (),
 ) -> Path:
     """Write the header, one vector row per item of ``corpus`` (with its
-    label from ``labels`` when given) and then ``edge_rows``; every check
-    runs before ``path`` is opened."""
+    label at the same position of ``labels`` when given) and then
+    ``edge_rows``; every check runs before ``path`` is opened."""
     path = Path(path)
     if not corpus:
         msg = f"cannot save an empty {what}"
@@ -57,14 +62,12 @@ def _write(
         if not _UNWRITABLE_ID_CHARS.isdisjoint(item_id):
             msg = f"id {item_id!r} contains a tab or line break, which the file format cannot hold"
             raise ValueError(msg)
-    if labels is not None:
-        require_labels(corpus.ids, labels)
     matrix = corpus.matrix
+    prefixes = itertools.repeat("") if labels is None else (f"{label}\t" for label in labels.tolist())
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"#nodes {len(matrix)} #dim {matrix.shape[1]}\n")
-        for item_id, row in zip(corpus.ids, matrix):
-            label = "" if labels is None else f"{labels[item_id]}\t"
-            handle.write(f"{item_id}\t{label}{','.join(map(repr, row.tolist()))}\n")
+        for item_id, prefix, row in zip(corpus.ids, prefixes, matrix):
+            handle.write(f"{item_id}\t{prefix}{','.join(map(repr, row.tolist()))}\n")
         handle.writelines(edge_rows)
     return path
 
@@ -113,6 +116,9 @@ def _parse_vector_row(
         except ValueError:
             msg = f"{path}: non-integer cluster label for {item_id!r}"
             raise ValueError(msg) from None
+        if not _LABEL_RANGE.min <= label <= _LABEL_RANGE.max:
+            msg = f"{path}: cluster label for {item_id!r} is out of range"
+            raise ValueError(msg)
     pieces = raw_values.split(",")
     if len(pieces) != dim:
         msg = f"{path}: vector {item_id!r} has {len(pieces)} coordinates, expected {dim}"
@@ -175,7 +181,7 @@ def load_dataset(path: str | Path) -> SyntheticDataset:
         msg = f"{path}: header declares {count} rows, found {len(rows)}"
         raise ValueError(msg)
     points, labels = _parse_corpus(rows, True, dim, path)
-    return SyntheticDataset(points=points, labels=labels, spec=None)
+    return SyntheticDataset(points=points, labels=np.array(list(labels.values()), dtype=np.int64), spec=None)
 
 
 def save_graph(graph: SemanticGraph, path: str | Path) -> Path:

@@ -24,7 +24,12 @@ asked for.  :meth:`Embeddings.from_matrix` holds the vector checks, and an
 :class:`EmbeddingVector` is checked as a one-row corpus; a corpus built
 from separate vectors checks that they share one dimension and stacks them.
 The corpus also keeps its index (positions, ranks, unit rows), which the
-pool, the graph and the dataset read rather than rebuild.
+pool, the graph and the dataset read rather than rebuild; the package finds
+a vector by its position, never through :attr:`Embeddings.by_id`.
+
+Cluster labels are an int64 array aligned with a corpus's rows, checked by
+:func:`cluster_labels` and grouped, each label's positions in id order, by
+:func:`label_groups`, which the dataset and the head election share.
 
 A vector's norm has two definitions, each implemented once, and both stay
 because pinned outputs use both.  :attr:`Embeddings.norms` takes every
@@ -300,6 +305,34 @@ def ranked(scores: np.ndarray, id_ranks: np.ndarray) -> np.ndarray:
     an ``id_ranks`` of its shape (``np.broadcast_to`` gives one without a
     copy): row ``i`` of the result is ``ranked(scores[i], id_ranks[i])``."""
     return np.lexsort((id_ranks, -scores))
+
+
+def cluster_labels(labels: Sequence[int] | np.ndarray, count: int) -> np.ndarray:
+    """A read-only int64 copy of ``labels``, the cluster label of each of
+    ``count`` corpus rows by position; raises ``ValueError`` unless its shape
+    is ``(count,)`` and, if not empty, its dtype is an integer one that fits
+    int64 (a cast would turn a label of 1.5 into 1)."""
+    array = np.asarray(labels)
+    if array.shape != (count,):
+        msg = f"cluster labels of shape {array.shape} do not match {count} points"
+        raise ValueError(msg)
+    if array.size and not (array.dtype.kind in "iu" and np.can_cast(array.dtype, np.int64)):
+        msg = f"cluster labels must be integers that fit int64, got dtype {array.dtype}"
+        raise ValueError(msg)
+    array = array.astype(np.int64)
+    array.setflags(write=False)
+    return array
+
+
+def label_groups(labels: np.ndarray, id_ranks: np.ndarray) -> dict[int, np.ndarray]:
+    """Positions of each label's members, in id order (by ``id_ranks``, the
+    ranks of the positions' ids), keyed by ascending label; each is a
+    read-only view of one array.  Every key has at least one member."""
+    order = np.lexsort((id_ranks, labels))
+    order.setflags(write=False)
+    ordered = labels[order]
+    starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    return dict(zip(ordered[:1].tolist() + ordered[starts].tolist(), np.split(order, starts)))
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:

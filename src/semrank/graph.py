@@ -15,7 +15,8 @@ fills ``(N, k)`` target and weight arrays row by row, and both symbolic
 passes hand ``(m, 2)`` arrays of node-position pairs to one merge.  Node
 positions, vectors and unit rows come from the graph's
 :class:`~semrank.geometry.Embeddings` ``nodes``, the one place they are
-worked out.
+worked out.  Head election and the dense pass take cluster labels as an
+array aligned with the nodes.
 
 Ranking runs personalized pagerank
 
@@ -38,6 +39,8 @@ import numpy as np
 from .geometry import (
     EmbeddingVector,
     Embeddings,
+    cluster_labels,
+    label_groups,
     positive_norm,
     ranked,
     reject_zero_norms,
@@ -80,7 +83,7 @@ class SemanticGraph:
     Augmentation helpers return new graphs rather than mutating.
     """
 
-    nodes: tuple[EmbeddingVector, ...]
+    nodes: Embeddings
     sources: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
@@ -182,6 +185,8 @@ class SemanticGraph:
 
     @cached_property
     def by_id(self) -> Mapping[str, EmbeddingVector]:
+        """The node corpus's id -> vector mapping.  The library finds nodes
+        by position; this stays only because the benchmark harness reads it."""
         return self.nodes.by_id
 
     @cached_property
@@ -210,11 +215,11 @@ class SemanticGraph:
         return NormalizedAdjacency(self.node_ids, indptr, keys % n, summed / sums[rows])
 
     def vector(self, node_id: str) -> EmbeddingVector:
-        try:
-            return self.by_id[node_id]
-        except KeyError:
+        position = self.nodes.positions.get(node_id)
+        if position is None:
             msg = f"unknown graph node {node_id!r}"
-            raise ValueError(msg) from None
+            raise ValueError(msg)
+        return self.nodes[position]
 
     def out_neighbors(self, node_id: str) -> set[str]:
         self.vector(node_id)
@@ -447,22 +452,21 @@ def build_knn_graph(nodes: Sequence[EmbeddingVector], k: int) -> SemanticGraph:
     return SemanticGraph(nodes, np.arange(n).repeat(k), targets.ravel(), weights.ravel(), kind)
 
 
-def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, int]) -> list[str]:
+def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: np.ndarray) -> list[str]:
     """Pick one representative per cluster: the member that :func:`ranked`
     puts first by cosine similarity to the cluster's mean vector.
 
-    Returned heads are ordered by ascending cluster label.  Every node must
-    carry a label.  A zero-norm cluster mean scores every member 0, which
+    ``labels[i]`` is the cluster label of ``nodes[i]`` (see
+    :func:`cluster_labels`).  Returned heads are ordered by ascending
+    cluster label.  A zero-norm cluster mean scores every member 0, which
     picks the lowest-id member.
     """
     corpus = Embeddings(nodes)
-    codes = _label_codes(corpus, labels)
+    groups = label_groups(cluster_labels(labels, len(corpus)), corpus.id_ranks)
     # Per-vector norms: the batched ``corpus.norms`` could elect another head.
     norms = vector_norms(corpus.matrix)
-    by_id = np.argsort(corpus.id_ranks)
     heads: list[str] = []
-    for label in sorted(set(codes.tolist())):  # not np.unique, whose first call imports numpy.ma
-        members = by_id[codes[by_id] == label]
+    for members in groups.values():
         rows = corpus.matrix[members]
         mean = rows.mean(axis=0)
         mean_norm = vector_norms(mean)
@@ -472,15 +476,6 @@ def elect_cluster_heads(nodes: Sequence[EmbeddingVector], labels: Mapping[str, i
             cosines = np.vecdot(rows, mean) / (norms[members] * mean_norm)
         heads.append(corpus.ids[members[ranked(cosines, corpus.id_ranks[members])[0]]])
     return heads
-
-
-def _label_codes(nodes: Embeddings, labels: Mapping[str, int]) -> np.ndarray:
-    """Every node's cluster label, by position; raises naming the first without one."""
-    missing = next((node_id for node_id in nodes.ids if node_id not in labels), None)
-    if missing is not None:
-        msg = f"node {missing!r} has no cluster label"
-        raise ValueError(msg)
-    return np.array([int(labels[node_id]) for node_id in nodes.ids])
 
 
 def _with_symbolic(graph: SemanticGraph, heads: Sequence[str], pairs: np.ndarray, sims: np.ndarray) -> SemanticGraph:
@@ -524,13 +519,14 @@ def add_symbolic_edges_dense(
     graph: SemanticGraph,
     heads: Sequence[str],
     threshold: float,
-    labels: Mapping[str, int],
+    labels: np.ndarray,
 ) -> SemanticGraph:
     """Link each head to every node of a *different* cluster whose cosine
     similarity exceeds ``threshold``, both directions.
 
-    ``threshold`` must lie strictly inside (-1, 1) and every graph node must
-    be labelled.  Idempotent for the same arguments.
+    ``threshold`` must lie strictly inside (-1, 1), and ``labels[i]`` is the
+    cluster label of ``graph.nodes[i]`` (see :func:`cluster_labels`).
+    Idempotent for the same arguments.
     """
     if not heads:
         msg = "dense symbolic augmentation needs at least one head"
@@ -538,7 +534,7 @@ def add_symbolic_edges_dense(
     if not -1.0 < threshold < 1.0:
         msg = f"threshold must lie strictly inside (-1, 1), got {threshold}"
         raise ValueError(msg)
-    codes = _label_codes(graph.nodes, labels)
+    codes = cluster_labels(labels, len(graph))
     # Per-vector norms: the pinned symbolic weights use these, not ``norms`` of the corpus.
     norms = vector_norms(graph.nodes.matrix)
     pairs: list[np.ndarray] = []

@@ -7,18 +7,20 @@ The blended score of an item ``v`` for query ``q`` is
 ``beta = 0`` is plain similarity ranking, ``beta = 1`` ranks purely by
 diffusion.  Scores of the two channels live on different scales (cosine in
 [-1, 1], diffusion mass in [0, 1] summing to 1); they are blended raw.
+
+The relevance and diversity metrics take the corpus their item ids index
+and read the items' rows and norms from it by position.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .candidates import CandidatePool
-from .geometry import EmbeddingVector, cosine_similarity, positive_norm, ranked, reject_zero_norms
+from .geometry import EmbeddingVector, Embeddings, cosine_similarity, positive_norm, ranked, reject_zero_norms
 from .graph import PprConfig, SeedVector, SemanticGraph, normalize_adjacency, ppr_mass
 
 METHOD_TAGS = ("topk_ann", "semantic_compression", "graph_ppr", "hybrid")
@@ -112,7 +114,7 @@ def rank_hybrid(
     blended = (1.0 - config.beta) * direct + config.beta * graph_raw
     top = ranked(blended, graph.nodes.id_ranks[scope])[: config.k]
     items = [(graph.node_ids[scope[j]], float(blended[j])) for j in top]
-    return build_result(_method_tag(config.beta), items, graph.by_id, pool.query)
+    return build_result(_method_tag(config.beta), items, graph.nodes, pool.query)
 
 
 def _query_cosines(query: EmbeddingVector, graph: SemanticGraph, rows: np.ndarray) -> np.ndarray:
@@ -128,68 +130,64 @@ def _query_cosines(query: EmbeddingVector, graph: SemanticGraph, rows: np.ndarra
     return np.clip(unit[rows] @ (query.values / query_norm), -1.0, 1.0)
 
 
-def _stacked(vectors: Sequence[EmbeddingVector | None], dim: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Stacked values and norms of ``vectors``, or ``None`` unless every
-    vector is known, has dimension ``dim`` and a norm > 0."""
-    if any(vector is None or vector.dim != dim for vector in vectors):
-        return None
-    rows = np.array([vector.values for vector in vectors]).reshape(len(vectors), dim)
-    norms = np.linalg.norm(rows, axis=1)
-    return (rows, norms) if (norms > 0.0).all() else None
+def _located(item_ids: Sequence[str], corpus: Iterable[EmbeddingVector]) -> tuple[np.ndarray, Embeddings]:
+    """The position in ``corpus`` of each of ``item_ids`` (``-1`` for an
+    unknown id), and ``corpus`` as an :class:`Embeddings`."""
+    corpus = Embeddings(corpus)
+    positions = corpus.positions
+    return np.array([positions.get(item_id, -1) for item_id in item_ids], dtype=np.intp), corpus
 
 
-def relevance_metric(
-    item_ids: Sequence[str],
-    query: EmbeddingVector,
-    embeddings: Mapping[str, EmbeddingVector],
-) -> float:
-    """Mean cosine similarity between the retrieved items and the query.
+def relevance_metric(item_ids: Sequence[str], query: EmbeddingVector, corpus: Iterable[EmbeddingVector]) -> float:
+    """Mean cosine similarity between the query and the retrieved items,
+    found by id in ``corpus``.
 
     Errors are those of :func:`cosine_similarity` applied item by item:
     the first item that is unknown, of the wrong dimension or zero-norm is
     named, and a zero-norm query fails at the first item.
     """
+    return _relevance(item_ids, query, *_located(item_ids, corpus))
+
+
+def _relevance(item_ids: Sequence[str], query: EmbeddingVector, rows: np.ndarray, corpus: Embeddings) -> float:
+    """:func:`relevance_metric` of ``item_ids``, at positions ``rows`` of ``corpus``."""
     if not item_ids:
         msg = "relevance is undefined for an empty item list"
         raise ValueError(msg)
-    vectors = [embeddings.get(item_id) for item_id in item_ids]
-    stacked = _stacked(vectors, query.dim)
     query_norm = query.norm()
-    if stacked is None or not query_norm > 0.0:
+    valid = (rows >= 0).all() and corpus.matrix.shape[1] == query.dim and (corpus.norms[rows] > 0.0).all()
+    if not (valid and query_norm > 0.0):
         # Raises at the first item that fails.
-        for item_id, vector in zip(item_ids, vectors):
-            if vector is None:
-                msg = f"unknown item {item_id!r}"
-                raise ValueError(msg)
-            cosine_similarity(vector, query)
-    rows, norms = stacked
-    cosines = np.clip(rows @ query.values / (norms * query_norm), -1.0, 1.0)
+        for item_id, row in zip(item_ids, rows.tolist()):
+            if row < 0:
+                raise ValueError(f"unknown item {item_id!r}")
+            cosine_similarity(corpus[row], query)
+    cosines = np.clip(corpus.matrix[rows] @ query.values / (corpus.norms[rows] * query_norm), -1.0, 1.0)
     return float(cosines.sum()) / len(item_ids)
 
 
-def diversity_metric(item_ids: Sequence[str], embeddings: Mapping[str, EmbeddingVector]) -> float:
-    """One minus the mean pairwise cosine over unordered distinct pairs.
+def diversity_metric(item_ids: Sequence[str], corpus: Iterable[EmbeddingVector]) -> float:
+    """One minus the mean pairwise cosine over unordered distinct pairs of
+    the items, found by id in ``corpus``.
 
     Needs at least two items; the value lies in [0, 2] (2 when every pair
-    points in exactly opposite directions).  Errors are those of
-    :func:`cosine_similarity` over the pairs in order ``(0, 1), (0, 2), ...``,
-    after every id has been looked up.
+    points in exactly opposite directions).  Errors name the first unknown
+    item, then the first zero-norm one, as :func:`cosine_similarity` over
+    the pairs in order ``(0, 1), (0, 2), ...`` would.
     """
+    return _diversity(item_ids, *_located(item_ids, corpus))
+
+
+def _diversity(item_ids: Sequence[str], rows: np.ndarray, corpus: Embeddings) -> float:
+    """:func:`diversity_metric` of ``item_ids``, at positions ``rows`` of ``corpus``."""
     if len(item_ids) < 2:
         msg = f"diversity needs at least two items, got {len(item_ids)}"
         raise ValueError(msg)
-    vectors = [embeddings.get(item_id) for item_id in item_ids]
-    for item_id, vector in zip(item_ids, vectors):
-        if vector is None:
-            msg = f"unknown item {item_id!r}"
-            raise ValueError(msg)
-    stacked = _stacked(vectors, vectors[0].dim)
-    if stacked is None:
-        # Raises at the first pair that fails.
-        for a, b in itertools.combinations(vectors, 2):
-            cosine_similarity(a, b)
-    rows, norms = stacked
-    cosines = np.clip(rows @ rows.T / np.outer(norms, norms), -1.0, 1.0)
+    if (rows < 0).any():
+        raise ValueError(f"unknown item {item_ids[(rows < 0).argmax()]!r}")
+    reject_zero_norms(corpus.ids, corpus.norms, rows)
+    values, norms = corpus.matrix[rows], corpus.norms[rows]
+    cosines = np.clip(values @ values.T / np.outer(norms, norms), -1.0, 1.0)
     upper = cosines[np.triu_indices(len(rows), 1)]
     return 1.0 - float(upper.sum()) / upper.size
 
@@ -197,13 +195,15 @@ def diversity_metric(item_ids: Sequence[str], embeddings: Mapping[str, Embedding
 def build_result(
     method: str,
     items: Sequence[tuple[str, float]],
-    embeddings: Mapping[str, EmbeddingVector],
+    corpus: Iterable[EmbeddingVector],
     query: EmbeddingVector,
 ) -> RetrievalResult:
-    """Assemble a :class:`RetrievalResult`, computing both metrics."""
+    """Assemble a :class:`RetrievalResult`, computing both metrics of the
+    items, found by id in ``corpus`` once for both."""
     ids = [item_id for item_id, _ in items]
-    relevance = relevance_metric(ids, query, embeddings)
-    diversity = diversity_metric(ids, embeddings) if len(ids) >= 2 else 0.0
+    rows, corpus = _located(ids, corpus)
+    relevance = _relevance(ids, query, rows, corpus)
+    diversity = _diversity(ids, rows, corpus) if len(ids) >= 2 else 0.0
     return RetrievalResult(
         method=method,
         items=tuple((item_id, float(score)) for item_id, score in items),

@@ -46,7 +46,7 @@ def _fmt(value: float) -> str:
 class _Canvas:
     """Affine map from data coordinates into the SVG viewport (y flipped)."""
 
-    def __init__(self, points: list[tuple[float, float]]) -> None:
+    def __init__(self, points: list[list[float]]) -> None:
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         min_x, max_x = min(xs), max(xs)
@@ -96,13 +96,12 @@ def render_svg(
     query: EmbeddingVector,
 ) -> str:
     """Render the experiment scene as an SVG string (2D datasets only)."""
-    dims = {point.dim for point in dataset.points}
-    if dims != {2} or query.dim != 2:
+    matrix = dataset.points.matrix
+    if not len(matrix) or matrix.shape[1] != 2 or query.dim != 2:
         msg = "plotting requires a 2-dimensional dataset; regenerate with dim=2"
         raise ValueError(msg)
 
-    coords = [(float(p.values[0]), float(p.values[1])) for p in dataset.points]
-    coords.append((float(query.values[0]), float(query.values[1])))
+    coords = matrix.tolist() + [query.values.tolist()]
     canvas = _Canvas(coords)
 
     parts = [
@@ -111,13 +110,14 @@ def render_svg(
         f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="#ffffff"/>',
     ]
 
-    by_id = dataset.by_id
-    position = {point.id: canvas.map(float(point.values[0]), float(point.values[1])) for point in dataset.points}
+    # Canvas position of each point, by its position in the dataset.
+    position = [canvas.map(x, y) for x, y in coords[:-1]]
+    index = dataset.points.positions
 
     # Edges first so nodes draw on top: knn in light gray, symbolic dashed red.
     ids = graph.node_ids
     for source, target, kind in zip(graph.sources.tolist(), graph.targets.tolist(), graph.kind.tolist()):
-        (x1, y1), (x2, y2) = position[ids[source]], position[ids[target]]
+        (x1, y1), (x2, y2) = position[index[ids[source]]], position[index[ids[target]]]
         if EDGE_KINDS[kind] == "knn":
             parts.append(
                 f'<line class="knn-edge" x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
@@ -129,26 +129,25 @@ def render_svg(
                 f'stroke="#d62728" stroke-width="1.1" stroke-dasharray="5,3"/>'
             )
 
-    for point in dataset.points:
-        x, y = position[point.id]
-        color = _CLUSTER_PALETTE[dataset.labels[point.id] % len(_CLUSTER_PALETTE)]
+    for (x, y), label in zip(position, dataset.labels.tolist()):
+        color = _CLUSTER_PALETTE[label % len(_CLUSTER_PALETTE)]
         parts.append(f'<circle class="point" cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>')
 
     for head in graph.cluster_heads or ():
-        if head in position:
-            x, y = position[head]
+        if head in index:
+            x, y = position[index[head]]
             parts.append(_star(x, y, 9.0, "head", "#000000"))
 
     for entry in report.results:
         color, glyph, _ = _METHOD_STYLE[entry.method]
         for item_id in entry.item_ids:
-            if item_id not in by_id:
+            if item_id not in index:
                 msg = f"result item {item_id!r} is not in the dataset"
                 raise ValueError(msg)
-            x, y = position[item_id]
+            x, y = position[index[item_id]]
             parts.append(_marker(x, y, glyph, color, f"mark-{entry.method}"))
 
-    qx, qy = canvas.map(float(query.values[0]), float(query.values[1]))
+    qx, qy = canvas.map(*coords[-1])
     parts.append(_star(qx, qy, 11.0, "query", "#d62728"))
 
     # Legend: one row per method present, plus the fixed glyph rows.

@@ -258,16 +258,16 @@ class TestAcceptance:
     def test_criterion_9_metric_definitions(self, capsys):
         """Degenerate metric inputs hit their analytic values exactly."""
         same = {f"i{j}": EmbeddingVector(f"i{j}", [0.6, 0.8]) for j in range(5)}
-        identical_div = diversity_metric(tuple(same), same)
+        identical_div = diversity_metric(tuple(same), same.values())
 
         basis = {
             f"e{j}": EmbeddingVector(f"e{j}", np.eye(4)[j]) for j in range(4)
         }
-        orthogonal_div = diversity_metric(tuple(basis), basis)
+        orthogonal_div = diversity_metric(tuple(basis), basis.values())
 
         query = EmbeddingVector("query", [1.0, 2.0, 2.0])
         copies = {f"q{j}": EmbeddingVector(f"q{j}", [1.0, 2.0, 2.0]) for j in range(3)}
-        self_rel = relevance_metric(tuple(copies), query, copies)
+        self_rel = relevance_metric(tuple(copies), query, copies.values())
 
         ok = (
             abs(identical_div - 0.0) <= 1e-12

@@ -33,7 +33,7 @@ class TestGenerate:
         assert err == ""
         dataset = load_dataset(out)
         assert len(dataset.points) == 30
-        assert set(dataset.labels.values()) == {0, 1, 2}
+        assert set(dataset.labels.tolist()) == {0, 1, 2}
 
     def test_out_flag_is_required(self, capsys):
         code, _, err = _run(["generate", *_DATA], capsys)

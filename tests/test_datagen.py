@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semrank import datagen
 from semrank.cli import main
@@ -17,7 +19,7 @@ from semrank.datagen import (
     composite_query,
     generate_clusters,
 )
-from semrank.geometry import EmbeddingVector
+from semrank.geometry import EmbeddingVector, Embeddings, label_groups
 
 
 class TestSyntheticDatasetSpec:
@@ -58,7 +60,7 @@ class TestGenerateClusters:
         spec = SyntheticDatasetSpec(num_points=40, num_clusters=4, rng_seed=11)
         first = generate_clusters(spec)
         second = generate_clusters(spec)
-        assert first.labels == second.labels
+        np.testing.assert_array_equal(first.labels, second.labels)
         for a, b in zip(first.points, second.points):
             assert a.id == b.id
             np.testing.assert_array_equal(a.values, b.values)
@@ -84,7 +86,7 @@ class TestGenerateClusters:
         dataset = generate_clusters(SyntheticDatasetSpec())
         assert len(dataset.points) == 200
         assert all(point.dim == 2 for point in dataset.points)
-        assert sorted(set(dataset.labels.values())) == [0, 1, 2, 3, 4]
+        assert sorted(set(dataset.labels.tolist())) == [0, 1, 2, 3, 4]
         assert all(len(dataset.clusters[label]) == 40 for label in range(5))
 
     def test_ids_zero_padded_in_generation_order(self):
@@ -191,37 +193,80 @@ class TestCompositeQuery:
         points = generate_clusters(
             SyntheticDatasetSpec(num_points=6, num_clusters=2, rng_seed=13)
         ).points
-        labels = {p.id: (0 if i < 3 else 7) for i, p in enumerate(points)}
-        dataset = SyntheticDataset(points=points, labels=labels, spec=None)
+        dataset = SyntheticDataset(points=points, labels=[0, 0, 0, 7, 7, 7], spec=None)
         query = composite_query(dataset, rng_seed=2)
         assert query.dim == points[0].dim
 
-    def test_unlabelled_point_is_named(self):
-        """The first unlabelled point in position order is named, with the
-        message of a save of the same dataset."""
-        points = [EmbeddingVector(item_id, [1.0, 0.0]) for item_id in ("a", "c", "b")]
-        dataset = SyntheticDataset(points=points, labels={"a": 0})
-        with pytest.raises(ValueError, match="^point 'c' has no cluster label$"):
-            composite_query(dataset, rng_seed=0)
-
-    def test_label_without_members_is_named(self):
-        points = [EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [0.0, 1.0])]
-        dataset = SyntheticDataset(points=points, labels={"a": 0, "b": 0, "ghost": 1})
-        with pytest.raises(ValueError, match="^cluster 1 has no members$"):
-            composite_query(dataset, rng_seed=0)
-
     def test_a_mean_that_always_cancels_fails_loudly(self):
         points = [EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("b", [-1.0, 0.0])]
-        dataset = SyntheticDataset(points=points, labels={"a": 0, "b": 1})
+        dataset = SyntheticDataset(points=points, labels=[0, 1])
         with pytest.raises(ValueError, match="^composite query kept collapsing to a zero-norm mean$"):
             composite_query(dataset, rng_seed=0)
 
 
+class TestLabels:
+    _POINTS = (EmbeddingVector("b", [1.0, 0.0]), EmbeddingVector("a", [0.0, 1.0]), EmbeddingVector("c", [1.0, 1.0]))
+
+    def test_kept_as_a_read_only_int64_copy_by_position(self):
+        given_labels = np.array([2, -1, 2], dtype=np.int16)
+        dataset = SyntheticDataset(points=self._POINTS, labels=given_labels)
+        assert dataset.labels.dtype == np.int64 and dataset.labels.tolist() == [2, -1, 2]
+        assert not dataset.labels.flags.writeable and given_labels.flags.writeable
+        assert dataset.clusters[2].tolist() == [0, 2] and dataset.clusters[-1].tolist() == [1]
+        assert list(dataset.clusters) == [-1, 2]
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]], 0])
+    def test_one_label_per_point(self, labels):
+        shape = np.asarray(labels).shape
+        with pytest.raises(ValueError, match=re.escape(f"cluster labels of shape {shape} do not match 3 points")):
+            SyntheticDataset(points=self._POINTS, labels=labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([1.5, 0.0, 2.0]), np.array([1.0, 0.0, 2.0]), [True, False, True], [0, 1, 2**63], ["0", "1", "2"]],
+    )
+    def test_labels_that_are_not_int64_integers_are_rejected(self, labels):
+        # A cast would truncate 1.5 to 1, or overflow; the label is refused instead.
+        dtype = np.asarray(labels).dtype
+        with pytest.raises(ValueError, match=f"^cluster labels must be integers that fit int64, got dtype {dtype}$"):
+            SyntheticDataset(points=self._POINTS, labels=labels)
+
+    def test_an_empty_dataset_takes_empty_labels(self):
+        assert SyntheticDataset(points=(), labels=[]).clusters == {}
+
+
+@st.composite
+def _labelled_ids(draw):
+    """Shuffled ids whose code-point order is not natural order, with
+    negative and non-contiguous labels, sometimes all one label."""
+    n = draw(st.integers(0, 40))
+    ids = draw(st.permutations([f"{'pP'[i % 2]}{i}" for i in range(n)]))
+    values = st.sampled_from([-7, -1, 0, 3, 10**12]) if draw(st.booleans()) else st.just(draw(st.integers(-5, 5)))
+    return ids, draw(st.lists(values, min_size=n, max_size=n))
+
+
+class TestLabelGroups:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=_labelled_ids())
+    def test_matches_a_per_point_grouping_in_id_order(self, corpus):
+        ids, labels = corpus
+        grouped = {}
+        for item_id, label in sorted(zip(ids, labels)):
+            grouped.setdefault(label, []).append(ids.index(item_id))
+        want = {label: grouped[label] for label in sorted(grouped)}
+        corpus = Embeddings.from_matrix(ids, np.ones((len(ids), 1)))
+        got = label_groups(np.array(labels, dtype=np.int64), corpus.id_ranks)
+        assert list(got) == list(want)
+        assert {label: members.tolist() for label, members in got.items()} == want
+        assert all(not members.flags.writeable for members in got.values())
+
+
 def _scanning_composite_query(dataset, rng_seed):
     """composite_query as first written: one scan of every point per cluster."""
+    labels = dict(zip(dataset.points.ids, dataset.labels.tolist()))
     member_lists = []
-    for label in sorted(set(dataset.labels.values())):
-        members = [p for p in dataset.points if dataset.labels[p.id] == label]
+    for label in sorted(set(labels.values())):
+        members = [p for p in dataset.points if labels[p.id] == label]
         member_lists.append(sorted(members, key=lambda point: point.id))
     rng = np.random.default_rng(rng_seed)
     for _ in range(100):
@@ -239,7 +284,7 @@ class TestClusterMembersCache:
         # as a loaded file may hold it.
         shuffled = SyntheticDataset(
             points=dataset.points[::-1],
-            labels={item_id: 3 * label + 1 for item_id, label in dataset.labels.items()},
+            labels=3 * dataset.labels[::-1] + 1,
         )
         for data in (dataset, shuffled):
             for seed in range(40):
@@ -249,11 +294,12 @@ class TestClusterMembersCache:
 
     def test_clusters_are_id_sorted(self):
         dataset = generate_clusters(SyntheticDatasetSpec(num_points=40, num_clusters=4, rng_seed=5))
-        reordered = SyntheticDataset(points=dataset.points[::-1], labels=dataset.labels)
+        reordered = SyntheticDataset(points=dataset.points[::-1], labels=dataset.labels[::-1])
         for label in range(4):
             members = reordered.clusters[label]
-            assert [reordered.points.ids[i] for i in members] == sorted(p.id for p in dataset.points if dataset.labels[p.id] == label)
-        assert sorted(reordered.clusters) == [0, 1, 2, 3]
+            want = sorted(item_id for item_id, of in zip(dataset.points.ids, dataset.labels) if of == label)
+            assert [reordered.points.ids[i] for i in members] == want
+        assert list(reordered.clusters) == [0, 1, 2, 3]
 
     def test_clusters_hold_no_per_point_objects(self):
         """The members of a cluster are their positions, so the first
@@ -304,7 +350,7 @@ class TestBulkDraw:
         want = _per_point_generate(spec)
         assert [point.id for point in dataset.points] == [item_id for item_id, _, _ in want]
         assert [point.values.tobytes() for point in dataset.points] == [values.tobytes() for _, values, _ in want]
-        assert dataset.labels == {item_id: label for item_id, _, label in want}
+        assert dataset.labels.tolist() == [label for _, _, label in want]
 
     def test_the_largest_accepted_scales_match_the_per_point_loop(self):
         spec = SyntheticDatasetSpec(num_points=60, dim=4, cluster_std=1e100, separation=1e100, rng_seed=5)
@@ -332,7 +378,7 @@ class TestBulkDraw:
         dataset = generate_clusters(spec)
         want = _per_point_generate(spec)
         assert [point.values.tobytes() for point in dataset.points] == [values.tobytes() for _, values, _ in want]
-        assert dataset.labels == {item_id: label for item_id, _, label in want}
+        assert dataset.labels.tolist() == [label for _, _, label in want]
         assert all(point.norm() > 1e-9 for point in dataset.points)
 
     def test_resample_budget_fails_loudly(self, monkeypatch):

@@ -115,8 +115,9 @@ class TestBuildExperimentGraph:
         )
         symbolic = [e for e in graph.edges if e.kind == "symbolic"]
         assert symbolic
+        label_of = dict(zip(dataset.points.ids, dataset.labels.tolist()))
         for edge in symbolic:
-            assert dataset.labels[edge.source] != dataset.labels[edge.target]
+            assert label_of[edge.source] != label_of[edge.target]
 
 
 class TestRunExperiment:

@@ -1,6 +1,7 @@
 """Round-trip persistence for datasets and graphs, and parse-error surfaces."""
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -25,7 +26,8 @@ class TestDatasetRoundTrip:
         dataset = _dataset()
         path = save_dataset(dataset, tmp_path / "data.tsv")
         loaded = load_dataset(path)
-        assert loaded.labels == dataset.labels
+        assert loaded.labels.dtype == np.int64
+        assert loaded.labels.tolist() == dataset.labels.tolist()
         assert loaded.spec is None
         assert [p.id for p in loaded.points] == [p.id for p in dataset.points]
         for original, restored in zip(dataset.points, loaded.points):
@@ -43,7 +45,7 @@ class TestDatasetRoundTrip:
         assert all(line.count("\t") == 2 for line in lines[1:])
 
     def test_empty_dataset_rejected(self, tmp_path):
-        empty = SyntheticDataset(points=(), labels={}, spec=None)
+        empty = SyntheticDataset(points=(), labels=[], spec=None)
         with pytest.raises(ValueError, match="empty dataset"):
             save_dataset(empty, tmp_path / "nope.tsv")
 
@@ -125,10 +127,24 @@ class TestDatasetParsing:
         with pytest.raises(ValueError, match="has 2 coordinates, expected 1"):
             load_dataset(self._write(tmp_path, "#nodes 1 #dim 1\na\t0\tnan,1.0\n"))
 
+    @pytest.mark.parametrize("label", ["99999999999999999999999", "9223372036854775808", "-9223372036854775809"])
+    def test_a_label_beyond_int64_is_named(self, tmp_path, label):
+        path = self._write(tmp_path, f"#nodes 2 #dim 1\na\t0\t1.0\nb\t{label}\t2.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cluster label for 'b' is out of range$"):
+            load_dataset(path)
+
+    def test_the_int64_extremes_load(self, tmp_path):
+        text = "#nodes 2 #dim 1\na\t9223372036854775807\t1.0\nb\t-9223372036854775808\t2.0\n"
+        assert load_dataset(self._write(tmp_path, text)).labels.tolist() == [2**63 - 1, -(2**63)]
+
+    def test_a_fractional_label_is_not_truncated(self, tmp_path):
+        with pytest.raises(ValueError, match="non-integer cluster label for 'a'"):
+            load_dataset(self._write(tmp_path, "#nodes 1 #dim 1\na\t1.5\t1.0\n"))
+
     def test_header_only_file_loads_an_empty_corpus(self, tmp_path):
         loaded = load_dataset(self._write(tmp_path, "#nodes 0 #dim 3\n"))
         assert len(loaded.points) == 0
-        assert loaded.labels == {}
+        assert loaded.labels.shape == (0,)
         assert loaded.points.matrix.shape == (0, 3)
 
     def test_errors_name_the_file(self, tmp_path):
@@ -299,7 +315,7 @@ class TestUnwritableIds:
     @pytest.mark.parametrize("bad", _UNWRITABLE_IDS)
     def test_dataset_rejects_tab_and_line_breaks(self, bad, tmp_path):
         points = (EmbeddingVector("ok", [1.0, 0.0]), EmbeddingVector(bad, [0.0, 1.0]))
-        dataset = SyntheticDataset(points=points, labels={"ok": 0, bad: 1})
+        dataset = SyntheticDataset(points=points, labels=[0, 1])
         path = tmp_path / "data.tsv"
         with pytest.raises(ValueError, match="contains a tab or line break") as caught:
             save_dataset(dataset, path)
@@ -332,15 +348,11 @@ class TestFailedSaves:
             save(value, path)
         assert path.read_bytes() == b"kept\n"
 
-    def test_unlabelled_point(self, tmp_path):
-        dataset = SyntheticDataset(points=(EmbeddingVector("a", [1.0]), EmbeddingVector("b", [2.0])), labels={"a": 0})
-        self._check_writes_nothing(save_dataset, dataset, tmp_path / "data.tsv", "^point 'b' has no cluster label$")
-
     # Mixed dimensions are rejected as the dataset or graph is built, so
     # there is nothing to save.
     def test_mixed_dimension_dataset(self):
         with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=1, expected 2$"):
-            SyntheticDataset(points=self._MIXED, labels={"a": 0, "b": 1})
+            SyntheticDataset(points=self._MIXED, labels=[0, 1])
 
     def test_mixed_dimension_graph(self):
         with pytest.raises(ValueError, match="^dimension mismatch: 'b' has d=1, expected 2$"):
@@ -411,11 +423,11 @@ class TestRoundTripProperties:
             EmbeddingVector(item_id, data.draw(st.lists(_coordinates, min_size=dim, max_size=dim)))
             for item_id in ids
         )
-        labels = {item_id: data.draw(st.integers(-3, 3)) for item_id in ids}
+        labels = [data.draw(st.integers(-3, 3)) for _ in ids]
         path = tmp_path_factory.mktemp("data") / "data.tsv"
         loaded = load_dataset(save_dataset(SyntheticDataset(points=points, labels=labels), path))
         assert [p.id for p in loaded.points] == list(ids)
-        assert loaded.labels == labels
+        assert loaded.labels.tolist() == labels
         for original, restored in zip(points, loaded.points):
             assert original.values.tobytes() == restored.values.tobytes()
 

@@ -122,18 +122,12 @@ def _reference_norm(vector):
     return float(np.linalg.norm(vector.values))
 
 
-def _require_labels(nodes, labels):
-    for node in nodes:
-        if node.id not in labels:
-            raise ValueError(f"node {node.id!r} has no cluster label")
-
-
 def _reference_heads(nodes, labels):
-    """Head election as a loop over clusters and their members."""
-    _require_labels(nodes, labels)
+    """Head election as a loop over clusters and their members;
+    ``labels[i]`` is the label of ``nodes[i]``."""
     members = {}
-    for node in nodes:
-        members.setdefault(int(labels[node.id]), []).append(node)
+    for node, label in zip(nodes, labels):
+        members.setdefault(int(label), []).append(node)
     heads = []
     for label in sorted(members):
         cluster = sorted(members[label], key=lambda node: node.id)
@@ -150,16 +144,17 @@ def _reference_heads(nodes, labels):
 
 
 def _reference_dense(graph, heads, threshold, labels):
-    """The dense pass as a loop over heads and nodes."""
-    _require_labels(graph.nodes, labels)
+    """The dense pass as a loop over heads and nodes; ``labels[i]`` is the
+    label of ``graph.nodes[i]``."""
+    label_of = {node.id: int(label) for node, label in zip(graph.nodes, labels)}
     added = ([], [], [])
     for head in heads:
         head_vector = graph.vector(head)
-        head_label = int(labels[head])
+        head_label = label_of[head]
         head_norm = _reference_norm(head_vector)
         if not head_norm > 0.0:
             raise _zero_norm(head)
-        others = [position for position, node in enumerate(graph.nodes) if int(labels[node.id]) != head_label]
+        others = [position for position, node in enumerate(graph.nodes) if label_of[node.id] != head_label]
         for position in others:
             if not _reference_norm(graph.nodes[position]) > 0.0:
                 raise _zero_norm(graph.nodes[position].id)
@@ -195,8 +190,7 @@ def _clustered_corpora(draw):
         values = np.round(values)
         values[~values.any(axis=1), 0] = 1.0
     ids = [f"{'pP'[i % 2]}{i}" for i in range(len(values))]
-    labels = {item_id: dataset.labels[point.id] for item_id, point in zip(ids, dataset.points)}
-    return [EmbeddingVector(item_id, row) for item_id, row in zip(ids, values)], labels
+    return [EmbeddingVector(item_id, row) for item_id, row in zip(ids, values)], dataset.labels
 
 
 def _line_graph():
@@ -412,19 +406,19 @@ class TestElectClusterHeads:
         """Pick the member with the highest cosine to the cluster mean."""
         rng = np.random.default_rng(42)
         nodes = []
-        labels = {}
+        labels = []
         for label, center in enumerate(([10.0, 0.0], [0.0, 10.0])):
             for i in range(6):
-                node = EmbeddingVector(f"c{label}m{i}", np.asarray(center) + rng.normal(0, 1.0, 2))
-                nodes.append(node)
-                labels[node.id] = label
+                nodes.append(EmbeddingVector(f"c{label}m{i}", np.asarray(center) + rng.normal(0, 1.0, 2)))
+                labels.append(label)
+        label_of = {node.id: label for node, label in zip(nodes, labels)}
         heads = elect_cluster_heads(nodes, labels)
         assert len(heads) == 2
         for label, head in enumerate(heads):
-            members = [n for n in nodes if labels[n.id] == label]
+            members = [n for n in nodes if label_of[n.id] == label]
             mean = EmbeddingVector("mean", np.mean([m.values for m in members], axis=0))
             best = max(members, key=lambda m: (cosine_similarity(m, mean), ))
-            assert labels[head] == label
+            assert label_of[head] == label
             np.testing.assert_allclose(
                 cosine_similarity(next(n for n in nodes if n.id == head), mean),
                 cosine_similarity(best, mean),
@@ -437,29 +431,26 @@ class TestElectClusterHeads:
             EmbeddingVector("z", [1.0, 0.0]),
             EmbeddingVector("y", [0.0, 1.0]),
         ]
-        labels = {"z": 5, "y": 1}
-        assert elect_cluster_heads(nodes, labels) == ["y", "z"]
+        assert elect_cluster_heads(nodes, [5, 1]) == ["y", "z"]
 
     def test_ties_resolve_to_lowest_id(self):
         same = [1.0, 1.0]
         nodes = [EmbeddingVector("b", same), EmbeddingVector("a", same)]
-        labels = {"a": 0, "b": 0}
-        assert elect_cluster_heads(nodes, labels) == ["a"]
+        assert elect_cluster_heads(nodes, [0, 0]) == ["a"]
 
     def test_zero_norm_mean_collapses_to_lowest_id(self):
         nodes = [EmbeddingVector("p", [1.0, 0.0]), EmbeddingVector("m", [-1.0, 0.0])]
-        labels = {"p": 0, "m": 0}
-        assert elect_cluster_heads(nodes, labels) == ["m"]
+        assert elect_cluster_heads(nodes, [0, 0]) == ["m"]
 
-    def test_unlabeled_node_rejected(self):
+    def test_labels_must_align_with_the_nodes(self):
         nodes = [EmbeddingVector("a", [1.0])]
-        with pytest.raises(ValueError, match="node 'a' has no cluster label"):
-            elect_cluster_heads(nodes, {})
+        with pytest.raises(ValueError, match=r"^cluster labels of shape \(0,\) do not match 1 points$"):
+            elect_cluster_heads(nodes, [])
 
     def test_zero_norm_member_of_a_nonzero_mean_cluster_rejected(self):
         nodes = [EmbeddingVector("a", [1.0, 0.0]), EmbeddingVector("z", [0.0, 0.0])]
         with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
-            elect_cluster_heads(nodes, {"a": 0, "z": 0})
+            elect_cluster_heads(nodes, [0, 0])
 
 
 class TestSymbolicEdges:
@@ -474,8 +465,7 @@ class TestSymbolicEdges:
             EmbeddingVector("c0", [0.174, 0.985]),
             EmbeddingVector("c1", [0.14, 0.99]),
         ]
-        labels = {"a0": 0, "a1": 0, "b0": 1, "b1": 1, "c0": 2, "c1": 2}
-        return nodes, labels
+        return nodes, np.array([0, 0, 1, 1, 2, 2])
 
     def test_sparse_links_each_head_to_m_nearest_heads(self):
         nodes, labels = self._clustered()
@@ -520,8 +510,9 @@ class TestSymbolicEdges:
         symbolic = [e for e in augmented.edges if e.kind == "symbolic"]
         assert symbolic, "expected at least one dense link in this layout"
         endpoints = {(e.source, e.target) for e in symbolic}
+        label_of = dict(zip(graph.node_ids, labels.tolist()))
         for edge in symbolic:
-            assert labels[edge.source] != labels[edge.target]
+            assert label_of[edge.source] != label_of[edge.target]
             sim = cosine_similarity(augmented.vector(edge.source), augmented.vector(edge.target))
             assert sim > threshold
             assert (edge.target, edge.source) in endpoints
@@ -530,7 +521,7 @@ class TestSymbolicEdges:
         expected = set()
         for head in heads:
             for node in nodes:
-                if labels[node.id] != labels[head]:
+                if label_of[node.id] != label_of[head]:
                     if cosine_similarity(augmented.vector(head), node) > threshold:
                         expected.add((head, node.id))
                         expected.add((node.id, head))
@@ -552,14 +543,12 @@ class TestSymbolicEdges:
             with pytest.raises(ValueError, match=r"strictly inside \(-1, 1\)"):
                 add_symbolic_edges_dense(graph, heads, threshold, labels)
 
-    def test_dense_requires_full_labeling(self):
+    def test_dense_requires_one_label_per_node(self):
         nodes, labels = self._clustered()
         graph = build_knn_graph(nodes, 1)
         heads = elect_cluster_heads(nodes, labels)
-        partial = dict(labels)
-        del partial["c1"]
-        with pytest.raises(ValueError, match="node 'c1' has no cluster label"):
-            add_symbolic_edges_dense(graph, heads, 0.5, partial)
+        with pytest.raises(ValueError, match=r"^cluster labels of shape \(5,\) do not match 6 points$"):
+            add_symbolic_edges_dense(graph, heads, 0.5, labels[:-1])
 
     def test_dense_needs_heads_with_nonzero_norm(self):
         nodes, labels = self._clustered()
@@ -568,7 +557,7 @@ class TestSymbolicEdges:
             add_symbolic_edges_dense(graph, [], 0.5, labels)
         zero = SemanticGraph.from_named([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
         with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
-            add_symbolic_edges_dense(zero, ["z"], 0.5, {**labels, "z": 3})
+            add_symbolic_edges_dense(zero, ["z"], 0.5, [*labels, 3])
 
     def test_dense_names_a_node_of_another_dimension(self):
         nodes, _ = self._clustered()
@@ -580,8 +569,8 @@ class TestSymbolicEdges:
         nodes, labels = self._clustered()
         graph = SemanticGraph.from_named([*nodes, EmbeddingVector("z", [0.0, 0.0])], ())
         with pytest.raises(ValueError, match="^cosine similarity undefined for zero-norm vector 'z'$"):
-            add_symbolic_edges_dense(graph, ["a0"], 0.5, {**labels, "z": 1})
-        same_cluster = add_symbolic_edges_dense(graph, ["a0"], 0.5, {**labels, "z": 0})
+            add_symbolic_edges_dense(graph, ["a0"], 0.5, [*labels, 1])
+        same_cluster = add_symbolic_edges_dense(graph, ["a0"], 0.5, [*labels, 0])
         assert "z" not in {edge.target for edge in same_cluster.edges}
 
 
@@ -601,11 +590,12 @@ class TestSymbolicReference:
             _assert_edges_equal(once, _reference_sparse(graph, heads, m))
             assert once.cluster_heads == tuple(heads)
             _assert_edges_equal(add_symbolic_edges_sparse(once, heads, m), _reference_sparse(once, heads, m))
+        label_of = dict(zip(graph.node_ids, labels.tolist()))
         top = max(
             cosine_similarity(graph.vector(head), node)
             for head in heads
             for node in nodes
-            if labels[node.id] != labels[head]
+            if label_of[node.id] != label_of[head]
         )
         # ``top`` is the largest similarity there is, so it adds no pair.
         thresholds = [-0.5, 0.0, 0.5, 0.9] + ([top] if top < 1.0 else [])
@@ -651,7 +641,7 @@ def _tied_corpora(draw):
         values = rng.integers(1, 10, size=(n, 1)) * rng.normal(size=dim)
     values[rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))] = 0.0
     ids = [f"n{i}" for i in rng.permutation(n)]
-    labels = dict(zip(ids, rng.integers(0, draw(st.integers(1, 4)), size=n).tolist()))
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=n)
     if draw(st.booleans()):
         nodes = Embeddings.from_matrix(ids, values)
     else:
@@ -682,7 +672,7 @@ class TestVectorNorms:
         rng = np.random.default_rng(3)
         values = rng.normal(size=(600, 32))
         ids = [f"v{i:03d}" for i in range(600)]
-        labels = {item_id: i % 4 for i, item_id in enumerate(ids)}
+        labels = np.arange(600) % 4
         query = EmbeddingVector("q", rng.normal(size=32))
         outputs = []
         for matrix in (np.ascontiguousarray(values), np.asfortranarray(values)):

@@ -22,7 +22,15 @@ _STAGE_KEYS = (
     "retained_bytes",
     "ru_maxrss_mib",
 )
-_STAGES = ["generate_clusters", "from_matrix", "corpus_index", "top_n_candidates", "save_dataset", "load_dataset"]
+_STAGES = [
+    "generate_clusters",
+    "from_matrix",
+    "corpus_index",
+    "composite_query",
+    "top_n_candidates",
+    "save_dataset",
+    "load_dataset",
+]
 
 
 def test_each_run_appends_one_record_with_the_fixed_keys(tmp_path):

@@ -49,9 +49,9 @@ _ENTRY_POINTS = {
     "query_similarities query": lambda: query_similarities(_Z, [_A, _B]),
     "rank_hybrid node": _rank_from_zero_node,
     "rank_hybrid query": _rank_for_zero_query,
-    "elect_cluster_heads": lambda: elect_cluster_heads([_A, _Z], {"a": 0, "z": 0}),
-    "add_symbolic_edges_dense head": lambda: _dense(["z"], {"a": 0, "b": 0, "z": 1}),
-    "add_symbolic_edges_dense node": lambda: _dense(["a"], {"a": 0, "b": 0, "z": 1}),
+    "elect_cluster_heads": lambda: elect_cluster_heads([_A, _Z], [0, 0]),
+    "add_symbolic_edges_dense head": lambda: _dense(["z"], [0, 0, 1]),
+    "add_symbolic_edges_dense node": lambda: _dense(["a"], [0, 0, 1]),
 }
 
 

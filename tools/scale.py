@@ -17,6 +17,9 @@ timed in-process:
   its matrix;
 - ``corpus_index``: ``positions``, ``id_ranks`` and ``first_duplicate`` of
   a corpus fresh from ``from_matrix`` (built outside the timer);
+- ``composite_query``: one query of a dataset fresh from
+  ``generate_clusters`` (built outside the timer), so the call includes the
+  dataset's first grouping of its points by cluster label;
 - ``top_n_candidates``: a pool of ``min(100, N)`` for one composite query;
   the cold call is the first scan of a fresh corpus, the warm calls rescan
   it;
@@ -119,6 +122,7 @@ def stages(n: int, dim: int, workdir: Path) -> list[Stage]:
         ("generate_clusters", nothing, lambda _: generate_clusters(spec)),
         ("from_matrix", nothing, lambda _: Embeddings.from_matrix(ids, matrix)),
         ("corpus_index", fresh, index),
+        ("composite_query", lambda: generate_clusters(spec), lambda data: composite_query(data, 0)),
         ("top_n_candidates", nothing, lambda _: top_n_candidates(query, corpus, min(POOL, n))),
         ("save_dataset", nothing, lambda _: save_dataset(dataset, path)),
         ("load_dataset", nothing, lambda _: load_dataset(path)),

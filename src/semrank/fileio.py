@@ -63,7 +63,7 @@ def _write(
             msg = f"id {item_id!r} contains a tab or line break, which the file format cannot hold"
             raise ValueError(msg)
     matrix = corpus.matrix
-    prefixes = itertools.repeat("") if labels is None else (f"{label}\t" for label in labels.tolist())
+    prefixes = itertools.repeat("") if labels is None else (f"{label}\t" for label in labels)
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"#nodes {len(matrix)} #dim {matrix.shape[1]}\n")
         for item_id, prefix, row in zip(corpus.ids, prefixes, matrix):

@@ -160,7 +160,8 @@ def _relevance(item_ids: Sequence[str], query: EmbeddingVector, rows: np.ndarray
         # Raises at the first item that fails.
         for item_id, row in zip(item_ids, rows.tolist()):
             if row < 0:
-                raise ValueError(f"unknown item {item_id!r}")
+                msg = f"unknown item {item_id!r}"
+                raise ValueError(msg)
             cosine_similarity(corpus[row], query)
     cosines = np.clip(corpus.matrix[rows] @ query.values / (corpus.norms[rows] * query_norm), -1.0, 1.0)
     return float(cosines.sum()) / len(item_ids)
@@ -184,7 +185,8 @@ def _diversity(item_ids: Sequence[str], rows: np.ndarray, corpus: Embeddings) ->
         msg = f"diversity needs at least two items, got {len(item_ids)}"
         raise ValueError(msg)
     if (rows < 0).any():
-        raise ValueError(f"unknown item {item_ids[(rows < 0).argmax()]!r}")
+        msg = f"unknown item {item_ids[(rows < 0).argmax()]!r}"
+        raise ValueError(msg)
     reject_zero_norms(corpus.ids, corpus.norms, rows)
     values, norms = corpus.matrix[rows], corpus.norms[rows]
     cosines = np.clip(values @ values.T / np.outer(norms, norms), -1.0, 1.0)

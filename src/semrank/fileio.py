@@ -40,8 +40,9 @@ from .graph import EDGE_KINDS, SemanticGraph
 # The field separator plus every line boundary ``str.splitlines`` honours.
 _UNWRITABLE_ID_CHARS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
-# A dataset keeps its cluster labels as int64.
-_LABEL_RANGE = np.iinfo(np.int64)
+# A dataset keeps its cluster labels as int64; plain ints, since an
+# ``np.iinfo`` attribute is worked out on every read.
+_LABEL_MIN, _LABEL_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _write(
@@ -116,7 +117,7 @@ def _parse_vector_row(
         except ValueError:
             msg = f"{path}: non-integer cluster label for {item_id!r}"
             raise ValueError(msg) from None
-        if not _LABEL_RANGE.min <= label <= _LABEL_RANGE.max:
+        if not _LABEL_MIN <= label <= _LABEL_MAX:
             msg = f"{path}: cluster label for {item_id!r} is out of range"
             raise ValueError(msg)
     pieces = raw_values.split(",")
